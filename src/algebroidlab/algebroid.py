@@ -9,7 +9,7 @@ linear algebra (rank, isotropy, linearization) uses numpy.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,20 +22,10 @@ from .errors import (
     NotClosedError,
     ShapeMismatchError,
 )
-from .fields import Chart, ScalarField, parse_field
-from .sampling import seeded_points
+from .fields import Chart, ScalarField, as_field
+from .sampling import max_abs, seeded_points
 
 RANK_CUTOFF = 1e-9
-
-
-def _as_field(chart, value):
-    if isinstance(value, ScalarField):
-        if value.chart != chart:
-            raise DimensionMismatchError("field lives on a different chart")
-        return value
-    if isinstance(value, str):
-        return parse_field(chart, value)
-    return ScalarField.constant(chart, float(value))
 
 
 class VectorField:
@@ -44,7 +34,7 @@ class VectorField:
     __slots__ = ("chart", "comps")
 
     def __init__(self, chart, comps):
-        comps = [_as_field(chart, c) for c in comps]
+        comps = [as_field(chart, c) for c in comps]
         if len(comps) != chart.dimension:
             raise DimensionMismatchError(
                 "vector field needs %d components, got %d"
@@ -86,7 +76,7 @@ class Section:
     __slots__ = ("algebroid", "coeffs")
 
     def __init__(self, algebroid, coeffs):
-        coeffs = [_as_field(algebroid.chart, c) for c in coeffs]
+        coeffs = [as_field(algebroid.chart, c) for c in coeffs]
         if len(coeffs) != algebroid.rank:
             raise ShapeMismatchError(
                 "section needs %d coefficients, got %d"
@@ -191,7 +181,7 @@ def build_algebroid(chart, rank, anchor, bracket, metadata=None):
             "anchor needs %d rows, got %d" % (rank, len(anchor)))
     rows = []
     for row in anchor:
-        row = [_as_field(chart, v) for v in row]
+        row = [as_field(chart, v) for v in row]
         if len(row) != m:
             raise ShapeMismatchError(
                 "anchor row has %d entries, chart dimension is %d"
@@ -207,7 +197,7 @@ def build_algebroid(chart, rank, anchor, bracket, metadata=None):
     for s in range(rank):
         for t in range(rank):
             for u in range(rank):
-                tensor[s, t, u] = _as_field(chart, bracket[s, t, u])
+                tensor[s, t, u] = as_field(chart, bracket[s, t, u])
     for s in range(rank):
         for t in range(s, rank):
             for u in range(rank):
@@ -301,13 +291,8 @@ def validate(algebroid, points=None, tol=1e-10, n_samples=50, seed=0):
         raise ValueError("at least one sample point is required")
 
     def poly_max(fields_list):
-        worst = 0.0
-        for f in fields_list:
-            if f.is_zero():
-                continue
-            for p in pts:
-                worst = max(worst, abs(f.evaluate(p)))
-        return worst
+        return max_abs(f.evaluate(p) for f in fields_list
+                          if not f.is_zero() for p in pts)
 
     anti = []
     for s in range(r):
@@ -395,7 +380,7 @@ def isotropy_at(algebroid, p, tol=1e-9):
     w = np.einsum("sa,tb,stu->abu", kernel, kernel, c_p)
     proj = np.einsum("abu,uc,vc->abv", w, kernel, kernel)
     residual = float(np.max(np.abs(w - proj))) if k else 0.0
-    if residual > tol:
+    if not residual <= tol:
         raise NotClosedError(
             "kernel bracket leaves the kernel (residual %.3e)" % residual)
     constants = np.einsum("abu,uc->abc", w, kernel)
@@ -426,20 +411,26 @@ class TransformationData:
         for f in self.fields:
             if f.chart != self.chart:
                 raise DimensionMismatchError("action fields on mixed charts")
-        anti = np.max(np.abs(self.constants
-                             + np.swapaxes(self.constants, 0, 1))) if n else 0.0
-        if anti > self.jacobi_tol:
-            raise AntisymmetryViolationError(
-                "constants not antisymmetric (defect %.3e)" % anti)
-        jac = constants_jacobiator(self.constants)
-        worst = np.max(np.abs(jac)) if jac.size else 0.0
-        if worst > self.jacobi_tol:
-            raise JacobiViolationError(
-                "structure constants fail Jacobi (defect %.3e)" % worst)
+        _check_constants(self.constants, self.jacobi_tol, self.jacobi_tol)
 
     @property
     def algebra_dim(self):
         return self.constants.shape[0]
+
+
+def _check_constants(c, anti_tol, jacobi_tol):
+    """Raise unless constant structure data are antisymmetric and Jacobi.
+
+    Non-finite entries give a NaN or infinite defect, which fails too.
+    """
+    anti = max_abs((c + np.swapaxes(c, 0, 1)).flat)
+    if not anti <= anti_tol:
+        raise AntisymmetryViolationError(
+            "constants not antisymmetric (defect %.3e)" % anti)
+    worst = max_abs(constants_jacobiator(c).flat)
+    if not worst <= jacobi_tol:
+        raise JacobiViolationError(
+            "structure constants fail Jacobi (defect %.3e)" % worst)
 
 
 def constants_jacobiator(c):
@@ -519,7 +510,7 @@ def _bracket_entries_to_tensor(chart, rank, entries):
     tensor[...] = zero
     if isinstance(entries, dict):
         for (s, t, u), value in entries.items():
-            f = _as_field(chart, value)
+            f = as_field(chart, value)
             tensor[s, t, u] = tensor[s, t, u] + f
             tensor[t, s, u] = tensor[t, s, u] - f
     else:
@@ -528,7 +519,7 @@ def _bracket_entries_to_tensor(chart, rank, entries):
             raise ShapeMismatchError(
                 "bracket data must be (r, r, r) or a sparse dict")
         for idx in np.ndindex(rank, rank, rank):
-            tensor[idx] = _as_field(chart, arr[idx])
+            tensor[idx] = as_field(chart, arr[idx])
     return tensor
 
 
@@ -544,14 +535,7 @@ def catalog_build(kind, params):
         n = constants.shape[0]
         if constants.shape != (n, n, n):
             raise ShapeMismatchError("constants must be (n, n, n)")
-        anti = np.max(np.abs(constants + np.swapaxes(constants, 0, 1))) if n else 0.0
-        if anti > 1e-12:
-            raise AntisymmetryViolationError(
-                "constants not antisymmetric (defect %.3e)" % anti)
-        jac = constants_jacobiator(constants)
-        if jac.size and np.max(np.abs(jac)) > 1e-10:
-            raise JacobiViolationError(
-                "constants fail Jacobi (defect %.3e)" % np.max(np.abs(jac)))
+        _check_constants(constants, 1e-12, 1e-10)
         chart = Chart(0)
         anchor = [[] for _ in range(n)]
         meta = {"kind": kind, "params": {"constants": constants.tolist()}}
@@ -569,7 +553,7 @@ def catalog_build(kind, params):
         m = int(params["dimension"])
         chart = Chart(m)
         pi = params["bivector"]
-        rows = [[_as_field(chart, pi[i][j]) for j in range(m)] for i in range(m)]
+        rows = [[as_field(chart, pi[i][j]) for j in range(m)] for i in range(m)]
         for i in range(m):
             for j in range(i, m):
                 if not (rows[i][j] + rows[j][i]).is_zero():
@@ -624,15 +608,12 @@ def catalog_build(kind, params):
                         raise AntisymmetryViolationError(
                             "bracket entry (%d,%d,%d) breaks antisymmetry"
                             % (s, t, u))
-        pts = seeded_points(20, m, 0)
-        worst = 0.0
-        for p in pts:
-            jac = constants_jacobiator(
-                np.array([[[tensor[s, t, u].evaluate(p) for u in range(r)]
-                           for t in range(r)] for s in range(r)]))
-            if jac.size:
-                worst = max(worst, float(np.max(np.abs(jac))))
-        if worst > 1e-10:
+        at_points = [np.array([[[tensor[s, t, u].evaluate(p) for u in range(r)]
+                                for t in range(r)] for s in range(r)])
+                     for p in seeded_points(20, m, 0)]
+        worst = max_abs(x for c in at_points
+                           for x in constants_jacobiator(c).flat)
+        if not worst <= 1e-10:
             raise JacobiViolationError(
                 "bracket fails Jacobi pointwise (defect %.3e)" % worst)
         anchor = [[0.0] * m for _ in range(r)]

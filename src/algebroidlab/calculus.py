@@ -18,7 +18,8 @@ from .errors import (
     DimensionMismatchError,
     ShapeMismatchError,
 )
-from .fields import Chart, ScalarField
+from .fields import Chart, ScalarField, as_field, perm_sign
+from .sampling import max_abs
 
 
 def _normalize_key(key, bound):
@@ -29,14 +30,7 @@ def _normalize_key(key, bound):
             raise ShapeMismatchError("form index %d out of range" % i)
     if len(set(key)) != len(key):
         return key, 0
-    perm = sorted(range(len(key)), key=lambda a: key[a])
-    sign = 1
-    # count inversions of the sorting permutation
-    for a in range(len(perm)):
-        for b in range(a + 1, len(perm)):
-            if perm[a] > perm[b]:
-                sign = -sign
-    return tuple(sorted(key)), sign
+    return tuple(sorted(key)), perm_sign(key)
 
 
 def _poly_det(rows):
@@ -47,12 +41,7 @@ def _poly_det(rows):
     chart = rows[0][0].chart
     total = ScalarField(chart)
     for perm in itertools.permutations(range(n)):
-        sign = 1
-        for a in range(n):
-            for b in range(a + 1, n):
-                if perm[a] > perm[b]:
-                    sign = -sign
-        term = ScalarField.constant(chart, float(sign))
+        term = ScalarField.constant(chart, float(perm_sign(perm)))
         for i in range(n):
             term = term * rows[i][perm[i]]
         total = total + term
@@ -81,12 +70,7 @@ class AForm:
             skey, sign = _normalize_key(key, algebroid.rank)
             if sign == 0:
                 continue
-            if isinstance(value, ScalarField):
-                f = value
-                if f.chart != chart:
-                    raise DimensionMismatchError("component on wrong chart")
-            else:
-                f = ScalarField.constant(chart, float(value))
+            f = as_field(chart, value)
             if sign < 0:
                 f = -f
             if skey in coeffs:
@@ -158,8 +142,7 @@ class AForm:
         return not self.coeffs
 
     def max_abs_coeff(self):
-        return max((v.max_abs_coeff() for v in self.coeffs.values()),
-                   default=0.0)
+        return max_abs(v.max_abs_coeff() for v in self.coeffs.values())
 
     def __repr__(self):
         body = ", ".join("%r: %s" % (k, v) for k, v in sorted(self.coeffs.items()))
@@ -240,10 +223,7 @@ class CoordForm:
             skey, sign = _normalize_key(key, chart.dimension)
             if sign == 0:
                 continue
-            f = value if isinstance(value, ScalarField) else \
-                ScalarField.constant(chart, float(value))
-            if f.chart != chart:
-                raise DimensionMismatchError("component on wrong chart")
+            f = as_field(chart, value)
             if sign < 0:
                 f = -f
             coeffs[skey] = coeffs[skey] + f if skey in coeffs else f
@@ -328,9 +308,8 @@ class MatrixForm:
                 continue
             mat = self._as_matrix(mat)
             if sign < 0:
-                mat = _scale_matrix(-1.0, mat)
-            coeffs[skey] = _add_matrix(coeffs[skey], mat) if skey in coeffs \
-                else mat
+                mat = -mat
+            coeffs[skey] = coeffs[skey] + mat if skey in coeffs else mat
         self.coeffs = {k: v for k, v in coeffs.items()
                        if not _matrix_is_zero(v)}
 
@@ -341,11 +320,8 @@ class MatrixForm:
         if arr.shape != (self.size, self.size):
             raise ShapeMismatchError(
                 "matrix component must be %d by %d" % (self.size, self.size))
-        for i in range(self.size):
-            for j in range(self.size):
-                v = arr[i, j]
-                out[i, j] = v if isinstance(v, ScalarField) else \
-                    ScalarField.constant(chart, float(v))
+        for idx in np.ndindex(*out.shape):
+            out[idx] = as_field(chart, arr[idx])
         return out
 
     def zero_matrix(self):
@@ -358,7 +334,7 @@ class MatrixForm:
         if sign == 0 or skey not in self.coeffs:
             return self.zero_matrix()
         mat = self.coeffs[skey]
-        return mat if sign > 0 else _scale_matrix(-1.0, mat)
+        return mat if sign > 0 else -mat
 
     def __call__(self, *sections):
         if len(sections) != self.degree:
@@ -368,7 +344,7 @@ class MatrixForm:
         total = self.zero_matrix()
         for key, mat in self.coeffs.items():
             det = _poly_det([[sec.coeffs[s] for s in key] for sec in sections])
-            total = _add_matrix(total, _scale_matrix(det, mat))
+            total = total + det * mat
         return total
 
     def entry_form(self, i, j):
@@ -380,65 +356,38 @@ class MatrixForm:
         return not self.coeffs
 
     def max_abs_coeff(self):
-        worst = 0.0
-        for mat in self.coeffs.values():
-            for entry in mat.flat:
-                worst = max(worst, entry.max_abs_coeff())
-        return worst
-
-
-def _scale_matrix(f, mat):
-    out = np.empty(mat.shape, dtype=object)
-    for idx in np.ndindex(*mat.shape):
-        out[idx] = f * mat[idx]
-    return out
-
-
-def _add_matrix(a, b):
-    out = np.empty(a.shape, dtype=object)
-    for idx in np.ndindex(*a.shape):
-        out[idx] = a[idx] + b[idx]
-    return out
+        return max_abs(entry.max_abs_coeff()
+                       for mat in self.coeffs.values() for entry in mat.flat)
 
 
 def _matrix_is_zero(mat):
     return all(entry.is_zero() for entry in mat.flat)
 
 
-def matrix_differential(form):
-    """Entrywise Cartan derivative of a matrix form, no bracket term."""
-    a = form.algebroid
-    r = a.rank
-    k = form.degree
-    out = {}
-    for key in itertools.combinations(range(r), k + 1):
-        total = None
-        for i, s in enumerate(key):
-            rest = key[:i] + key[i + 1:]
-            mat = form.coeff(rest)
-            term = np.empty(mat.shape, dtype=object)
-            row = a.anchor_row(s)
-            for idx in np.ndindex(*mat.shape):
-                term[idx] = row.apply(mat[idx])
-            if i % 2:
-                term = _scale_matrix(-1.0, term)
-            total = term if total is None else _add_matrix(total, term)
-        for i in range(k + 1):
-            for j in range(i + 1, k + 1):
-                rest = tuple(key[x] for x in range(k + 1) if x != i and x != j)
-                sign = float((-1) ** (i + j))
-                for u in range(r):
-                    c = a.bracket[key[i], key[j], u]
-                    if c.is_zero():
-                        continue
-                    mat = form.coeff((u,) + rest)
-                    if _matrix_is_zero(mat):
-                        continue
-                    term = _scale_matrix(c if sign > 0 else -c, mat)
-                    total = term if total is None else _add_matrix(total, term)
-        if total is not None and not _matrix_is_zero(total):
-            out[key] = total
-    return MatrixForm(a, k + 1, form.size, out)
+def _apply_to_matrix(vf, mat):
+    """A vector field applied to every entry of a field matrix."""
+    out = np.empty(mat.shape, dtype=object)
+    for idx in np.ndindex(*mat.shape):
+        out[idx] = vf.apply(mat[idx])
+    return out
+
+
+def _mat_mul(a, b):
+    """Matrix product; on field matrices, zero entries are skipped."""
+    if a.dtype != object:
+        return a @ b
+    n = a.shape[0]
+    chart = a[0, 0].chart
+    out = np.empty((n, n), dtype=object)
+    for i in range(n):
+        for j in range(n):
+            total = ScalarField(chart)
+            for k in range(n):
+                if a[i, k].is_zero() or b[k, j].is_zero():
+                    continue
+                total = total + a[i, k] * b[k, j]
+            out[i, j] = total
+    return out
 
 
 class DualChart(Chart):

@@ -16,10 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import AForm, _poly_det, differential
-from .connections import (
+from .calculus import (
+    AForm,
+    _apply_to_matrix,
     _mat_mul,
-    _mat_sub,
+    _poly_det,
+    differential,
+)
+from .connections import (
     basic_connection,
     bundle_rank,
     connection_matrix,
@@ -32,8 +36,8 @@ from .errors import (
     ClosednessFailureError,
     ShapeMismatchError,
 )
-from .fields import ScalarField
-from .sampling import seeded_points
+from .fields import ScalarField, perm_sign
+from .sampling import max_abs, seeded_points
 
 TWO_PI = 2.0 * math.pi
 
@@ -81,21 +85,13 @@ class InvariantPolynomial:
         if len(mats) != self.k:
             raise ShapeMismatchError(
                 "polynomial of order %d needs %d matrices" % (self.k, self.k))
-        numeric = all(isinstance(m, np.ndarray) and m.dtype != object
-                      for m in mats)
-        total = 0.0 if numeric else None
+        total = None
         for subset, sign in self._subsets:
-            if numeric:
-                acc = np.zeros((self.q, self.q))
-                for i in subset:
-                    acc = acc + mats[i]
-                total += sign * self.sigma(acc)
-            else:
-                acc = mats[subset[0]]
-                for i in subset[1:]:
-                    acc = _m_add(acc, mats[i])
-                term = sign * self.sigma(acc)
-                total = term if total is None else total + term
+            acc = mats[subset[0]]
+            for i in subset[1:]:
+                acc = acc + mats[i]
+            term = sign * self.sigma(acc)
+            total = term if total is None else total + term
         return (1.0 / math.factorial(self.k)) * total
 
 
@@ -104,52 +100,6 @@ def invariant_polynomial(k, q):
 
 
 # ---------------------------------------------------------------- matrices
-
-def _is_numeric(m):
-    return isinstance(m, np.ndarray) and m.dtype != object
-
-
-def _m_add(a, b):
-    if _is_numeric(a):
-        return a + b
-    out = np.empty(a.shape, dtype=object)
-    for idx in np.ndindex(*a.shape):
-        out[idx] = a[idx] + b[idx]
-    return out
-
-
-def _m_sub(a, b):
-    if _is_numeric(a):
-        return a - b
-    out = np.empty(a.shape, dtype=object)
-    for idx in np.ndindex(*a.shape):
-        out[idx] = a[idx] - b[idx]
-    return out
-
-
-def _m_scale(c, a):
-    if _is_numeric(a):
-        return c * a
-    out = np.empty(a.shape, dtype=object)
-    for idx in np.ndindex(*a.shape):
-        out[idx] = c * a[idx]
-    return out
-
-
-def _m_comm(a, b):
-    if _is_numeric(a):
-        return a @ b - b @ a
-    return _mat_sub(_mat_mul(a, b), _mat_mul(b, a))
-
-
-def _m_trace(a):
-    if _is_numeric(a):
-        return float(np.trace(a))
-    total = a[0, 0]
-    for i in range(1, a.shape[0]):
-        total = total + a[i, i]
-    return total
-
 
 def _to_numeric(mat):
     out = np.zeros(mat.shape)
@@ -167,15 +117,6 @@ def _omega_frames(conn, numeric):
 
 
 # ----------------------------------------------------- matching enumeration
-
-def _perm_sign(seq):
-    sign = 1
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                sign = -sign
-    return sign
-
 
 def _matchings(items):
     items = list(items)
@@ -224,7 +165,7 @@ def chern_weil(algebroid, conn, poly):
         total = None
         for matching in _matchings(key):
             seq = tuple(x for pair in matching for x in pair)
-            sgn = _perm_sign(seq)
+            sgn = perm_sign(seq)
             mkey = tuple(sorted(matching))
             if mkey not in memo:
                 memo[mkey] = poly(*[pair_mats[p] for p in matching])
@@ -256,86 +197,64 @@ def _family_curvature(algebroid, omega0, etas, numeric):
         e[i] = p
         return tuple(e)
 
+    shape = omega0[0].shape
+    if numeric:
+        zero = np.zeros(shape)
+    else:
+        zero = np.empty(shape, dtype=object)
+        zero[...] = ScalarField(algebroid.chart)
+
     def d_term(xs, a, b):
         if numeric:
-            return np.zeros_like(xs[0])
-        ra = algebroid.anchor_row(a)
-        rb = algebroid.anchor_row(b)
-        out = np.empty(xs[0].shape, dtype=object)
-        for idx in np.ndindex(*xs[0].shape):
-            out[idx] = ra.apply(xs[b][idx]) - rb.apply(xs[a][idx])
-        return out
+            return zero
+        return (_apply_to_matrix(algebroid.anchor_row(a), xs[b])
+                - _apply_to_matrix(algebroid.anchor_row(b), xs[a]))
 
     def c_term(xs, a, b):
-        total = None
+        total = zero
         for u in range(r):
             c = algebroid.bracket[a, b, u]
-            if c.is_zero():
-                continue
-            if numeric:
-                piece = c.evaluate(()) * xs[u]
-            else:
-                piece = _m_scale(c, xs[u])
-            total = piece if total is None else _m_add(total, piece)
-        if total is None:
-            shape = xs[0].shape
-            if numeric:
-                return np.zeros(shape)
-            out = np.empty(shape, dtype=object)
-            out[...] = ScalarField(algebroid.chart)
-            return out
+            if not c.is_zero():
+                piece = (c.evaluate(()) if numeric else c) * xs[u]
+                total = piece if total is zero else total + piece
         return total
+
+    def comm(x, y):
+        return _mat_mul(x, y) - _mat_mul(y, x)
 
     out = {}
     for a in range(r):
         for b in range(a + 1, r):
             mono = {}
-            base = _m_add(d_term(omega0, a, b),
-                          _m_comm(omega0[a], omega0[b]))
-            mono[zero_e] = _m_sub(base, c_term(omega0, a, b))
+            mono[zero_e] = (d_term(omega0, a, b) + comm(omega0[a], omega0[b])
+                            - c_term(omega0, a, b))
             for i, eta in enumerate(etas):
-                lin = _m_add(d_term(eta, a, b),
-                             _m_add(_m_comm(eta[a], omega0[b]),
-                                    _m_comm(omega0[a], eta[b])))
-                mono[unit(i)] = _m_sub(lin, c_term(eta, a, b))
-                mono[unit(i, 2)] = _m_comm(eta[a], eta[b])
+                mono[unit(i)] = (d_term(eta, a, b)
+                                 + (comm(eta[a], omega0[b])
+                                    + comm(omega0[a], eta[b]))
+                                 - c_term(eta, a, b))
+                mono[unit(i, 2)] = comm(eta[a], eta[b])
                 for j in range(i + 1, n):
                     mixed = tuple(x + y for x, y in zip(unit(i), unit(j)))
-                    mono[mixed] = _m_add(_m_comm(eta[a], etas[j][b]),
-                                         _m_comm(etas[j][a], eta[b]))
+                    mono[mixed] = (comm(eta[a], etas[j][b])
+                                   + comm(etas[j][a], eta[b]))
             out[(a, b)] = mono
     return out
 
 
-def _t_integrals(max_d, n_nodes):
-    """Moments of t on [0, 1] by Gauss-Legendre; the 0th is exactly 1."""
-    g, gw = np.polynomial.legendre.leggauss(int(n_nodes))
-    x = 0.5 * (g + 1.0)
-    w = 0.5 * gw
-    w = w / w.sum()
-    out = np.zeros(max_d + 1)
-    out[0] = 1.0
-    for d in range(1, max_d + 1):
-        out[d] = float(np.sum(w * x ** d))
-    return out
+def _t_integrals(max_d):
+    """Moments of t on [0, 1]: the integral of t^d is 1/(d+1)."""
+    return [1.0 / (d + 1) for d in range(max_d + 1)]
 
 
-def _simplex_integrals(max_d, n_nodes):
-    """Moments of (s, t) over the triangle s,t >= 0, s+t <= 1."""
-    g, gw = np.polynomial.legendre.leggauss(int(n_nodes))
-    u = 0.5 * (g + 1.0)
-    wu = 0.5 * gw
-    out = {}
-    for i in range(max_d + 1):
-        for j in range(max_d + 1):
-            total = 0.0
-            for a in range(len(u)):
-                for b in range(len(u)):
-                    s = u[a] * (1.0 - u[b])
-                    t = u[a] * u[b]
-                    total += wu[a] * wu[b] * u[a] * s ** i * t ** j
-            out[(i, j)] = total
-    return out
+def _simplex_integrals(max_d):
+    """Moments of (s, t) over the triangle s,t >= 0, s+t <= 1.
+
+    The integral of s^i t^j over it is i! j! / (i+j+2)!.
+    """
+    f = math.factorial
+    return {(i, j): f(i) * f(j) / f(i + j + 2)
+            for i in range(max_d + 1) for j in range(max_d + 1)}
 
 
 def _check_pair(conn1, conn0, poly):
@@ -349,12 +268,12 @@ def _check_pair(conn1, conn0, poly):
             % (poly.q, conn1.q))
 
 
-def transgression_form(conn1, conn0, poly, n_nodes=8):
+def transgression_form(conn1, conn0, poly):
     """Difference form lambda^{1,0}(P) between two connections.
 
     Degree 2k-1; its differential equals the difference of the two
-    primary forms. The t-integrand is polynomial, so the fixed quadrature
-    is exact up to roundoff.
+    primary forms. The t-integrand is polynomial, so its moments are
+    taken in closed form.
     """
     _check_pair(conn1, conn0, poly)
     a = conn1.algebroid
@@ -367,7 +286,7 @@ def transgression_form(conn1, conn0, poly, n_nodes=8):
     numeric = a.dimension == 0
     omega1 = _omega_frames(conn1, numeric)
     omega0 = _omega_frames(conn0, numeric)
-    eta = [_m_sub(x, y) for x, y in zip(omega1, omega0)]
+    eta = [x - y for x, y in zip(omega1, omega0)]
     entries = {}
     if k == 1:
         for s in range(r):
@@ -379,7 +298,7 @@ def transgression_form(conn1, conn0, poly, n_nodes=8):
         return form
 
     fam = _family_curvature(a, omega0, [eta], numeric)
-    tint = _t_integrals(2 * (k - 1), n_nodes)
+    tint = _t_integrals(2 * (k - 1))
     memo = {}
     for key in itertools.combinations(range(r), 2 * k - 1):
         total = None
@@ -387,7 +306,7 @@ def transgression_form(conn1, conn0, poly, n_nodes=8):
             rest = key[:i] + key[i + 1:]
             for matching in _matchings(rest):
                 seq = (head,) + tuple(x for pair in matching for x in pair)
-                sgn = _perm_sign(seq)
+                sgn = perm_sign(seq)
                 for powers in itertools.product(range(3), repeat=k - 1):
                     weight = float(tint[sum(powers)]) * sgn
                     mkey = (head, tuple(sorted(zip(matching, powers))))
@@ -405,7 +324,7 @@ def transgression_form(conn1, conn0, poly, n_nodes=8):
     return form
 
 
-def secondary_triple(algebroid, conn2, conn1, conn0, poly, n_nodes=8):
+def secondary_triple(algebroid, conn2, conn1, conn0, poly):
     """Two-parameter transgression between three connections.
 
     Degree 2k-2; its differential ties together the three pairwise
@@ -426,12 +345,10 @@ def secondary_triple(algebroid, conn2, conn1, conn0, poly, n_nodes=8):
         return out
     numeric = algebroid.dimension == 0
     omega0 = _omega_frames(conn0, numeric)
-    eta1 = [_m_sub(x, y) for x, y in
-            zip(_omega_frames(conn1, numeric), omega0)]
-    eta2 = [_m_sub(x, y) for x, y in
-            zip(_omega_frames(conn2, numeric), omega0)]
+    eta1 = [x - y for x, y in zip(_omega_frames(conn1, numeric), omega0)]
+    eta2 = [x - y for x, y in zip(_omega_frames(conn2, numeric), omega0)]
     fam = _family_curvature(algebroid, omega0, [eta1, eta2], numeric)
-    sint = _simplex_integrals(2 * (k - 2), n_nodes)
+    sint = _simplex_integrals(2 * (k - 2))
     slot_monos = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
     memo = {}
     entries = {}
@@ -442,7 +359,7 @@ def secondary_triple(algebroid, conn2, conn1, conn0, poly, n_nodes=8):
             for matching in _matchings(rest):
                 seq = (head1, head2) + tuple(x for pair in matching
                                              for x in pair)
-                sgn = _perm_sign(seq)
+                sgn = perm_sign(seq)
                 for powers in itertools.product(slot_monos, repeat=k - 2):
                     ds = sum(p[0] for p in powers)
                     dt = sum(p[1] for p in powers)
@@ -480,14 +397,11 @@ def _closedness_residual(form, n_points=20, seed=0):
     if not d.coeffs:
         return 0.0
     pts = seeded_points(n_points, form.algebroid.dimension, seed)
-    worst = 0.0
-    for f in d.coeffs.values():
-        for p in pts:
-            worst = max(worst, abs(f.evaluate(tuple(p))))
-    return worst
+    return max_abs(f.evaluate(tuple(p))
+                      for f in d.coeffs.values() for p in pts)
 
 
-def secondary_class(algebroid, k, n_nodes=8):
+def secondary_class(algebroid, k):
     """Secondary class representative m_k from the canonical connections."""
     k = int(k)
     if k < 1 or k % 2 == 0:
@@ -501,9 +415,9 @@ def secondary_class(algebroid, k, n_nodes=8):
                               ("basic", "flat_metric"), overflow=True)
     conn1 = basic_connection(algebroid)
     conn0 = flat_metric_connection(algebroid)
-    form = transgression_form(conn1, conn0, poly, n_nodes=n_nodes)
+    form = transgression_form(conn1, conn0, poly)
     residual = _closedness_residual(form)
-    if residual > 1e-7:
+    if not residual <= 1e-7:
         raise ClosednessFailureError(
             "secondary class is not closed (residual %.3e)" % residual)
     return CocycleSection(form, k, residual, ("basic", "flat_metric"))
@@ -549,13 +463,9 @@ def modular_theorem_check(algebroid, points=None, n_points=20, seed=0):
         len(points), algebroid.dimension)
     m1 = secondary_class(algebroid, 1)
     theta = modular_cocycle(algebroid)
-    worst = 0.0
-    for p in pts:
-        p = tuple(p)
-        for s in range(algebroid.rank):
-            lhs = m1.form.coeff((s,)).evaluate(p)
-            rhs = theta.form.coeff((s,)).evaluate(p) / TWO_PI
-            worst = max(worst, abs(lhs - rhs))
+    worst = max_abs(m1.form.coeff((s,)).evaluate(tuple(p))
+                       - theta.form.coeff((s,)).evaluate(tuple(p)) / TWO_PI
+                       for p in pts for s in range(algebroid.rank))
     return {"max_deviation": worst,
             "n_points": int(pts.shape[0]),
             "closedness_residual": m1.closedness_residual}
@@ -588,13 +498,13 @@ def lie_algebra_secondary(constants, k):
             prod = ad[perm[0]]
             for pos in range(1, degree, 2):
                 prod = prod @ adbr[perm[pos], perm[pos + 1]]
-            total += _perm_sign(perm) * np.trace(prod)
+            total += perm_sign(perm) * np.trace(prod)
         value = scale * total
         if value == 0.0:
             continue
         for perm in itertools.permutations(range(degree)):
             idx = tuple(key[j] for j in perm)
-            out[idx] = _perm_sign(idx) * value
+            out[idx] = perm_sign(idx) * value
     return out
 
 

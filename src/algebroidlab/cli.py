@@ -6,9 +6,10 @@ tag, the command name, a content digest of the input file, and the seed,
 so identical inputs produce byte-identical output. Numbers are printed
 with 17 significant digits.
 
-Exit codes: 0 on success, 2 when validation fails (the report is still
-printed), 1 on any input or usage error (a JSON error document is
-printed).
+Exit codes: 0 on success, 2 when validation fails or a residual is not
+finite (the report is still printed, with non-finite numbers as the
+strings "nan", "inf" and "-inf"), 1 on any input or usage error (a JSON
+error document is printed).
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ from .algebroid import (
 from .calculus import AForm, differential
 from .classes import modular_cocycle, modular_theorem_check, secondary_class
 from .connections import compatible_connection, curvature, torsion
-from .errors import AlgebroidError, BadOrderError, NotALoopError
+from .errors import AlgebroidError, BadOrderError
 from .fields import ScalarField
 from .specio import algebroid_from_dict, path_from_dict
-from .transport import JOINT_TOL, parallel_transport
+from .transport import _check_loop, parallel_transport
 
 SCHEMA = "algebroidlab/1"
 TWO_PI = 2.0 * math.pi
@@ -49,15 +50,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _ReportEncoder(json.JSONEncoder):
-    """17-significant-digit floats; everything else as the default encoder."""
+    """17-significant-digit floats, non-finite ones as strings; everything
+    else as the default encoder."""
 
     def iterencode(self, o, _one_shot=False):
         markers = {} if self.check_circular else None
 
-        def floatstr(x, _inf=float("inf")):
-            if x != x or x == _inf or x == -_inf:
-                raise ValueError("non-finite number in report")
-            return format(x, ".17g")
+        def floatstr(x):
+            return format(x, ".17g") if math.isfinite(x) else '"%r"' % x
 
         make = json.encoder._make_iterencode(
             markers, self.default, json.encoder.encode_basestring_ascii,
@@ -88,17 +88,20 @@ def _emit(doc):
     sys.stdout.write(text + "\n")
 
 
-def _load_spec(path):
+def _read_json(path):
+    """The parsed document and the sha256 digest of the file's bytes."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    digest = hashlib.sha256(raw).hexdigest()
-    return algebroid_from_dict(json.loads(raw.decode("utf-8"))), digest
+    return json.loads(raw.decode("utf-8")), hashlib.sha256(raw).hexdigest()
 
 
 def _parse_point(text, dimension):
     if text is None or text.strip() == "":
         return (0.0,) * dimension
-    return tuple(float(v) for v in text.split(","))
+    point = tuple(float(v) for v in text.split(","))
+    if not all(math.isfinite(v) for v in point):
+        raise UsageError("--point coordinates must be finite")
+    return point
 
 
 # ------------------------------------------------------------- subcommands
@@ -204,32 +207,14 @@ def _cmd_curvature(a, args):
     return ({"bundle": "A", "entries": entries}, {}, {}, 0)
 
 
-def _load_path(a, args):
+def _cmd_transport(a, args):
+    """transport; holonomy is the same run on a path that must close up."""
     if not args.path:
         raise UsageError("this command needs --path")
-    with open(args.path, "rb") as fh:
-        raw = fh.read()
-    digest = hashlib.sha256(raw).hexdigest()
-    return path_from_dict(a, json.loads(raw.decode("utf-8"))), digest
-
-
-def _cmd_transport(a, args):
-    path, digest = _load_path(a, args)
-    conn = compatible_connection(a)[0]
-    res = parallel_transport(conn, path, np.eye(conn.q),
-                             n_steps=args.steps, tol=args.tol)
-    results = {"matrix": res.value, "steps": res.steps,
-               "path_digest": digest}
-    tolerances = {} if args.tol is None else {"transport": args.tol}
-    return results, {"step_halving": res.error}, tolerances, 0
-
-
-def _cmd_holonomy(a, args):
-    path, digest = _load_path(a, args)
-    start = path.base_at(0.0)
-    end = path.base_at(1.0)
-    if start.size and np.max(np.abs(start - end)) > JOINT_TOL:
-        raise NotALoopError("base path does not close up")
+    doc, digest = _read_json(args.path)
+    path = path_from_dict(a, doc)
+    if args.command == "holonomy":
+        _check_loop(path)
     conn = compatible_connection(a)[0]
     res = parallel_transport(conn, path, np.eye(conn.q),
                              n_steps=args.steps, tol=args.tol)
@@ -279,7 +264,7 @@ _COMMANDS = {
     "curvature": _cmd_curvature,
     "torsion": _cmd_torsion,
     "transport": _cmd_transport,
-    "holonomy": _cmd_holonomy,
+    "holonomy": _cmd_transport,
     "classes": _cmd_classes,
     "modular": _cmd_modular,
 }
@@ -311,9 +296,9 @@ def main(argv=None):
         args = parser.parse_args(argv)
         if not args.command:
             raise UsageError("no command given")
-        algebroid, digest = _load_spec(args.spec)
+        doc, digest = _read_json(args.spec)
         results, residuals, tolerances, code = \
-            _COMMANDS[args.command](algebroid, args)
+            _COMMANDS[args.command](algebroid_from_dict(doc), args)
     except UsageError as exc:
         _emit({"error": "usage: %s" % exc})
         return 1
@@ -323,6 +308,8 @@ def main(argv=None):
     except (OSError, ValueError, KeyError, TypeError) as exc:
         _emit({"error": "%s: %s" % (type(exc).__name__, exc)})
         return 1
+    if not all(math.isfinite(v) for v in residuals.values()):
+        code = 2
     _emit({
         "schema": SCHEMA,
         "command": args.command,

@@ -12,14 +12,15 @@ from __future__ import annotations
 import numpy as np
 
 from .algebroid import Section, anchor_apply, bracket_sections
-from .calculus import MatrixForm, _poly_det
+from .calculus import MatrixForm, _apply_to_matrix, _mat_mul, _poly_det
 from .errors import (
     AlgebroidMismatchError,
     BundleMismatchError,
     NotInvertibleError,
     ShapeMismatchError,
 )
-from .fields import ScalarField, parse_field
+from .fields import ScalarField, as_field
+from .sampling import max_abs
 
 BUNDLES = ("A", "TM", "T*M", "E")
 
@@ -32,14 +33,6 @@ def bundle_rank(algebroid, bundle):
     if bundle == "E":
         return algebroid.rank + algebroid.dimension
     raise ShapeMismatchError("unknown bundle tag %r" % (bundle,))
-
-
-def _coerce_field(chart, v):
-    if isinstance(v, ScalarField):
-        return v
-    if isinstance(v, str):
-        return parse_field(chart, v)
-    return ScalarField.constant(chart, float(v))
 
 
 class AConnection:
@@ -67,7 +60,7 @@ def build_connection(algebroid, bundle, symbols):
             "symbols must have shape %r, got %r" % ((r, q, q), arr.shape))
     out = np.empty((r, q, q), dtype=object)
     for idx in np.ndindex(r, q, q):
-        out[idx] = _coerce_field(algebroid.chart, arr[idx])
+        out[idx] = as_field(algebroid.chart, arr[idx])
     return AConnection(algebroid, bundle, out)
 
 
@@ -104,7 +97,7 @@ class TensorSection:
                 % (shape, arr.shape))
         out = np.empty(shape, dtype=object)
         for idx in np.ndindex(*shape):
-            out[idx] = _coerce_field(algebroid.chart, arr[idx])
+            out[idx] = as_field(algebroid.chart, arr[idx])
         self.algebroid = algebroid
         self.bundle = bundle
         self.n_upper = int(n_upper)
@@ -123,18 +116,15 @@ class TensorSection:
         return out
 
     def max_abs_coeff(self):
-        return max((f.max_abs_coeff() for f in self.comps.flat), default=0.0)
+        return max_abs(f.max_abs_coeff() for f in self.comps.flat)
 
     def __sub__(self, other):
         if (other.algebroid is not self.algebroid
                 or other.bundle != self.bundle
                 or other.comps.shape != self.comps.shape):
             raise ShapeMismatchError("tensor mismatch")
-        out = np.empty(self.comps.shape, dtype=object)
-        for idx in np.ndindex(*self.comps.shape):
-            out[idx] = self.comps[idx] - other.comps[idx]
-        return TensorSection(self.algebroid, self.bundle,
-                             self.n_upper, self.n_lower, out)
+        return TensorSection(self.algebroid, self.bundle, self.n_upper,
+                             self.n_lower, self.comps - other.comps)
 
 
 def section_tensor(conn, section):
@@ -263,50 +253,13 @@ def local_curvature(conn):
     entries = {}
     for s in range(r):
         for t in range(s + 1, r):
-            term = _apply_field_to_matrix(a.anchor_row(s), mats[t])
-            term = _mat_sub(term, _apply_field_to_matrix(a.anchor_row(t), mats[s]))
-            term = _mat_add(term, _mat_mul(mats[s], mats[t]))
-            term = _mat_sub(term, _mat_mul(mats[t], mats[s]))
             br = Section(a, list(a.bracket[s, t, :]))
-            term = _mat_sub(term, connection_matrix(conn, br))
-            entries[(s, t)] = term
+            entries[(s, t)] = (_apply_to_matrix(a.anchor_row(s), mats[t])
+                               - _apply_to_matrix(a.anchor_row(t), mats[s])
+                               + _mat_mul(mats[s], mats[t])
+                               - _mat_mul(mats[t], mats[s])
+                               - connection_matrix(conn, br))
     return MatrixForm(a, 2, conn.q, entries)
-
-
-def _apply_field_to_matrix(vf, mat):
-    out = np.empty(mat.shape, dtype=object)
-    for idx in np.ndindex(*mat.shape):
-        out[idx] = vf.apply(mat[idx])
-    return out
-
-
-def _mat_add(a, b):
-    out = np.empty(a.shape, dtype=object)
-    for idx in np.ndindex(*a.shape):
-        out[idx] = a[idx] + b[idx]
-    return out
-
-
-def _mat_sub(a, b):
-    out = np.empty(a.shape, dtype=object)
-    for idx in np.ndindex(*a.shape):
-        out[idx] = a[idx] - b[idx]
-    return out
-
-
-def _mat_mul(a, b):
-    n = a.shape[0]
-    chart = a[0, 0].chart
-    out = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            total = ScalarField(chart)
-            for k in range(n):
-                if a[i, k].is_zero() or b[k, j].is_zero():
-                    continue
-                total = total + a[i, k] * b[k, j]
-            out[i, j] = total
-    return out
 
 
 class FrameChange:
@@ -325,7 +278,7 @@ class FrameChange:
         n = arr.shape[0]
         out = np.empty((n, n), dtype=object)
         for idx in np.ndindex(n, n):
-            out[idx] = _coerce_field(chart, arr[idx])
+            out[idx] = as_field(chart, arr[idx])
         det = _poly_det([[out[i, j] for j in range(n)] for i in range(n)])
         if det is None:
             raise ShapeMismatchError("empty frame change")
@@ -334,7 +287,7 @@ class FrameChange:
                 "determinant %s is not constant; inverse would not be "
                 "polynomial" % det)
         d = det.constant_value()
-        if abs(d) < 1e-12:
+        if not abs(d) >= 1e-12:
             raise NotInvertibleError("determinant vanishes")
         inv = np.empty((n, n), dtype=object)
         for i in range(n):

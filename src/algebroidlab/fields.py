@@ -8,6 +8,7 @@ tight tolerances.
 
 from __future__ import annotations
 
+import math
 import re
 
 from .errors import (
@@ -15,6 +16,7 @@ from .errors import (
     ExpressionSyntaxError,
     UnknownVariableError,
 )
+from .sampling import max_abs
 
 
 class Chart:
@@ -207,7 +209,7 @@ class ScalarField:
         return self.coeffs.get((0,) * self.chart.dimension, 0.0)
 
     def max_abs_coeff(self):
-        return max((abs(c) for c in self.coeffs.values()), default=0.0)
+        return max_abs(self.coeffs.values())
 
     def total_degree(self):
         return max((sum(e) for e in self.coeffs), default=0)
@@ -343,7 +345,33 @@ def parse_field(chart, text):
             fail("term is missing a factor")
         key = tuple(exps)
         result[key] = result.get(key, 0.0) + coeff
+    if not all(math.isfinite(c) for c in result.values()):
+        raise ExpressionSyntaxError("coefficient is not a finite number")
     return ScalarField(chart, result)
+
+
+def as_field(chart, v):
+    """A ScalarField on chart from a field, expression or finite number."""
+    if isinstance(v, ScalarField):
+        if v.chart != chart:
+            raise DimensionMismatchError("field lives on a different chart")
+        return v
+    if isinstance(v, str):
+        return parse_field(chart, v)
+    v = float(v)
+    if not math.isfinite(v):
+        raise ExpressionSyntaxError("%r is not a finite number" % v)
+    return ScalarField.constant(chart, v)
+
+
+def perm_sign(seq):
+    """Sign of the permutation that sorts seq (entries distinct)."""
+    sign = 1
+    for i in range(len(seq)):
+        for j in range(i + 1, len(seq)):
+            if seq[i] > seq[j]:
+                sign = -sign
+    return sign
 
 
 def eval_partial(f, orders, p):

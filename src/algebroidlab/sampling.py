@@ -1,4 +1,5 @@
-"""Deterministic sample-point generation for validators and reports."""
+"""Deterministic sample points for validators and reports, and the
+NaN-safe maximum their residuals are reduced with."""
 
 import numpy as np
 
@@ -12,3 +13,12 @@ def seeded_points(n, dim, seed, low=-1.0, high=1.0):
     """n points uniform in [low, high]^dim, reproducible across runs."""
     gen = generator(seed)
     return gen.uniform(low, high, size=(int(n), int(dim)))
+
+
+def max_abs(values):
+    """Largest absolute value among numbers, 0.0 if none; NaN if any is NaN.
+
+    The builtin max keeps its first argument against NaN (max(0.0, nan) is
+    0.0), so a NaN residual would read as zero and pass its check.
+    """
+    return float(np.max(np.abs(np.fromiter(values, dtype=float)), initial=0.0))

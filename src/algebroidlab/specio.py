@@ -29,7 +29,6 @@ import json
 import numpy as np
 
 from .algebroid import (
-    LieAlgebroid,
     TransformationData,
     VectorField,
     build_algebroid,
@@ -37,6 +36,7 @@ from .algebroid import (
 )
 from .errors import AntisymmetryViolationError, ShapeMismatchError
 from .fields import Chart, ScalarField, parse_field
+from .transport import T_CHART, APath
 
 
 def algebroid_from_dict(data):
@@ -134,13 +134,10 @@ def save_algebroid(algebroid, path):
 
 
 def path_from_dict(algebroid, data):
-    from .transport import APath
-
-    t_chart = Chart(1, ("t",))
     segments = []
     for seg in data["segments"]:
-        gamma = [parse_field(t_chart, str(g)) for g in seg["gamma"]]
-        coeffs = [parse_field(t_chart, str(a)) for a in seg["coeffs"]]
+        gamma = [parse_field(T_CHART, str(g)) for g in seg["gamma"]]
+        coeffs = [parse_field(T_CHART, str(a)) for a in seg["coeffs"]]
         segments.append((float(seg["t0"]), float(seg["t1"]), gamma, coeffs))
     return APath(algebroid, segments)
 

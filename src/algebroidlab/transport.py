@@ -19,30 +19,20 @@ from scipy.linalg import expm
 
 from .errors import (
     AlgebroidMismatchError,
-    DimensionMismatchError,
     NotAFixedPointError,
     NotALoopError,
     NotTangentError,
     ShapeMismatchError,
     ToleranceNotMetError,
 )
-from .fields import Chart, ScalarField, parse_field
+from .fields import Chart, ScalarField, as_field
+from .sampling import max_abs
 
 T_CHART = Chart(1, ("t",))
 
 PATH_TOL = 1e-6
 JOINT_TOL = 1e-9
 RESIDUAL_GRID = 256
-
-
-def _as_t_field(v):
-    if isinstance(v, ScalarField):
-        if v.chart != T_CHART:
-            raise DimensionMismatchError("path data must be polynomials in t")
-        return v
-    if isinstance(v, str):
-        return parse_field(T_CHART, v)
-    return ScalarField.constant(T_CHART, float(v))
 
 
 def _coeff_array(f):
@@ -91,8 +81,8 @@ class APath:
             t0, t1 = float(t0), float(t1)
             if not t1 > t0:
                 raise ShapeMismatchError("segment endpoints out of order")
-            gamma = [_as_t_field(g) for g in gamma]
-            coeffs = [_as_t_field(a) for a in coeffs]
+            gamma = [as_field(T_CHART, g) for g in gamma]
+            coeffs = [as_field(T_CHART, a) for a in coeffs]
             if len(gamma) != m:
                 raise ShapeMismatchError(
                     "base curve needs %d components, got %d" % (m, len(gamma)))
@@ -110,13 +100,13 @@ class APath:
                 raise ShapeMismatchError("segments leave a gap in [0, 1]")
             left = np.array([g.evaluate((a[1],)) for g in a[2]])
             right = np.array([g.evaluate((b[0],)) for g in b[2]])
-            if left.size and np.max(np.abs(left - right)) > JOINT_TOL:
+            if not max_abs(left - right) <= JOINT_TOL:
                 raise NotTangentError("base curve jumps at a segment joint")
         self.algebroid = algebroid
         self.segments = cleaned
         self.starts = [seg[0] for seg in cleaned]
         self.residual = self._tangency_residual()
-        if self.residual > PATH_TOL:
+        if not self.residual <= PATH_TOL:
             raise NotTangentError(
                 "path is not tangent to the anchor distribution "
                 "(residual %.3e)" % self.residual)
@@ -141,13 +131,11 @@ class APath:
         m = self.algebroid.dimension
         if m == 0:
             return 0.0
-        worst = 0.0
-        for t in np.linspace(0.0, 1.0, RESIDUAL_GRID):
-            p = self.base_at(t)
-            b = self.algebroid.anchor_matrix_at(p)
-            a = self.coeff_at(t)
-            worst = max(worst, float(np.max(np.abs(a @ b - self.velocity_at(t)))))
-        return worst
+        anchor_at = self.algebroid.anchor_matrix_at
+        return max_abs(
+            x for t in np.linspace(0.0, 1.0, RESIDUAL_GRID)
+            for x in self.coeff_at(t) @ anchor_at(self.base_at(t))
+            - self.velocity_at(t))
 
     def endpoint(self, end=1.0):
         return self.base_at(float(end))
@@ -175,9 +163,7 @@ def concat_paths(first, second):
     """Traverse first then second on a common [0, 1] clock."""
     if first.algebroid is not second.algebroid:
         raise AlgebroidMismatchError("paths over different algebroids")
-    end = first.base_at(1.0)
-    start = second.base_at(0.0)
-    if end.size and np.max(np.abs(end - start)) > JOINT_TOL:
+    if not max_abs(first.base_at(1.0) - second.base_at(0.0)) <= JOINT_TOL:
         raise NotTangentError("second path does not start where the first ends")
     t = ScalarField.coordinate(T_CHART, 0)
     segments = []
@@ -199,7 +185,7 @@ def reparametrize_path(path, phi):
     if len(path.segments) != 1:
         raise ShapeMismatchError(
             "clock changes are supported on single-segment paths")
-    phi = _as_t_field(phi)
+    phi = as_field(T_CHART, phi)
     if abs(phi.evaluate((0.0,))) > 1e-12 or abs(phi.evaluate((1.0,)) - 1.0) > 1e-12:
         raise ShapeMismatchError("clock change must fix the endpoints")
     rate = phi.partial(0)
@@ -227,10 +213,10 @@ def lift_base_path(algebroid, base, grid=64):
 
     base = list(base)
     if base and all(is_piece(x) for x in base):
-        pieces = [(float(t0), float(t1), [_as_t_field(g) for g in gs])
+        pieces = [(float(t0), float(t1), [as_field(T_CHART, g) for g in gs])
                   for t0, t1, gs in base]
     else:
-        pieces = [(0.0, 1.0, [_as_t_field(g) for g in base])]
+        pieces = [(0.0, 1.0, [as_field(T_CHART, g) for g in base])]
     pieces.sort(key=lambda seg: seg[0])
     starts = [p[0] for p in pieces]
 
@@ -383,12 +369,14 @@ def parallel_transport(conn, path, v0, n_steps=200, tol=None,
         n *= 2
 
 
+def _check_loop(path):
+    if not max_abs(path.base_at(0.0) - path.base_at(1.0)) <= JOINT_TOL:
+        raise NotALoopError("base path does not close up")
+
+
 def holonomy_matrix(conn, path, n_steps=200, tol=None):
     """Transport of the whole frame around a loop."""
-    start = path.base_at(0.0)
-    end = path.base_at(1.0)
-    if start.size and np.max(np.abs(start - end)) > JOINT_TOL:
-        raise NotALoopError("base path does not close up")
+    _check_loop(path)
     result = parallel_transport(conn, path, np.eye(conn.q),
                                 n_steps=n_steps, tol=tol)
     return result.value
@@ -411,11 +399,8 @@ def fixed_point_holonomy(algebroid, v):
     if v.shape != (r,):
         raise ShapeMismatchError("algebra element must have length %d" % r)
     origin = tuple(0.0 for _ in range(m))
-    worst = 0.0
-    for s in range(r):
-        for i in range(m):
-            worst = max(worst, abs(algebroid.anchor[s][i].evaluate(origin)))
-    if worst > 1e-12:
+    worst = max_abs(algebroid.anchor_matrix_at(origin).flat)
+    if not worst <= 1e-12:
         raise NotAFixedPointError(
             "the origin moves under the action (anchor value %.3e)" % worst)
     c = algebroid.bracket_at(origin)

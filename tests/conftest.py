@@ -2,12 +2,14 @@
 
 import itertools
 import math
+import zlib
 
 import numpy as np
 import pytest
 
 import algebroidlab as al
 from algebroidlab.fields import Chart, ScalarField
+from algebroidlab.sampling import max_abs
 from algebroidlab.transport import T_CHART
 
 EPS3 = np.zeros((3, 3, 3))
@@ -99,6 +101,14 @@ def sl3():
     return al.catalog_build("lie_algebra", {"constants": sl3_constants()})
 
 
+def rng_for(tag):
+    """Generator seeded from a tag by CRC-32, the same in every process.
+
+    The builtin hash of a str is salted per process, so it cannot be used.
+    """
+    return np.random.default_rng(np.random.Philox(zlib.crc32(tag.encode())))
+
+
 def random_symbols(algebroid, bundle, seed, degree=0):
     """Random polynomial connection symbols, entries uniform in [-1, 1]."""
     rng = np.random.default_rng(np.random.Philox(seed))
@@ -144,24 +154,18 @@ def random_form(algebroid, degree, rng, max_deg=2):
 
 def form_sup(form, points):
     """Largest absolute coefficient value over a list of points."""
-    worst = 0.0
-    for f in form.coeffs.values():
-        for p in points:
-            worst = max(worst, abs(f.evaluate(p)))
-    return worst
+    return max_abs(f.evaluate(p) for f in form.coeffs.values() for p in points)
 
 
 def form_coeff_max(form):
-    return max((f.max_abs_coeff() for f in form.coeffs.values()), default=0.0)
+    return max_abs(f.max_abs_coeff() for f in form.coeffs.values())
 
 
 def form_diff_max(u, v):
     zero = ScalarField(u.algebroid.chart)
-    worst = 0.0
-    for k in set(u.coeffs) | set(v.coeffs):
-        d = u.coeffs.get(k, zero) - v.coeffs.get(k, zero)
-        worst = max(worst, d.max_abs_coeff())
-    return worst
+    return max_abs(
+        (u.coeffs.get(k, zero) - v.coeffs.get(k, zero)).max_abs_coeff()
+        for k in set(u.coeffs) | set(v.coeffs))
 
 
 def circle_pieces(n_seg=64, deg=9, z0=0.0, radius=1.0, turns=1.0):

@@ -32,14 +32,11 @@ from conftest import (
     random_form,
     random_section,
     random_symbols,
+    rng_for,
     sl3_constants,
 )
 
 DATA = Path(__file__).parent / "data"
-
-
-def rng_for(tag):
-    return np.random.default_rng(np.random.Philox(abs(hash(tag)) % 2**32))
 
 
 def test_criterion_1(catalog):

@@ -1,12 +1,17 @@
 """Axioms, catalog families, isotropy, and linearization."""
 
+import json
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import algebroidlab as al
 from algebroidlab.fields import Chart, ScalarField, parse_field
-from algebroidlab.sampling import seeded_points
+from algebroidlab.sampling import max_abs, seeded_points
 from algebroidlab.errors import (
+    AlgebroidError,
     AntisymmetryViolationError,
     JacobiViolationError,
     NotABivectorError,
@@ -58,6 +63,32 @@ def test_validate_flags_anchor_perturbation():
     pts = seeded_points(50, 3, 0)
     predicted = max(max(abs(p[0]), abs(p[2])) for p in pts)
     assert 0.9 * predicted <= report.anchor_residual <= 1.1 * predicted
+
+
+def test_max_abs_keeps_nan():
+    assert max_abs([]) == 0.0
+    assert max_abs([1.0, -3.0, 2.0]) == 3.0
+    assert math.isnan(max_abs([1.0, math.nan, 2.0]))
+
+
+def test_validate_fails_on_nan_residual():
+    # the anchor commutator overflows to inf - inf, so its defect is NaN
+    a = al.load_algebroid(Path(__file__).parent / "data" / "overflow.json")
+    report = al.validate(a)
+    assert math.isnan(report.anchor_residual)
+    assert not report.anchor_pass and not report.passed
+
+
+def test_catalog_rejects_non_finite_constants():
+    for text in ("[[[NaN]]]", "[[[Infinity]]]", "[[[0, 0], [0, NaN]], "
+                 "[[0, 0], [0, 0]]]"):
+        constants = json.loads(text)
+        with pytest.raises(AlgebroidError):
+            al.catalog_build("lie_algebra", {"constants": constants})
+        with pytest.raises(AlgebroidError):
+            al.catalog_build("transformation", {
+                "dimension": 1, "constants": constants,
+                "fields": [["x1"]] * len(constants)})
 
 
 def test_validate_at_explicit_points(catalog):

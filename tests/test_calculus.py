@@ -10,11 +10,13 @@ import algebroidlab as al
 from algebroidlab.calculus import DualChart, fiber_linear
 from algebroidlab.fields import ScalarField, parse_field
 from algebroidlab.errors import AlgebroidMismatchError, ShapeMismatchError
-from conftest import build_catalog, form_coeff_max, form_diff_max, random_form
-
-
-def rng_for(name):
-    return np.random.default_rng(np.random.Philox(abs(hash(name)) % 2**32))
+from conftest import (
+    build_catalog,
+    form_coeff_max,
+    form_diff_max,
+    random_form,
+    rng_for,
+)
 
 
 def test_form_key_normalization(catalog):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import algebroidlab as al
+from algebroidlab import classes
 from algebroidlab.classes import (
     InvariantPolynomial,
     _matchings,
@@ -77,16 +78,28 @@ def test_matchings_count_double_factorial():
             assert flat == list(range(n))
 
 
+def gauss_t_moments(max_d, n_nodes):
+    """Moments of t on [0, 1] by Gauss-Legendre quadrature."""
+    g, gw = np.polynomial.legendre.leggauss(n_nodes)
+    x = 0.5 * (g + 1.0)
+    return [float(np.sum(0.5 * gw * x ** d)) for d in range(max_d + 1)]
+
+
 def test_quadrature_moments_exact():
-    t = _t_integrals(6, 8)
+    t = _t_integrals(6)
     assert t[0] == 1.0
-    for d in range(1, 7):
-        assert abs(t[d] - 1.0 / (d + 1)) < 1e-15
-    s = _simplex_integrals(2, 8)
+    for d, want in enumerate(gauss_t_moments(6, 8)):
+        assert abs(t[d] - want) < 1e-15
+    # the triangle s,t >= 0, s+t <= 1 as the image of the unit square
+    # under (u, v) -> (u(1-v), uv), Jacobian u
+    g, gw = np.polynomial.legendre.leggauss(8)
+    u = 0.5 * (g + 1.0)
+    uu, vv = np.meshgrid(u, u, indexing="ij")
+    w = np.outer(0.5 * gw, 0.5 * gw) * uu
+    s = _simplex_integrals(2)
     for i in range(3):
         for j in range(3):
-            want = math.factorial(i) * math.factorial(j) \
-                / math.factorial(i + j + 2)
+            want = float(np.sum(w * (uu * (1.0 - vv)) ** i * (uu * vv) ** j))
             assert abs(s[(i, j)] - want) < 1e-15
 
 
@@ -161,12 +174,14 @@ def test_triple_boundary_identity(sl3, sl3_conns):
     assert form_diff_max(lhs, rhs) < 1e-7
 
 
-def test_transgression_quadrature_insensitive(sl3, sl3_conns):
+def test_transgression_quadrature_insensitive(sl3, sl3_conns, monkeypatch):
     c0, c1, _ = sl3_conns
     poly = InvariantPolynomial(3, 8)
-    a8 = al.transgression_form(c1, c0, poly, n_nodes=8)
-    a64 = al.transgression_form(c1, c0, poly, n_nodes=64)
-    assert form_diff_max(a8, a64) < 1e-12
+    exact = al.transgression_form(c1, c0, poly)
+    monkeypatch.setattr(classes, "_t_integrals",
+                        lambda max_d: gauss_t_moments(max_d, 64))
+    a64 = al.transgression_form(c1, c0, poly)
+    assert form_diff_max(exact, a64) < 1e-12
 
 
 def test_secondary_triple_order_checks(sl3, sl3_conns):

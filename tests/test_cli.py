@@ -154,11 +154,30 @@ def test_error_documents():
         ["validate"],
         [],
         ["transport", "--spec", DATA / "so3_action.json"],
+        ["rank", "--spec", DATA / "so3_action.json", "--point", "inf,0,1"],
     ]
     for argv in cases:
         code, doc = run_doc(argv)
         assert code == 1
         assert set(doc) == {"error"}
+
+
+def test_non_finite_residual_fails_with_a_document():
+    # the anchor commutator overflows to inf - inf, so its defect is NaN
+    code, doc = run_doc(["validate", "--spec", DATA / "overflow.json"])
+    assert code == 2
+    assert doc["results"]["pass"] is False
+    assert doc["results"]["anchor_pass"] is False
+    assert doc["residuals"]["anchor"] == "nan"
+
+
+def test_non_finite_input_is_an_error_document(tmp_path):
+    spec = tmp_path / "bad.json"
+    for text in ('{"kind": "lie_algebra", "params": {"constants": [[[NaN]]]}}',
+                 '{"dimension": 1, "rank": 1, "anchor": [["1e999*x1"]]}'):
+        spec.write_text(text)
+        code, doc = run_doc(["validate", "--spec", spec])
+        assert code == 1 and set(doc) == {"error"}
 
 
 def test_bad_json_spec(tmp_path):

@@ -10,14 +10,11 @@ from algebroidlab.connections import FrameChange, bundle_rank
 from algebroidlab.fields import Chart, ScalarField, parse_field
 from algebroidlab.errors import (
     BundleMismatchError,
+    DimensionMismatchError,
     NotInvertibleError,
     ShapeMismatchError,
 )
-from conftest import EPS3, random_section, random_symbols
-
-
-def rng_for(tag):
-    return np.random.default_rng(np.random.Philox(abs(hash(tag)) % 2**32))
+from conftest import EPS3, random_section, random_symbols, rng_for
 
 
 def test_bundle_ranks(catalog):
@@ -33,6 +30,14 @@ def test_build_connection_shape_check(catalog):
     a = catalog["so3"]
     with pytest.raises(ShapeMismatchError):
         al.build_connection(a, "A", np.zeros((2, 3, 3)))
+
+
+def test_build_connection_rejects_foreign_chart(catalog):
+    a = catalog["so3_action"]
+    symbols = np.zeros((3, 3, 3), dtype=object)
+    symbols[0, 1, 2] = ScalarField.constant(Chart(2), 1.0)
+    with pytest.raises(DimensionMismatchError):
+        al.build_connection(a, "A", symbols)
 
 
 def test_flat_connection_is_directional_derivative(catalog):

@@ -1,5 +1,6 @@
 """Polynomial scalar fields: parsing, arithmetic, differentiation."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import algebroidlab as al
-from algebroidlab.fields import Chart, ScalarField, eval_partial, parse_field
+from algebroidlab.fields import (
+    Chart,
+    ScalarField,
+    as_field,
+    eval_partial,
+    parse_field,
+    perm_sign,
+)
 from algebroidlab.errors import (
     DimensionMismatchError,
     ExpressionSyntaxError,
@@ -53,6 +61,29 @@ def test_parse_syntax_error():
         parse_field(CHART2, "x1 +* x2")
     with pytest.raises(ExpressionSyntaxError):
         parse_field(CHART2, "(x1")
+
+
+def test_parse_rejects_non_finite_numbers():
+    for text in ("1e999*x1", "1e200*1e200", "1e308 + 1e308"):
+        with pytest.raises(ExpressionSyntaxError):
+            parse_field(CHART2, text)
+
+
+def test_as_field_coerces_and_checks():
+    assert as_field(CHART2, "x1 + 1") == parse_field(CHART2, "x1 + 1")
+    assert as_field(CHART2, 2) == ScalarField.constant(CHART2, 2.0)
+    for bad in (math.nan, math.inf, -math.inf, np.float64("nan")):
+        with pytest.raises(ExpressionSyntaxError):
+            as_field(CHART2, bad)
+    with pytest.raises(DimensionMismatchError):
+        as_field(CHART2, ScalarField.constant(Chart(1), 1.0))
+
+
+def test_perm_sign_is_permutation_matrix_determinant():
+    assert perm_sign(()) == 1
+    assert perm_sign((7, 2)) == -1
+    for perm in itertools.permutations(range(4)):
+        assert perm_sign(perm) == round(np.linalg.det(np.eye(4)[list(perm)]))
 
 
 def test_parse_unknown_variable():
