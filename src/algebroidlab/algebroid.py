@@ -22,7 +22,7 @@ from .errors import (
     NotClosedError,
     ShapeMismatchError,
 )
-from .fields import Chart, ScalarField, as_field
+from .fields import Chart, ScalarField, as_field, parse_field
 from .sampling import max_abs, seeded_points
 
 RANK_CUTOFF = 1e-9
@@ -504,7 +504,46 @@ def linearize_at(algebroid, p, tol=1e-9):
                               jacobi_tol=max(1e-12, 10 * iso.residual))
 
 
+def _bracket_from_entries(chart, rank, entries):
+    """Bracket tensor from the file format's 1-based entry list.
+
+    Each {"s", "t", "u", "value"} entry sets c[s][t][u] and, unless the
+    opposite orientation is listed too, c[t][s][u] = -value. Repeated
+    entries add up; listed opposite orientations must agree.
+    """
+    given = {}
+    for entry in entries:
+        s, t, u = int(entry["s"]) - 1, int(entry["t"]) - 1, int(entry["u"]) - 1
+        for idx in (s, t, u):
+            if not 0 <= idx < rank:
+                raise ShapeMismatchError(
+                    "bracket index out of range in %r" % (entry,))
+        f = parse_field(chart, str(entry["value"]))
+        if (s, t, u) in given:
+            given[(s, t, u)] = given[(s, t, u)] + f
+        else:
+            given[(s, t, u)] = f
+
+    tensor = np.empty((rank, rank, rank), dtype=object)
+    tensor[...] = ScalarField(chart)
+    for (s, t, u), f in given.items():
+        if (t, s, u) in given:
+            if not (f + given[(t, s, u)]).is_zero():
+                raise AntisymmetryViolationError(
+                    "entries (%d,%d,%d) and (%d,%d,%d) are not opposite"
+                    % (s + 1, t + 1, u + 1, t + 1, s + 1, u + 1))
+            tensor[s, t, u] = f
+        else:
+            tensor[s, t, u] = f
+            tensor[t, s, u] = -f
+    return tensor
+
+
 def _bracket_entries_to_tensor(chart, rank, entries):
+    """Bracket tensor from a 0-based sparse dict, the 1-based entry list
+    or a dense (r, r, r) array."""
+    if isinstance(entries, list) and all(isinstance(e, dict) for e in entries):
+        return _bracket_from_entries(chart, rank, entries)
     tensor = np.empty((rank, rank, rank), dtype=object)
     zero = ScalarField(chart)
     tensor[...] = zero
@@ -517,7 +556,8 @@ def _bracket_entries_to_tensor(chart, rank, entries):
         arr = np.asarray(entries, dtype=object)
         if arr.shape != (rank, rank, rank):
             raise ShapeMismatchError(
-                "bracket data must be (r, r, r) or a sparse dict")
+                "bracket data must be (r, r, r), a sparse dict or an "
+                "entry list")
         for idx in np.ndindex(rank, rank, rank):
             tensor[idx] = as_field(chart, arr[idx])
     return tensor

@@ -2,33 +2,34 @@
 
 Primary forms come from invariant polynomials of the curvature; secondary
 forms come from transgression integrals between two (or three) connections
-on E = A + T*M. Combinatorics run over perfect matchings with signs, which
-equals the full signed permutation sum divided by the count of redundant
-block rearrangements; with that normalization the boundary identities
-d(transgression) = primary difference hold without stray factors.
+on E = A + T*M. All three are one integral over the n-simplex, n = 0, 1, 2,
+of P(eta_1, ..., eta_n, F, ..., F), where eta_i is the difference of
+connection i and the base connection and F is the curvature of the family
+base + sum_i t_i eta_i. P is the cycle-trace polarization of sigma_k, a
+signed sum over permutations of products of traces of the matrix words
+along their cycles. Combinatorics run over perfect matchings with
+signs, which equals the full signed permutation sum divided by the count
+of redundant block rearrangements; with that normalization the boundary
+identities d(transgression) = primary difference hold without stray
+factors. The simplex moments are exact.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import (
-    AForm,
-    _apply_to_matrix,
-    _mat_mul,
-    _poly_det,
-    differential,
-)
+from .calculus import AForm, _mat_mul, differential
 from .connections import (
+    _family_curvature,
+    _frame_matrices,
     basic_connection,
     bundle_rank,
-    connection_matrix,
     flat_metric_connection,
-    local_curvature,
 )
 from .errors import (
     AlgebroidMismatchError,
@@ -42,15 +43,52 @@ from .sampling import max_abs, seeded_points
 TWO_PI = 2.0 * math.pi
 
 
+def _cycles(perm):
+    """Cycles of a permutation of range(n), each starting at its least entry."""
+    seen = set()
+    out = []
+    for start in range(len(perm)):
+        i, cycle = start, []
+        while i not in seen:
+            seen.add(i)
+            cycle.append(i)
+            i = perm[i]
+        if cycle:
+            out.append(tuple(cycle))
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _cycle_table(k):
+    """(sign, cycles) of each permutation of range(k), and all their cycles."""
+    perms = tuple((perm_sign(p), _cycles(p))
+                  for p in itertools.permutations(range(k)))
+    return perms, frozenset(c for _, cycles in perms for c in cycles)
+
+
+def _cycle_trace(mats):
+    """tr(X_1 X_2 ... X_m); the last product is summed inside the trace."""
+    if len(mats) == 1:
+        return np.trace(mats[0])
+    head = functools.reduce(_mat_mul, mats[:-1])
+    return (head * mats[-1].T).sum()
+
+
 class InvariantPolynomial:
     """Polarized elementary symmetric function of matrix eigenvalues.
 
-    sigma_k(X) is the coefficient of mu^(q-k) in det(mu I + X/(2*pi)),
-    i.e. the sum of principal k-minors of X/(2*pi). The evaluator is the
-    full polarization, symmetric and Ad-invariant.
+    sigma_k(X) is the coefficient of mu^(q-k) in det(mu I + X/(2*pi)).
+    Its polarization is the cycle-trace sum
+
+        P(X_1, ..., X_k) = (2 pi)^-k / k! * sum over s in S_k of
+                           sgn(s) * prod over cycles c of s of
+                           tr(prod_{i in c} X_i),
+
+    symmetric, multilinear and Ad-invariant, with sigma(X) = P(X, ..., X).
+    Float and field matrices take the same route.
     """
 
-    __slots__ = ("k", "q", "_rows", "_cols", "_subsets")
+    __slots__ = ("k", "q")
 
     def __init__(self, k, q):
         k = int(k)
@@ -60,60 +98,26 @@ class InvariantPolynomial:
                 "order must satisfy 1 <= k <= %d, got %d" % (q, k))
         self.k = k
         self.q = q
-        combos = np.array(list(itertools.combinations(range(q), k)))
-        self._rows = combos[:, :, None]
-        self._cols = combos[:, None, :]
-        subsets = []
-        for size in range(1, k + 1):
-            sign = (-1) ** (k - size)
-            for subset in itertools.combinations(range(k), size):
-                subsets.append((subset, float(sign)))
-        self._subsets = subsets
 
     def sigma(self, x):
-        if isinstance(x, np.ndarray) and x.dtype != object:
-            minors = np.linalg.det(x[self._rows, self._cols])
-            return float(minors.sum()) / TWO_PI ** self.k
-        chart = x[0, 0].chart
-        total = ScalarField(chart)
-        for combo in itertools.combinations(range(self.q), self.k):
-            rows = [[x[i, j] for j in combo] for i in combo]
-            total = total + _poly_det(rows)
-        return (TWO_PI ** -self.k) * total
+        return self(*(x,) * self.k)
 
     def __call__(self, *mats):
         if len(mats) != self.k:
             raise ShapeMismatchError(
                 "polynomial of order %d needs %d matrices" % (self.k, self.k))
-        total = None
-        for subset, sign in self._subsets:
-            acc = mats[subset[0]]
-            for i in subset[1:]:
-                acc = acc + mats[i]
-            term = sign * self.sigma(acc)
-            total = term if total is None else total + term
-        return (1.0 / math.factorial(self.k)) * total
+        perms, words = _cycle_table(self.k)
+        traces = {c: _cycle_trace([mats[i] for i in c]) for c in words}
+        total = 0.0
+        for sign, cycles in perms:
+            term = math.prod((traces[c] for c in cycles[1:]),
+                             start=traces[cycles[0]])
+            total = total + term if sign > 0 else total - term
+        return (TWO_PI ** -self.k / math.factorial(self.k)) * total
 
 
 def invariant_polynomial(k, q):
     return InvariantPolynomial(k, q)
-
-
-# ---------------------------------------------------------------- matrices
-
-def _to_numeric(mat):
-    out = np.zeros(mat.shape)
-    for idx in np.ndindex(*mat.shape):
-        out[idx] = mat[idx].evaluate(())
-    return out
-
-
-def _omega_frames(conn, numeric):
-    mats = [connection_matrix(conn, e)
-            for e in conn.algebroid.frame_sections()]
-    if numeric:
-        mats = [_to_numeric(m) for m in mats]
-    return mats
 
 
 # ----------------------------------------------------- matching enumeration
@@ -130,7 +134,66 @@ def _matchings(items):
             yield ((x, items[i]),) + sub
 
 
-# --------------------------------------------------------------- primaries
+# ------------------------------------------------------------------ engine
+
+@functools.lru_cache(maxsize=None)
+def _simplex_moment(exps):
+    """Integral of prod_i t_i^e_i over the standard n-simplex, n = len(exps).
+
+    It is prod_i e_i! / (sum_i e_i + n)!: 1 for n = 0, 1/(d+1) on [0, 1]
+    and i! j! / (i+j+2)! on the triangle.
+    """
+    f = math.factorial
+    return math.prod(f(e) for e in exps) / f(sum(exps) + len(exps))
+
+
+def _transgress(algebroid, conn0, conns, poly):
+    """Integral over the n-simplex of P(eta_1, ..., eta_n, F, ..., F).
+
+    n = len(conns), eta_i = omega(conns[i]) - omega(conn0), and F is the
+    curvature of omega(conn0) + sum_i t_i eta_i. The form has degree
+    2k - n: on a sorted frame tuple, the eta_i take ordered heads and the
+    other indices are perfectly matched into curvature slots, each slot
+    one t-monomial of F; a term weighs its sign times the simplex moment
+    of its t-monomial. Degree above the rank gives the zero form with its
+    overflow flag set.
+    """
+    n = len(conns)
+    k = poly.k
+    r = algebroid.rank
+    degree = 2 * k - n
+    if degree > r or k < n:
+        out = AForm(algebroid, degree)
+        out.overflow = degree > r
+        return out
+    numeric = algebroid.dimension == 0
+    omega0 = _frame_matrices(conn0, numeric)
+    etas = [[x - y for x, y in zip(_frame_matrices(c, numeric), omega0)]
+            for c in conns]
+    fam = _family_curvature(algebroid, omega0, etas, numeric) \
+        if k > n else None
+    monos = [e for e in itertools.product(range(3), repeat=n) if sum(e) <= 2]
+    entries = {}
+    for key in itertools.combinations(range(r), degree):
+        total = None
+        for heads in itertools.permutations(key, n):
+            rest = [x for x in key if x not in heads]
+            head_mats = [eta[h] for eta, h in zip(etas, heads)]
+            for matching in _matchings(rest):
+                sgn = perm_sign(heads + tuple(x for pair in matching
+                                              for x in pair))
+                for powers in itertools.product(monos, repeat=k - n):
+                    exps = tuple(sum(p[i] for p in powers) for i in range(n))
+                    mats = head_mats + [fam[p][e]
+                                        for p, e in zip(matching, powers)]
+                    term = sgn * _simplex_moment(exps) * poly(*mats)
+                    total = term if total is None else total + term
+        entries[key] = ScalarField.constant(algebroid.chart, total) \
+            if numeric else total
+    form = AForm(algebroid, degree, entries)
+    form.overflow = False
+    return form
+
 
 def chern_weil(algebroid, conn, poly):
     """Primary characteristic form of order k as a 2k-form.
@@ -146,115 +209,7 @@ def chern_weil(algebroid, conn, poly):
         raise ShapeMismatchError(
             "polynomial on %d by %d matrices, bundle rank %d"
             % (poly.q, poly.q, conn.q))
-    k = poly.k
-    r = algebroid.rank
-    if 2 * k > r:
-        out = AForm(algebroid, 2 * k)
-        out.overflow = True
-        return out
-    numeric = algebroid.dimension == 0
-    omega = local_curvature(conn)
-    pair_mats = {}
-    for a in range(r):
-        for b in range(a + 1, r):
-            mat = omega.coeff((a, b))
-            pair_mats[(a, b)] = _to_numeric(mat) if numeric else mat
-    memo = {}
-    entries = {}
-    for key in itertools.combinations(range(r), 2 * k):
-        total = None
-        for matching in _matchings(key):
-            seq = tuple(x for pair in matching for x in pair)
-            sgn = perm_sign(seq)
-            mkey = tuple(sorted(matching))
-            if mkey not in memo:
-                memo[mkey] = poly(*[pair_mats[p] for p in matching])
-            term = sgn * memo[mkey]
-            total = term if total is None else total + term
-        if total is not None:
-            if numeric:
-                total = ScalarField.constant(algebroid.chart, total)
-            entries[key] = total
-    form = AForm(algebroid, 2 * k, entries)
-    form.overflow = False
-    return form
-
-
-# ------------------------------------------------------------ transgression
-
-def _family_curvature(algebroid, omega0, etas, numeric):
-    """Curvature of omega0 + sum_i s_i eta_i per frame pair, by monomial.
-
-    Returns {(a, b): {exponents: matrix}} where exponents is one tuple per
-    parameter with total degree at most 2.
-    """
-    r = algebroid.rank
-    n = len(etas)
-    zero_e = (0,) * n
-
-    def unit(i, p=1):
-        e = [0] * n
-        e[i] = p
-        return tuple(e)
-
-    shape = omega0[0].shape
-    if numeric:
-        zero = np.zeros(shape)
-    else:
-        zero = np.empty(shape, dtype=object)
-        zero[...] = ScalarField(algebroid.chart)
-
-    def d_term(xs, a, b):
-        if numeric:
-            return zero
-        return (_apply_to_matrix(algebroid.anchor_row(a), xs[b])
-                - _apply_to_matrix(algebroid.anchor_row(b), xs[a]))
-
-    def c_term(xs, a, b):
-        total = zero
-        for u in range(r):
-            c = algebroid.bracket[a, b, u]
-            if not c.is_zero():
-                piece = (c.evaluate(()) if numeric else c) * xs[u]
-                total = piece if total is zero else total + piece
-        return total
-
-    def comm(x, y):
-        return _mat_mul(x, y) - _mat_mul(y, x)
-
-    out = {}
-    for a in range(r):
-        for b in range(a + 1, r):
-            mono = {}
-            mono[zero_e] = (d_term(omega0, a, b) + comm(omega0[a], omega0[b])
-                            - c_term(omega0, a, b))
-            for i, eta in enumerate(etas):
-                mono[unit(i)] = (d_term(eta, a, b)
-                                 + (comm(eta[a], omega0[b])
-                                    + comm(omega0[a], eta[b]))
-                                 - c_term(eta, a, b))
-                mono[unit(i, 2)] = comm(eta[a], eta[b])
-                for j in range(i + 1, n):
-                    mixed = tuple(x + y for x, y in zip(unit(i), unit(j)))
-                    mono[mixed] = (comm(eta[a], etas[j][b])
-                                   + comm(etas[j][a], eta[b]))
-            out[(a, b)] = mono
-    return out
-
-
-def _t_integrals(max_d):
-    """Moments of t on [0, 1]: the integral of t^d is 1/(d+1)."""
-    return [1.0 / (d + 1) for d in range(max_d + 1)]
-
-
-def _simplex_integrals(max_d):
-    """Moments of (s, t) over the triangle s,t >= 0, s+t <= 1.
-
-    The integral of s^i t^j over it is i! j! / (i+j+2)!.
-    """
-    f = math.factorial
-    return {(i, j): f(i) * f(j) / f(i + j + 2)
-            for i in range(max_d + 1) for j in range(max_d + 1)}
+    return _transgress(algebroid, conn, (), poly)
 
 
 def _check_pair(conn1, conn0, poly):
@@ -272,56 +227,10 @@ def transgression_form(conn1, conn0, poly):
     """Difference form lambda^{1,0}(P) between two connections.
 
     Degree 2k-1; its differential equals the difference of the two
-    primary forms. The t-integrand is polynomial, so its moments are
-    taken in closed form.
+    primary forms.
     """
     _check_pair(conn1, conn0, poly)
-    a = conn1.algebroid
-    k = poly.k
-    r = a.rank
-    if 2 * k - 1 > r:
-        out = AForm(a, 2 * k - 1)
-        out.overflow = True
-        return out
-    numeric = a.dimension == 0
-    omega1 = _omega_frames(conn1, numeric)
-    omega0 = _omega_frames(conn0, numeric)
-    eta = [x - y for x, y in zip(omega1, omega0)]
-    entries = {}
-    if k == 1:
-        for s in range(r):
-            value = poly(eta[s])
-            entries[(s,)] = ScalarField.constant(a.chart, value) \
-                if numeric else value
-        form = AForm(a, 1, entries)
-        form.overflow = False
-        return form
-
-    fam = _family_curvature(a, omega0, [eta], numeric)
-    tint = _t_integrals(2 * (k - 1))
-    memo = {}
-    for key in itertools.combinations(range(r), 2 * k - 1):
-        total = None
-        for i, head in enumerate(key):
-            rest = key[:i] + key[i + 1:]
-            for matching in _matchings(rest):
-                seq = (head,) + tuple(x for pair in matching for x in pair)
-                sgn = perm_sign(seq)
-                for powers in itertools.product(range(3), repeat=k - 1):
-                    weight = float(tint[sum(powers)]) * sgn
-                    mkey = (head, tuple(sorted(zip(matching, powers))))
-                    if mkey not in memo:
-                        mats = [eta[head]] + [fam[p][(d,)] for p, d
-                                              in zip(matching, powers)]
-                        memo[mkey] = poly(*mats)
-                    term = weight * memo[mkey]
-                    total = term if total is None else total + term
-        if total is not None:
-            entries[key] = ScalarField.constant(a.chart, total) \
-                if numeric else total
-    form = AForm(a, 2 * k - 1, entries)
-    form.overflow = False
-    return form
+    return _transgress(conn1.algebroid, conn0, (conn1,), poly)
 
 
 def secondary_triple(algebroid, conn2, conn1, conn0, poly):
@@ -334,49 +243,9 @@ def secondary_triple(algebroid, conn2, conn1, conn0, poly):
     _check_pair(conn1, conn0, poly)
     if conn2.algebroid is not algebroid:
         raise AlgebroidMismatchError("connections over a different algebroid")
-    k = poly.k
-    if k % 2 == 0:
+    if poly.k % 2 == 0:
         raise BadOrderError("only odd orders define secondary data")
-    r = algebroid.rank
-    degree = 2 * k - 2
-    if degree > r or k == 1:
-        out = AForm(algebroid, degree)
-        out.overflow = degree > r
-        return out
-    numeric = algebroid.dimension == 0
-    omega0 = _omega_frames(conn0, numeric)
-    eta1 = [x - y for x, y in zip(_omega_frames(conn1, numeric), omega0)]
-    eta2 = [x - y for x, y in zip(_omega_frames(conn2, numeric), omega0)]
-    fam = _family_curvature(algebroid, omega0, [eta1, eta2], numeric)
-    sint = _simplex_integrals(2 * (k - 2))
-    slot_monos = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
-    memo = {}
-    entries = {}
-    for key in itertools.combinations(range(r), degree):
-        total = None
-        for head1, head2 in itertools.permutations(key, 2):
-            rest = tuple(x for x in key if x != head1 and x != head2)
-            for matching in _matchings(rest):
-                seq = (head1, head2) + tuple(x for pair in matching
-                                             for x in pair)
-                sgn = perm_sign(seq)
-                for powers in itertools.product(slot_monos, repeat=k - 2):
-                    ds = sum(p[0] for p in powers)
-                    dt = sum(p[1] for p in powers)
-                    weight = sgn * sint[(ds, dt)]
-                    mkey = (head1, head2, tuple(sorted(zip(matching, powers))))
-                    if mkey not in memo:
-                        mats = [eta1[head1], eta2[head2]]
-                        mats += [fam[p][e] for p, e in zip(matching, powers)]
-                        memo[mkey] = poly(*mats)
-                    term = weight * memo[mkey]
-                    total = term if total is None else total + term
-        if total is not None:
-            entries[key] = ScalarField.constant(algebroid.chart, total) \
-                if numeric else total
-    form = AForm(algebroid, degree, entries)
-    form.overflow = False
-    return form
+    return _transgress(algebroid, conn0, (conn1, conn2), poly)
 
 
 # ------------------------------------------------------------- secondaries

@@ -8,8 +8,9 @@ with 17 significant digits.
 
 Exit codes: 0 on success, 2 when validation fails or a residual is not
 finite (the report is still printed, with non-finite numbers as the
-strings "nan", "inf" and "-inf"), 1 on any input or usage error (a JSON
-error document is printed).
+strings "nan", "inf" and "-inf") or when a secondary class fails its
+closedness check (an error document is printed), 1 on any input or usage
+error (a JSON error document is printed).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .algebroid import (
 from .calculus import AForm, differential
 from .classes import modular_cocycle, modular_theorem_check, secondary_class
 from .connections import compatible_connection, curvature, torsion
-from .errors import AlgebroidError, BadOrderError
+from .errors import AlgebroidError, BadOrderError, ClosednessFailureError
 from .fields import ScalarField
 from .specio import algebroid_from_dict, path_from_dict
 from .transport import _check_loop, parallel_transport
@@ -302,6 +303,9 @@ def main(argv=None):
     except UsageError as exc:
         _emit({"error": "usage: %s" % exc})
         return 1
+    except ClosednessFailureError as exc:
+        _emit({"error": str(exc)})
+        return 2
     except AlgebroidError as exc:
         _emit({"error": str(exc)})
         return 1

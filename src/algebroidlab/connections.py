@@ -244,22 +244,74 @@ def curvature_applied(conn, alpha, beta, target):
     return out - a_derivative(conn, br, target)
 
 
+def _frame_matrices(conn, numeric=False):
+    """Matrix of nabla along each frame section, omega_s[u, t] = Gamma[s, t, u].
+
+    The same matrices as connection_matrix(conn, e_s), read off the
+    symbols; numeric evaluates them on a zero-dimensional chart.
+    """
+    mats = [g.T.copy() for g in conn.symbols]
+    if numeric:
+        return [np.array([[f.evaluate(()) for f in row] for row in m])
+                for m in mats]
+    return mats
+
+
+def _family_curvature(algebroid, omega0, etas, numeric):
+    """Curvature of omega0 + sum_i t_i eta_i per frame pair, by monomial.
+
+    The Cartan formula F_ab = #a(w_b) - #b(w_a) + [w_a, w_b] - c_ab^u w_u
+    of w = sum_i t_i w_i, with t_0 = 1, w_0 = omega0 and w_i = eta_i,
+    collected by monomial. Returns {(a, b): {exponents: matrix}} where
+    exponents is one tuple over t_1..t_n with total degree at most 2.
+    """
+    r = algebroid.rank
+    ws = [omega0] + list(etas)
+
+    def monomial(i, j):
+        e = [0] * len(ws)
+        e[i] += 1
+        e[j] += 1
+        return tuple(e[1:])
+
+    def linear(x, a, b):
+        # #a(x_b) - #b(x_a) - c_ab^u x_u; over a point the anchor is zero
+        if numeric:
+            total = np.zeros(x[a].shape)
+        else:
+            total = (_apply_to_matrix(algebroid.anchor_row(a), x[b])
+                     - _apply_to_matrix(algebroid.anchor_row(b), x[a]))
+        for u in range(r):
+            c = algebroid.bracket[a, b, u]
+            if not c.is_zero():
+                total = total - (c.evaluate(()) if numeric else c) * x[u]
+        return total
+
+    def comm(x, y):
+        return _mat_mul(x, y) - _mat_mul(y, x)
+
+    out = {}
+    for a in range(r):
+        for b in range(a + 1, r):
+            terms = {}
+            for i in range(len(ws)):
+                for j in range(i, len(ws)):
+                    value = comm(ws[i][a], ws[j][b])
+                    if i < j:
+                        value = value + comm(ws[j][a], ws[i][b])
+                    if i == 0:
+                        value = linear(ws[j], a, b) + value
+                    terms[monomial(i, j)] = value
+            out[(a, b)] = terms
+    return out
+
+
 def local_curvature(conn):
     """Curvature assembled from connection matrices of the frame."""
     a = conn.algebroid
-    r = a.rank
-    frames = a.frame_sections()
-    mats = [connection_matrix(conn, e) for e in frames]
-    entries = {}
-    for s in range(r):
-        for t in range(s + 1, r):
-            br = Section(a, list(a.bracket[s, t, :]))
-            entries[(s, t)] = (_apply_to_matrix(a.anchor_row(s), mats[t])
-                               - _apply_to_matrix(a.anchor_row(t), mats[s])
-                               + _mat_mul(mats[s], mats[t])
-                               - _mat_mul(mats[t], mats[s])
-                               - connection_matrix(conn, br))
-    return MatrixForm(a, 2, conn.q, entries)
+    fam = _family_curvature(a, _frame_matrices(conn), [], False)
+    return MatrixForm(a, 2, conn.q,
+                      {pair: mono[()] for pair, mono in fam.items()})
 
 
 class FrameChange:

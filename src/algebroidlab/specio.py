@@ -31,11 +31,12 @@ import numpy as np
 from .algebroid import (
     TransformationData,
     VectorField,
+    _bracket_from_entries,
     build_algebroid,
     catalog_build,
 )
-from .errors import AntisymmetryViolationError, ShapeMismatchError
-from .fields import Chart, ScalarField, parse_field
+from .errors import ShapeMismatchError
+from .fields import Chart, parse_field
 from .transport import T_CHART, APath
 
 
@@ -60,32 +61,7 @@ def algebroid_from_dict(data):
             "anchor needs %d rows, got %d" % (r, len(anchor_rows)))
     anchor = [[parse_field(chart, str(v)) for v in row] for row in anchor_rows]
 
-    given = {}
-    for entry in data.get("bracket", []):
-        s, t, u = int(entry["s"]) - 1, int(entry["t"]) - 1, int(entry["u"]) - 1
-        for idx in (s, t, u):
-            if not 0 <= idx < r:
-                raise ShapeMismatchError(
-                    "bracket index out of range in %r" % (entry,))
-        f = parse_field(chart, str(entry["value"]))
-        if (s, t, u) in given:
-            given[(s, t, u)] = given[(s, t, u)] + f
-        else:
-            given[(s, t, u)] = f
-
-    tensor = np.empty((r, r, r), dtype=object)
-    zero = ScalarField(chart)
-    tensor[...] = zero
-    for (s, t, u), f in given.items():
-        if (t, s, u) in given:
-            if not (f + given[(t, s, u)]).is_zero():
-                raise AntisymmetryViolationError(
-                    "entries (%d,%d,%d) and (%d,%d,%d) are not opposite"
-                    % (s + 1, t + 1, u + 1, t + 1, s + 1, u + 1))
-            tensor[s, t, u] = f
-        else:
-            tensor[s, t, u] = f
-            tensor[t, s, u] = -f
+    tensor = _bracket_from_entries(chart, r, data.get("bracket", []))
 
     metadata = data.get("metadata") or {}
     if metadata.get("kind") == "transformation" and "params" in metadata:

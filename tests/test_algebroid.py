@@ -269,6 +269,16 @@ def test_spec_round_trip(catalog, tmp_path):
         assert b.rank == a.rank and b.dimension == a.dimension
 
 
+def test_bundle_metadata_round_trip(catalog):
+    # the params a lie_algebra_bundle records (a 1-based entry list) rebuild it
+    a = catalog["heisenberg"]
+    b = al.catalog_build(a.metadata["kind"], a.metadata["params"])
+    assert a.metadata["params"]["bracket"] == [
+        {"s": 1, "t": 2, "u": 3, "value": "x1"}]
+    assert b.metadata == a.metadata
+    assert all(f == g for f, g in zip(a.bracket.flat, b.bracket.flat))
+
+
 def test_sl3_constants_are_a_lie_algebra(sl3):
     assert sl3.rank == 8
     jac = al.constants_jacobiator(sl3.bracket_at(()))

@@ -10,8 +10,7 @@ from algebroidlab import classes
 from algebroidlab.classes import (
     InvariantPolynomial,
     _matchings,
-    _simplex_integrals,
-    _t_integrals,
+    _simplex_moment,
     invariant_polynomial,
 )
 from algebroidlab.connections import bundle_rank
@@ -20,13 +19,14 @@ from algebroidlab.errors import (
     BadOrderError,
     ShapeMismatchError,
 )
-from algebroidlab.fields import parse_field
+from algebroidlab.fields import Chart, ScalarField, parse_field
 from conftest import (
     AFF1_CONSTANTS,
     SL2_CONSTANTS,
     form_coeff_max,
     form_diff_max,
     random_symbols,
+    rng_for,
     sl3_constants,
 )
 
@@ -48,14 +48,16 @@ def test_polarization_diagonal_and_symmetry():
     a = rng.uniform(-1.0, 1.0, size=(4, 4))
     b = rng.uniform(-1.0, 1.0, size=(4, 4))
     c = rng.uniform(-1.0, 1.0, size=(4, 4))
+    # the diagonal is sigma_k, a coefficient of det(mu I + a/2pi)
+    coeffs = np.poly(-a / TWO_PI)
     p2 = invariant_polynomial(2, 4)
-    assert abs(p2(a, a) - p2.sigma(a)) < 1e-14
+    assert abs(p2(a, a) - coeffs[2]) < 1e-14
     assert abs(p2(a, b) - p2(b, a)) < 1e-14
     # linear in each slot
     assert abs(p2(a + b, c) - p2(a, c) - p2(b, c)) < 1e-13
     assert abs(p2(2.0 * a, b) - 2.0 * p2(a, b)) < 1e-13
     p3 = invariant_polynomial(3, 4)
-    assert abs(p3(a, a, a) - p3.sigma(a)) < 1e-13
+    assert abs(p3(a, a, a) - coeffs[3]) < 1e-13
     assert abs(p3(a, b, c) - p3(b, c, a)) < 1e-13
 
 
@@ -86,21 +88,20 @@ def gauss_t_moments(max_d, n_nodes):
 
 
 def test_quadrature_moments_exact():
-    t = _t_integrals(6)
-    assert t[0] == 1.0
+    assert _simplex_moment(()) == 1.0
+    assert _simplex_moment((0,)) == 1.0
     for d, want in enumerate(gauss_t_moments(6, 8)):
-        assert abs(t[d] - want) < 1e-15
+        assert abs(_simplex_moment((d,)) - want) < 1e-15
     # the triangle s,t >= 0, s+t <= 1 as the image of the unit square
     # under (u, v) -> (u(1-v), uv), Jacobian u
     g, gw = np.polynomial.legendre.leggauss(8)
     u = 0.5 * (g + 1.0)
     uu, vv = np.meshgrid(u, u, indexing="ij")
     w = np.outer(0.5 * gw, 0.5 * gw) * uu
-    s = _simplex_integrals(2)
     for i in range(3):
         for j in range(3):
             want = float(np.sum(w * (uu * (1.0 - vv)) ** i * (uu * vv) ** j))
-            assert abs(s[(i, j)] - want) < 1e-15
+            assert abs(_simplex_moment((i, j)) - want) < 1e-15
 
 
 def test_chern_weil_k1_is_curvature_trace(catalog):
@@ -174,12 +175,56 @@ def test_triple_boundary_identity(sl3, sl3_conns):
     assert form_diff_max(lhs, rhs) < 1e-7
 
 
+def heisenberg_r4():
+    """Rank-4 bundle of Lie algebras over a line: [e1, e2] = p(x) e3 with
+    p quadratic and [e1, e4] = g(x) e4 with g linear."""
+    return al.catalog_build("lie_algebra_bundle", {
+        "dimension": 1, "rank": 4,
+        "bracket": {(0, 1, 2): "2 - x1 + 3*x1^2", (0, 3, 3): "1 + 2*x1"}})
+
+
+def test_transgression_boundary_identity_on_field_matrices():
+    # polynomial symbols over a line: the engine runs on field matrices
+    a = heisenberg_r4()
+    c0, c1 = (al.build_connection(a, "E", random_symbols(a, "E", key, degree=1))
+              for key in (11, 12))
+    poly = InvariantPolynomial(2, bundle_rank(a, "E"))
+    lam = al.transgression_form(c1, c0, poly)
+    assert lam.degree == 3 and lam.coeffs
+    rhs = al.chern_weil(a, c1, poly) + (-1.0) * al.chern_weil(a, c0, poly)
+    assert form_coeff_max(rhs) > 1e-3
+    assert form_diff_max(al.differential(lam), rhs) < 1e-7
+
+
+def test_polynomial_on_field_matrices_evaluates_pointwise():
+    chart = Chart(2)
+    rng = rng_for("field-matrices")
+    mats = []
+    for _ in range(3):
+        mat = np.empty((4, 4), dtype=object)
+        for idx in np.ndindex(4, 4):
+            mat[idx] = ScalarField(chart, {
+                e: float(rng.uniform(-1.0, 1.0))
+                for e in ((0, 0), (1, 0), (0, 1), (1, 1))})
+        mats.append(mat)
+    p = (0.3, -0.7)
+    at_p = [np.array([[f.evaluate(p) for f in row] for row in mat])
+            for mat in mats]
+    for k in (1, 2, 3):
+        poly = InvariantPolynomial(k, 4)
+        want = poly(*at_p[:k])
+        assert abs(poly(*mats[:k]).evaluate(p) - want) < 1e-12
+        assert abs(poly.sigma(mats[k - 1]).evaluate(p)
+                   - poly.sigma(at_p[k - 1])) < 1e-12
+
+
 def test_transgression_quadrature_insensitive(sl3, sl3_conns, monkeypatch):
     c0, c1, _ = sl3_conns
     poly = InvariantPolynomial(3, 8)
     exact = al.transgression_form(c1, c0, poly)
-    monkeypatch.setattr(classes, "_t_integrals",
-                        lambda max_d: gauss_t_moments(max_d, 64))
+    moments = gauss_t_moments(2 * (poly.k - 1), 64)
+    monkeypatch.setattr(classes, "_simplex_moment",
+                        lambda exps: moments[exps[0]])
     a64 = al.transgression_form(c1, c0, poly)
     assert form_diff_max(exact, a64) < 1e-12
 

@@ -169,6 +169,12 @@ def test_non_finite_residual_fails_with_a_document():
     assert doc["results"]["pass"] is False
     assert doc["results"]["anchor_pass"] is False
     assert doc["residuals"]["anchor"] == "nan"
+    # the secondary class fails its own closedness check: a failed check,
+    # not unusable input
+    for command in ("classes", "modular"):
+        code, doc = run_doc([command, "--spec", DATA / "overflow.json"])
+        assert code == 2
+        assert doc == {"error": "secondary class is not closed (residual inf)"}
 
 
 def test_non_finite_input_is_an_error_document(tmp_path):
@@ -178,6 +184,16 @@ def test_non_finite_input_is_an_error_document(tmp_path):
         spec.write_text(text)
         code, doc = run_doc(["validate", "--spec", spec])
         assert code == 1 and set(doc) == {"error"}
+
+
+def test_bundle_spec_with_entry_list(tmp_path):
+    spec = tmp_path / "bundle.json"
+    spec.write_text(json.dumps({
+        "kind": "lie_algebra_bundle",
+        "params": {"dimension": 1, "rank": 3, "bracket": [
+            {"s": 1, "t": 2, "u": 3, "value": "x1"}]}}))
+    code, doc = run_doc(["validate", "--spec", spec])
+    assert code == 0 and doc["results"]["pass"] is True
 
 
 def test_bad_json_spec(tmp_path):
