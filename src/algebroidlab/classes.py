@@ -325,7 +325,10 @@ def modular_values(algebroid, point, weight=None):
 
 
 def modular_theorem_check(algebroid, points=None, n_points=20, seed=0):
-    """Max deviation between the order-1 secondary class and theta/(2*pi)."""
+    """Max deviation between the order-1 secondary class and theta/(2*pi).
+
+    The dict also carries the two compared cocycles, as "m1" and "theta".
+    """
     if points is None:
         points = seeded_points(n_points, algebroid.dimension, seed)
     pts = np.asarray(points, dtype=float).reshape(
@@ -337,7 +340,8 @@ def modular_theorem_check(algebroid, points=None, n_points=20, seed=0):
                        for p in pts for s in range(algebroid.rank))
     return {"max_deviation": worst,
             "n_points": int(pts.shape[0]),
-            "closedness_residual": m1.closedness_residual}
+            "closedness_residual": m1.closedness_residual,
+            "m1": m1, "theta": theta}
 
 
 def lie_algebra_secondary(constants, k):

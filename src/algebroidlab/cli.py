@@ -30,7 +30,7 @@ from .algebroid import (
     validate,
 )
 from .calculus import AForm, differential
-from .classes import modular_cocycle, modular_theorem_check, secondary_class
+from .classes import modular_theorem_check, secondary_class
 from .connections import compatible_connection, curvature, torsion
 from .errors import AlgebroidError, BadOrderError, ClosednessFailureError
 from .fields import ScalarField
@@ -242,11 +242,10 @@ def _cmd_classes(a, args):
 
 
 def _cmd_modular(a, args):
-    theta = modular_cocycle(a)
     check = modular_theorem_check(a, n_points=20, seed=args.seed)
+    theta, m1 = check["theta"], check["m1"]
     theta_strings = [theta.form.coeff((s,)).to_string()
                      for s in range(a.rank)]
-    m1 = secondary_class(a, 1)
     scaled = [(TWO_PI * m1.form.coeff((s,))).to_string()
               for s in range(a.rank)]
     results = {"theta": theta_strings, "m1_times_2pi": scaled,

@@ -6,6 +6,10 @@ and coeffs the frame coefficients of the path, all polynomials in t.
 Transport integrates dv/dt = -M(t) v with classical RK4, where
 M[u][w](t) = sum_s a_s(t) Gamma[s][w][u](gamma(t)); the reported result
 always comes from the finer of an N vs 2N Richardson pair.
+
+scipy is imported inside fixed_point_holonomy, its only user: importing
+scipy.linalg costs more than the rest of the package together, and no
+CLI command needs it.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import (
     AlgebroidMismatchError,
@@ -345,7 +348,11 @@ def _integrate(conn, path, v0, n_steps, seg_mats):
 
 def parallel_transport(conn, path, v0, n_steps=200, tol=None,
                        max_steps=400000):
-    """Transport a fiber vector (or matrix of columns) along a path."""
+    """Transport a fiber vector (or matrix of columns) along a path.
+
+    n_steps is the coarse step count over [0, 1]; ValueError unless
+    1 <= n_steps and 2 * n_steps <= max_steps.
+    """
     if path.algebroid is not conn.algebroid:
         raise AlgebroidMismatchError("path over a different algebroid")
     v0 = np.asarray(v0, dtype=float)
@@ -353,8 +360,11 @@ def parallel_transport(conn, path, v0, n_steps=200, tol=None,
         raise ShapeMismatchError(
             "initial vector has length %d, bundle rank is %d"
             % (v0.shape[0], conn.q))
-    seg_mats = _segment_matrices(conn, path)
     n = int(n_steps)
+    if not (1 <= n and 2 * n <= max_steps):
+        raise ValueError("n_steps must be at least 1 and at most %d, got %d"
+                         % (max_steps // 2, n))
+    seg_mats = _segment_matrices(conn, path)
     coarse, _ = _integrate(conn, path, v0, n, seg_mats)
     while True:
         fine, fine_count = _integrate(conn, path, v0, 2 * n, seg_mats)
@@ -398,6 +408,8 @@ def fixed_point_holonomy(algebroid, v):
     v = np.asarray(v, dtype=float)
     if v.shape != (r,):
         raise ShapeMismatchError("algebra element must have length %d" % r)
+    if not np.all(np.isfinite(v)):
+        raise ShapeMismatchError("algebra element must be finite")
     origin = tuple(0.0 for _ in range(m))
     worst = max_abs(algebroid.anchor_matrix_at(origin).flat)
     if not worst <= 1e-12:
@@ -410,4 +422,6 @@ def fixed_point_holonomy(algebroid, v):
         for j in range(m):
             jac[i, j] = sum(v[s] * algebroid.anchor[s][i].partial(j).evaluate(origin)
                             for s in range(r))
+    from scipy.linalg import expm
+
     return expm(ad), expm(jac)

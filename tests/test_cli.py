@@ -4,12 +4,14 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 
+from algebroidlab import classes
 from algebroidlab.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -156,10 +158,51 @@ def test_error_documents():
         ["transport", "--spec", DATA / "so3_action.json"],
         ["rank", "--spec", DATA / "so3_action.json", "--point", "inf,0,1"],
     ]
+    for steps in ("0", "-3", "1000000000000"):
+        for command in ("transport", "holonomy"):
+            cases.append([command, "--spec", DATA / "so3_action.json",
+                          "--path", DATA / "loop_x.json", "--steps", steps])
     for argv in cases:
         code, doc = run_doc(argv)
         assert code == 1
         assert set(doc) == {"error"}
+
+
+def test_modular_computes_each_class_once(monkeypatch):
+    calls = {"transgression_form": 0, "modular_cocycle": 0}
+    for name in calls:
+        inner = getattr(classes, name)
+
+        def counted(*args, _name=name, _inner=inner, **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(classes, name, counted)
+    code, text = run(["modular", "--spec", DATA / "aff1.json"])
+    assert code == 0
+    assert calls == {"transgression_form": 1, "modular_cocycle": 1}
+    assert text == (GOLDEN / "modular_aff1.json").read_text()
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy.linalg costs more import time than the rest of the package;
+    # only fixed_point_holonomy needs it
+    code = (
+        "import sys, algebroidlab.cli\n"
+        "print(sorted(n for n in sys.modules if n.split('.')[0] == 'scipy'))\n"
+        "import algebroidlab as al\n"
+        "a = al.catalog_build('transformation', {'dimension': 1,"
+        " 'constants': [[[0.0]]], 'fields': [['x1']]})\n"
+        "print(al.fixed_point_holonomy(a, [1.0])[1][0, 0])\n")
+    src = str(Path(__file__).parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    loaded, jac = out.splitlines()
+    assert loaded == "[]"
+    assert abs(float(jac) - np.e) < 1e-12
 
 
 def test_non_finite_residual_fails_with_a_document():

@@ -93,6 +93,13 @@ def test_fixed_point_holonomy_needs_transformation_kind(catalog):
         al.fixed_point_holonomy(catalog["so3"], V)
 
 
+def test_fixed_point_holonomy_rejects_non_finite_element(catalog):
+    # expm of a non-finite matrix is all NaN, with no error of its own
+    for bad in ([np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0]):
+        with pytest.raises(ShapeMismatchError):
+            al.fixed_point_holonomy(catalog["so3_action"], bad)
+
+
 def test_lift_equator_circle(catalog):
     a = catalog["so3_action"]
     lift = al.lift_base_path(a, circle_pieces())
@@ -259,3 +266,21 @@ def test_transport_tolerance_failure_raises(catalog):
     with pytest.raises(ToleranceNotMetError):
         al.parallel_transport(conn, path, np.array([1.0, 0.0, 0.0]),
                               n_steps=10, tol=1e-30, max_steps=100)
+
+
+def test_transport_rejects_step_counts_out_of_range(catalog):
+    # n_steps <= 0 would run one clamped RK4 step twice, so the error
+    # estimate would read 0.0 and pass any tol
+    a = catalog["so3_action"]
+    conn = bracket_conn(a)
+    path = al.constant_path(a, [0.3, -0.7, 1.1], (0.0, 0.0, 0.0))
+    for n in (0, -3, 10**12):
+        with pytest.raises(ValueError):
+            al.parallel_transport(conn, path, np.eye(3), n_steps=n, tol=1e-12)
+        with pytest.raises(ValueError):
+            al.holonomy_matrix(conn, path, n_steps=n)
+    with pytest.raises(ValueError):
+        al.parallel_transport(conn, path, np.eye(3), n_steps=51, max_steps=100)
+    res = al.parallel_transport(conn, path, np.eye(3), n_steps=50,
+                                max_steps=100)
+    assert res.steps == 100
