@@ -22,7 +22,7 @@ from .errors import (
     NotClosedError,
     ShapeMismatchError,
 )
-from .fields import Chart, ScalarField, as_field, parse_field
+from .fields import Chart, ScalarField, as_field, dot, parse_field
 from .sampling import max_abs, seeded_points
 
 RANK_CUTOFF = 1e-9
@@ -44,10 +44,8 @@ class VectorField:
 
     def apply(self, f):
         """Directional derivative of a scalar field."""
-        out = ScalarField(self.chart)
-        for i, x in enumerate(self.comps):
-            out = out + x * f.partial(i)
-        return out
+        return dot(self.chart, ((x, f.partial(i))
+                                for i, x in enumerate(self.comps)))
 
     def evaluate(self, p):
         return np.array([c.evaluate(p) for c in self.comps])
@@ -165,15 +163,20 @@ class LieAlgebroid:
         return "LieAlgebroid(m=%d, r=%d)" % (self.dimension, self.rank)
 
 
+def _positive_rank(rank):
+    rank = int(rank)
+    if rank < 1:
+        raise ShapeMismatchError("rank must be positive")
+    return rank
+
+
 def build_algebroid(chart, rank, anchor, bracket, metadata=None):
     """Assemble an algebroid after shape and antisymmetry checks.
 
     The Jacobi identity and the anchor-morphism axiom are not verified here;
     use validate for that.
     """
-    rank = int(rank)
-    if rank < 1:
-        raise ShapeMismatchError("rank must be positive")
+    rank = _positive_rank(rank)
     m = chart.dimension
     anchor = list(anchor)
     if len(anchor) != rank:
@@ -638,7 +641,7 @@ def catalog_build(kind, params):
 
     if kind == "lie_algebra_bundle":
         m = int(params["dimension"])
-        r = int(params["rank"])
+        r = _positive_rank(params["rank"])
         chart = Chart(m)
         tensor = _bracket_entries_to_tensor(chart, r, params["bracket"])
         for s in range(r):

@@ -18,7 +18,7 @@ from .errors import (
     DimensionMismatchError,
     ShapeMismatchError,
 )
-from .fields import Chart, ScalarField, as_field, perm_sign
+from .fields import Chart, ScalarField, as_field, dot, perm_sign
 from .sampling import max_abs
 
 
@@ -373,7 +373,7 @@ def _apply_to_matrix(vf, mat):
 
 
 def _mat_mul(a, b):
-    """Matrix product; on field matrices, zero entries are skipped."""
+    """Matrix product; on field matrices, one ``dot`` per entry."""
     if a.dtype != object:
         return a @ b
     n = a.shape[0]
@@ -381,12 +381,7 @@ def _mat_mul(a, b):
     out = np.empty((n, n), dtype=object)
     for i in range(n):
         for j in range(n):
-            total = ScalarField(chart)
-            for k in range(n):
-                if a[i, k].is_zero() or b[k, j].is_zero():
-                    continue
-                total = total + a[i, k] * b[k, j]
-            out[i, j] = total
+            out[i, j] = dot(chart, zip(a[i], b[:, j]))
     return out
 
 

@@ -37,7 +37,7 @@ from .errors import (
     ClosednessFailureError,
     ShapeMismatchError,
 )
-from .fields import ScalarField, perm_sign
+from .fields import ScalarField, dot, perm_sign
 from .sampling import max_abs, seeded_points
 
 TWO_PI = 2.0 * math.pi
@@ -71,7 +71,11 @@ def _cycle_trace(mats):
     if len(mats) == 1:
         return np.trace(mats[0])
     head = functools.reduce(_mat_mul, mats[:-1])
-    return (head * mats[-1].T).sum()
+    last = mats[-1].T
+    if head.dtype == object and last.dtype == object:
+        # the terms in C order, as numpy's sum of the product adds them
+        return dot(head.flat[0].chart, zip(head.flat, last.flat))
+    return (head * last).sum()
 
 
 class InvariantPolynomial:

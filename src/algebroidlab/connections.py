@@ -19,7 +19,7 @@ from .errors import (
     NotInvertibleError,
     ShapeMismatchError,
 )
-from .fields import ScalarField, as_field
+from .fields import ScalarField, as_field, dot
 from .sampling import max_abs
 
 BUNDLES = ("A", "TM", "T*M", "E")
@@ -73,12 +73,8 @@ def connection_matrix(conn, section):
     omega = np.empty((q, q), dtype=object)
     for u in range(q):
         for t in range(q):
-            total = ScalarField(chart)
-            for s in range(conn.algebroid.rank):
-                g = conn.symbols[s, t, u]
-                if not g.is_zero():
-                    total = total + section.coeffs[s] * g
-            omega[u, t] = total
+            omega[u, t] = dot(chart, zip(section.coeffs,
+                                         conn.symbols[:, t, u]))
     return omega
 
 

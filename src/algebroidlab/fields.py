@@ -9,6 +9,7 @@ tight tolerances.
 from __future__ import annotations
 
 import math
+import operator
 import re
 
 from .errors import (
@@ -70,8 +71,48 @@ def _fmt(x):
     return r
 
 
+def _int_exponents(exps):
+    """exps as a tuple of ints, or None when an entry is not integral."""
+    try:
+        ints = tuple(int(e) for e in exps)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return ints if ints == tuple(exps) else None
+
+
+def _product(a, b):
+    """Coefficient dict of a product, zeros not yet dropped."""
+    out = {}
+    b = b.items()
+    add = operator.add
+    for e1, c1 in a.items():
+        for e2, c2 in b:
+            e = tuple(map(add, e1, e2))
+            out[e] = out.get(e, 0.0) + c1 * c2
+    return out
+
+
+def _accumulate(total, coeffs):
+    """Add coeffs into total in place, dropping what cancels exactly.
+
+    Keys keep their order in total, and new keys follow in the order of
+    coeffs, as in a sum built by the constructor.
+    """
+    for e, c in coeffs.items():
+        c = total.get(e, 0.0) + c
+        if c != 0.0:
+            total[e] = c
+        elif e in total:
+            del total[e]
+
+
 class ScalarField:
-    """Sparse polynomial: dict from exponent tuples to nonzero coefficients."""
+    """Sparse polynomial: dict from exponent tuples to nonzero coefficients.
+
+    The constructor is the one validating entry point. Results of the
+    closed operations (sums, products, negation, powers, partials and
+    ``dot``) are built by ``_of`` without re-checking their exponents.
+    """
 
     __slots__ = ("chart", "coeffs")
 
@@ -84,15 +125,24 @@ class ScalarField:
                 c = float(c)
                 if c == 0.0:
                     continue
-                exps = tuple(int(e) for e in exps)
-                if len(exps) != m or any(e < 0 for e in exps):
+                ints = _int_exponents(exps)
+                if ints is None or len(ints) != m or any(e < 0 for e in ints):
                     raise DimensionMismatchError(
                         "bad exponent tuple %r for chart of dimension %d"
                         % (exps, m))
-                clean[exps] = clean.get(exps, 0.0) + c
-                if clean[exps] == 0.0:
-                    del clean[exps]
+                clean[ints] = clean.get(ints, 0.0) + c
+                if clean[ints] == 0.0:
+                    del clean[ints]
         self.coeffs = clean
+
+    @classmethod
+    def _of(cls, chart, coeffs):
+        """Trusted constructor: coeffs maps int tuples of the chart's length
+        to nonzero floats, and is stored as given."""
+        f = object.__new__(cls)
+        f.chart = chart
+        f.coeffs = coeffs
+        return f
 
     @classmethod
     def constant(cls, chart, value):
@@ -110,7 +160,7 @@ class ScalarField:
 
     def _coerce(self, other):
         if isinstance(other, ScalarField):
-            if other.chart != self.chart:
+            if other.chart is not self.chart and other.chart != self.chart:
                 raise DimensionMismatchError("fields live on different charts")
             return other
         if isinstance(other, (int, float)):
@@ -122,14 +172,14 @@ class ScalarField:
         if other is None:
             return NotImplemented
         out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0.0) + c
-        return ScalarField(self.chart, out)
+        _accumulate(out, other.coeffs)
+        return ScalarField._of(self.chart, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ScalarField(self.chart, {e: -c for e, c in self.coeffs.items()})
+        return ScalarField._of(self.chart,
+                               {e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -147,16 +197,16 @@ class ScalarField:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, 0.0) + c1 * c2
-        return ScalarField(self.chart, out)
+        out = _product(self.coeffs, other.coeffs)
+        if 0.0 in out.values():
+            out = {e: c for e, c in out.items() if c != 0.0}
+        return ScalarField._of(self.chart, out)
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
+        if not float(n).is_integer():
+            raise ValueError("power must be an integer, got %r" % (n,))
         n = int(n)
         if n < 0:
             raise ValueError("negative powers are not polynomial")
@@ -177,14 +227,11 @@ class ScalarField:
             raise DimensionMismatchError(
                 "no coordinate %d on chart of dimension %d"
                 % (i, self.chart.dimension))
-        out = {}
-        for e, c in self.coeffs.items():
-            if e[i] == 0:
-                continue
-            d = list(e)
-            d[i] -= 1
-            out[tuple(d)] = out.get(tuple(d), 0.0) + c * e[i]
-        return ScalarField(self.chart, out)
+        # lowering e[i] is one-to-one on the monomials that keep a term, and
+        # c * e[i] with e[i] >= 1 is never zero, so nothing merges or drops
+        return ScalarField._of(self.chart, {
+            e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
+            for e, c in self.coeffs.items() if e[i]})
 
     def evaluate(self, p):
         p = self.chart.check_point(p)
@@ -247,6 +294,23 @@ class ScalarField:
 
     def __repr__(self):
         return "ScalarField(%s)" % self.to_string()
+
+
+def dot(chart, pairs):
+    """Sum of a * b over the pairs (a, b) of fields on chart.
+
+    The sum is built in one dict: each product is summed per monomial and
+    then added to the total in pair order, so the result is bit-identical to
+    ``total = total + a * b`` chained from the zero field.
+    """
+    total = {}
+    for a, b in pairs:
+        if ((a.chart is not chart and a.chart != chart)
+                or (b.chart is not chart and b.chart != chart)):
+            raise DimensionMismatchError("fields live on different charts")
+        if a.coeffs and b.coeffs:
+            _accumulate(total, _product(a.coeffs, b.coeffs))
+    return ScalarField._of(chart, total)
 
 
 _TOKEN = re.compile(

@@ -32,6 +32,7 @@ from .algebroid import (
     TransformationData,
     VectorField,
     _bracket_from_entries,
+    _positive_rank,
     build_algebroid,
     catalog_build,
 )
@@ -50,7 +51,7 @@ def algebroid_from_dict(data):
             built.metadata = merged
         return built
     m = int(data["dimension"])
-    r = int(data["rank"])
+    r = _positive_rank(data["rank"])
     labels = data.get("labels")
     chart = Chart(m, tuple(labels)) if labels else Chart(m)
     anchor_rows = data.get("anchor")

@@ -149,7 +149,17 @@ def test_classes_orders():
         assert code == 1 and "error" in doc
 
 
-def test_error_documents():
+def test_error_documents(tmp_path):
+    negative_rank = {
+        "spec.json": {"dimension": 1, "rank": -2, "anchor": []},
+        "bundle.json": {"kind": "lie_algebra_bundle", "params": {
+            "dimension": 1, "rank": -1, "bracket": []}},
+    }
+    for name, spec in negative_rank.items():
+        (tmp_path / name).write_text(json.dumps(spec))
+        code, doc = run_doc(["validate", "--spec", tmp_path / name])
+        assert code == 1
+        assert doc == {"error": "rank must be positive"}
     cases = [
         ["nonsense", "--spec", DATA / "aff1.json"],
         ["validate", "--spec", DATA / "missing.json"],

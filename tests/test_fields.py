@@ -8,10 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import algebroidlab as al
+from algebroidlab.calculus import _mat_mul
+from algebroidlab.classes import _cycle_trace
 from algebroidlab.fields import (
     Chart,
     ScalarField,
     as_field,
+    dot,
     eval_partial,
     parse_field,
     perm_sign,
@@ -159,6 +162,19 @@ def test_check_point_rejects_wrong_length():
         CHART2.check_point((1.0,))
 
 
+def test_non_integral_exponents_and_powers_are_rejected():
+    with pytest.raises(DimensionMismatchError):
+        ScalarField(CHART2, {(1.5, 0): 1.0})
+    f = ScalarField(CHART2, {(np.int64(1), np.int32(2)): 3.0, (1.0, 0): 1.0})
+    assert list(f.coeffs) == [(1, 2), (1, 0)]
+    assert all(type(e) is int for key in f.coeffs for e in key)
+    x = ScalarField.coordinate(CHART2, 0)
+    assert x ** 2.0 == x ** 2 == x * x
+    for bad in (2.5, -1, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            x ** bad
+
+
 def test_max_abs_coeff():
     f = parse_field(CHART2, "3*x1 - 7*x2^2 + 2")
     assert f.max_abs_coeff() == 7.0
@@ -190,3 +206,121 @@ def test_leibniz_rule(u, v):
     lhs = (f * g).partial(0)
     rhs = f.partial(0) * g + f * g.partial(0)
     assert (lhs - rhs).is_zero()
+
+
+# --------------------------------------------------- kernels, property tests
+#
+# Closed operations build their results without re-validation, so each one
+# is checked against the validating constructor, and the fused ``dot`` and
+# the field-matrix products against the chained sums they replace. Exact
+# coefficients (quarter-integers) make algebraic identities exact; general
+# ones include products that underflow to zero and must be dropped.
+
+CHARTS = [Chart(m) for m in range(4)]
+exact_coeff = st.integers(min_value=-36, max_value=36).map(lambda k: k / 4)
+any_coeff = st.one_of(exact_coeff,
+                      st.floats(min_value=-1e3, max_value=1e3),
+                      st.sampled_from([1e-170, -3e-170]))
+
+
+@st.composite
+def field_lists(draw, n, coeffs=any_coeff):
+    """n fields on one chart of dimension 0 to 3; every other one is built
+    on an equal but distinct Chart object."""
+    m = draw(st.integers(min_value=0, max_value=3))
+    exps = st.tuples(*[st.integers(min_value=0, max_value=3)] * m)
+    return [ScalarField(CHARTS[m] if i % 2 == 0 else Chart(m),
+                        draw(st.dictionaries(exps, coeffs, max_size=6)))
+            for i in range(n)]
+
+
+def assert_canonical(h):
+    assert h == ScalarField(h.chart, dict(h.coeffs))
+    for e, c in h.coeffs.items():
+        assert type(e) is tuple and len(e) == h.chart.dimension
+        assert all(type(x) is int and x >= 0 for x in e)
+        assert type(c) is float and c != 0.0
+
+
+def bits(f):
+    """Coefficients in dict order, bit for bit."""
+    return [(e, c.hex()) for e, c in f.coeffs.items()]
+
+
+def chained(chart, pairs):
+    total = ScalarField(chart)
+    for a, b in pairs:
+        total = total + a * b
+    return total
+
+
+@st.composite
+def field_matrix_pairs(draw):
+    """Two n by n field matrices on one chart, n from 1 to 3."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    entries = draw(field_lists(2 * n * n))
+    return (np.array(entries[:n * n], dtype=object).reshape(n, n),
+            np.array(entries[n * n:], dtype=object).reshape(n, n))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(field_lists(6), st.integers(min_value=0, max_value=3))
+def test_closed_operations_build_canonical_fields(fs, n):
+    f, g = fs[:2]
+    pairs = list(zip(fs[::2], fs[1::2]))
+    results = [f + g, f - g, -f, f * g, f ** n, dot(f.chart, pairs),
+               f + 2, 2 - f, 0.5 * f, f * 0]
+    results += [f.partial(i) for i in range(f.chart.dimension)]
+    for h in results:
+        assert_canonical(h)
+    assert (f - f).is_zero()
+    assert bits(dot(f.chart, pairs)) == bits(chained(f.chart, pairs))
+    assert bits(dot(f.chart, [])) == []
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(field_lists(2, coeffs=exact_coeff))
+def test_products_commute_exactly(fs):
+    f, g = fs
+    assert (f * g - g * f).is_zero()
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(field_matrix_pairs())
+def test_field_matrix_products_match_chained_sums(mats):
+    a, b = mats
+    n = a.shape[0]
+    chart = a[0, 0].chart
+    prod = _mat_mul(a, b)
+    for i in range(n):
+        for j in range(n):
+            want = chained(chart, [(a[i, k], b[k, j]) for k in range(n)])
+            assert bits(prod[i, j]) == bits(want)
+    assert bits(_cycle_trace([a, b])) == bits((a * b.T).sum())
+
+
+def test_dot_rejects_fields_on_other_charts():
+    x = ScalarField.coordinate(CHART2, 0)
+    with pytest.raises(DimensionMismatchError):
+        dot(CHART2, [(x, ScalarField.constant(Chart(1), 1.0))])
+
+
+# ----------------------------------------------- adversarial expression text
+
+TOKENS = ["x1", "x2", "x3", "x4", "y", "1", "2.5", ".5", "0", "1e3", "1e-320",
+          "1e999", "e", "E", "^", "^2", "^x1", "*", "+", "-", " ", "(", ")",
+          "_", "3x1"]
+expression_text = st.one_of(
+    st.text(max_size=24),
+    st.lists(st.sampled_from(TOKENS), max_size=14).map("".join))
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(expression_text)
+def test_parse_round_trips_or_raises_parse_errors(text):
+    chart = Chart(3)
+    try:
+        f = parse_field(chart, text)
+    except (ExpressionSyntaxError, UnknownVariableError):
+        return
+    assert parse_field(chart, f.to_string()) == f
