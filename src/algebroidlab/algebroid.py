@@ -216,12 +216,9 @@ def anchor_apply(algebroid, section):
     """Image of a section under the anchor, as a vector field."""
     if section.algebroid is not algebroid:
         raise AlgebroidMismatchError("section of a different algebroid")
-    comps = []
-    for i in range(algebroid.dimension):
-        total = ScalarField(algebroid.chart)
-        for s in range(algebroid.rank):
-            total = total + section.coeffs[s] * algebroid.anchor[s][i]
-        comps.append(total)
+    comps = [dot(algebroid.chart,
+                 zip(section.coeffs, (row[i] for row in algebroid.anchor)))
+             for i in range(algebroid.dimension)]
     return VectorField(algebroid.chart, comps)
 
 
@@ -237,14 +234,13 @@ def bracket_sections(algebroid, alpha, beta):
         raise AlgebroidMismatchError("sections of a different algebroid")
     xa = anchor_apply(algebroid, alpha)
     xb = anchor_apply(algebroid, beta)
+    r = algebroid.rank
     out = []
-    for u in range(algebroid.rank):
-        total = ScalarField(algebroid.chart)
-        for s in range(algebroid.rank):
-            for t in range(algebroid.rank):
-                cstu = algebroid.bracket[s, t, u]
-                if not cstu.is_zero():
-                    total = total + alpha.coeffs[s] * beta.coeffs[t] * cstu
+    for u in range(r):
+        total = dot(algebroid.chart,
+                    ((alpha.coeffs[s] * beta.coeffs[t], c)
+                     for s in range(r) for t in range(r)
+                     if not (c := algebroid.bracket[s, t, u]).is_zero()))
         total = total + xa.apply(beta.coeffs[u]) - xb.apply(alpha.coeffs[u])
         out.append(total)
     return Section(algebroid, out)

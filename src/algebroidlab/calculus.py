@@ -409,7 +409,8 @@ class DualChart(Chart):
 def _lift(dual, f):
     """Reinterpret a base-chart polynomial on the dual chart."""
     r = dual.fiber_rank
-    return ScalarField(dual, {e + (0,) * r: c for e, c in f.coeffs.items()})
+    return ScalarField._of(dual,
+                           {e + (0,) * r: c for e, c in f.coeffs.items()})
 
 
 def fiber_linear(algebroid, section):

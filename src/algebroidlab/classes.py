@@ -5,13 +5,16 @@ forms come from transgression integrals between two (or three) connections
 on E = A + T*M. All three are one integral over the n-simplex, n = 0, 1, 2,
 of P(eta_1, ..., eta_n, F, ..., F), where eta_i is the difference of
 connection i and the base connection and F is the curvature of the family
-base + sum_i t_i eta_i. P is the cycle-trace polarization of sigma_k, a
-signed sum over permutations of products of traces of the matrix words
-along their cycles. Combinatorics run over perfect matchings with
-signs, which equals the full signed permutation sum divided by the count
-of redundant block rearrangements; with that normalization the boundary
-identities d(transgression) = primary difference hold without stray
-factors. The simplex moments are exact.
+base + sum_i t_i eta_i. The engine computes it with Quillen's
+superconnection trick in the exterior algebra on the frame covectors and
+one odd parameter eps_i per eta_i. A matrix-valued form is one array over
+bitmasks of those generators and monomials in t; G = F + sum_i eps_i eta_i
+is even, so sigma_k(G) follows from the power sums tr(G^j) by Newton's
+identities, and its eps_1...eps_n component gives the integrand, normalized
+so that the boundary identities d(transgression) = primary difference hold
+without stray factors. The simplex moments of the t-monomials are exact.
+InvariantPolynomial, the cycle-trace polarization of sigma_k, stays public
+and serves as an independent oracle.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,21 +128,16 @@ def invariant_polynomial(k, q):
     return InvariantPolynomial(k, q)
 
 
-# ----------------------------------------------------- matching enumeration
-
-def _matchings(items):
-    items = list(items)
-    if not items:
-        yield ()
-        return
-    x = items[0]
-    for i in range(1, len(items)):
-        rest = items[1:i] + items[i + 1:]
-        for sub in _matchings(rest):
-            yield ((x, items[i]),) + sub
-
-
 # ------------------------------------------------------------------ engine
+#
+# The engine works in the exterior algebra on N = r + n generators: the r
+# frame covectors, then one odd parameter eps_i per eta_i. A form of grade
+# 2j is an array X[mask, mono, ...] over the masks that _level keeps and the
+# t-monomials of _monomials; the trailing axes are (q, q) for a
+# matrix-valued form and empty for a scalar one.
+
+_BLOCK = 1 << 13   # entries per temporary in the float products
+
 
 @functools.lru_cache(maxsize=None)
 def _simplex_moment(exps):
@@ -151,16 +150,154 @@ def _simplex_moment(exps):
     return math.prod(f(e) for e in exps) / f(sum(exps) + len(exps))
 
 
+@functools.lru_cache(maxsize=None)
+def _level(r, n, k, j):
+    """Bitmasks of the grade-2j subsets that can reach the top grade 2k.
+
+    Each factor of G holds at most one eps, so a product of j factors that
+    the k - j factors still to come can complete to every eps bit holds
+    between n - (k - j) and min(j, n) of them; at j = k that is all n. The
+    subsets come in lexicographic order.
+    """
+    lo, hi = max(0, n - k + j), min(j, n)
+    return tuple(sum(1 << x for x in c)
+                 for c in itertools.combinations(range(r + n), 2 * j)
+                 if lo <= sum(x >= r for x in c) <= hi)
+
+
+@functools.lru_cache(maxsize=None)
+def _wedge_table(r, n, k, ja, jb):
+    """(ia, ib, io, sign) over the disjoint pairs of a level-ja mask A and a
+    level-jb mask B whose union is kept at level ja + jb.
+
+    e^A ^ e^B = sign e^(A | B), sign the parity of the pairs a in A, b in B
+    with a > b; io indexes A | B at its level.
+    """
+    where = {m: i for i, m in enumerate(_level(r, n, k, ja + jb))}
+    rows = []
+    for ia, a in enumerate(_level(r, n, k, ja)):
+        for ib, b in enumerate(_level(r, n, k, jb)):
+            io = None if a & b else where.get(a | b)
+            if io is not None:
+                inversions = sum((a >> y).bit_count()
+                                 for y in range(r + n) if b >> y & 1)
+                rows.append((ia, ib, io, -1 if inversions & 1 else 1))
+    table = np.array(rows, dtype=np.int64).reshape(-1, 4).T
+    table.flags.writeable = False   # shared by every caller of the cache
+    return tuple(table)
+
+
+@functools.lru_cache(maxsize=None)
+def _monomials(n, top):
+    """Monomials in t_1..t_n of degree <= top, the constant first, and the
+    pairs (ta, tb, to) of them whose product stays within the degree."""
+    monos = tuple(e for e in itertools.product(range(top + 1), repeat=n)
+                  if sum(e) <= top)
+    index = {e: i for i, e in enumerate(monos)}
+    pairs = [(a, b, index[g]) for a, e in enumerate(monos)
+             for b, f in enumerate(monos)
+             if (g := tuple(map(operator.add, e, f))) in index]
+    table = np.array(pairs, dtype=np.int64).T
+    table.flags.writeable = False   # shared by every caller of the cache
+    return monos, tuple(table)
+
+
+def _zeros(chart, shape):
+    """Zero floats, or zero fields on chart."""
+    if chart is None:
+        return np.zeros(shape)
+    return np.full(shape, ScalarField(chart), dtype=object)
+
+
+def _nonzero_blocks(x):
+    """Which blocks x[mask, mono] hold a nonzero entry."""
+    if x.dtype == object:
+        nz = np.fromiter((bool(f.coeffs) for f in x.flat), bool, x.size)
+    else:
+        nz = x != 0
+    return nz.reshape(x.shape[0], x.shape[1], -1).any(axis=2)
+
+
+def _field_sum(chart, kind, terms):
+    """Sum of sign * (a kind b) over the terms (a, b, sign) of field blocks,
+    one fields.dot per output entry."""
+    terms = [(a if s > 0 else -a, b) for a, b, s in terms]
+    if kind == "scalar":
+        return dot(chart, terms)
+    if kind == "trace":
+        return dot(chart, (p for a, b in terms
+                           for p in zip(a.flat, b.T.flat)))
+    q = terms[0][0].shape[0]
+    out = np.empty((q, q), dtype=object)
+    for i, j in np.ndindex(q, q):
+        out[i, j] = dot(chart, (p for a, b in terms
+                                for p in zip(a[i], b[:, j])))
+    return out
+
+
+def _wedge(x, y, table, tpairs, size, kind, chart):
+    """Wedge of two forms through a _wedge_table and the t-pairs.
+
+    Adds sign * (x[A, u] kind y[B, v]) at (A | B, uv), where kind is "mat"
+    (the matrix product), "trace" (its trace) or "scalar". A trace or
+    scalar wedge of a form with itself is summed over A < B and doubled:
+    even forms commute, so (A, B) and (B, A) give the same term. Products
+    with a zero block are skipped. Floats are multiplied in blocks of
+    _BLOCK entries; fields take one fields.dot per output entry.
+    """
+    ia, ib, io, sign = table
+    fold = kind != "mat" and x is y
+    if fold:
+        half = ia < ib
+        ia, ib, io, sign = ia[half], ib[half], io[half], sign[half]
+    ta, tb, to = tpairs
+    n_t = x.shape[1]
+    row, pair = np.nonzero(_nonzero_blocks(x)[ia[:, None], ta]
+                           & _nonzero_blocks(y)[ib[:, None], tb])
+    dest = io[row] * n_t + to[pair]
+    xs = ia[row] * n_t + ta[pair]
+    ys = ib[row] * n_t + tb[pair]
+    sign = sign[row]
+    xf = x.reshape((-1,) + x.shape[2:])
+    yf = y.reshape((-1,) + y.shape[2:])
+    tail = x.shape[2:] if kind == "mat" else ()
+    out = _zeros(chart, (size * n_t,) + tail)
+    if chart is None:
+        step = max(1, _BLOCK // xf[0].size)
+        for lo in range(0, len(dest), step):
+            cut = slice(lo, lo + step)
+            a, b = xf[xs[cut]], yf[ys[cut]]
+            if kind == "mat":
+                v = a @ b
+            elif kind == "trace":
+                v = (a * b.transpose(0, 2, 1)).sum(axis=(1, 2))
+            else:
+                v = a * b
+            v *= sign[cut].reshape((-1,) + (1,) * (v.ndim - 1))
+            np.add.at(out, dest[cut], v)
+    else:
+        groups = {}
+        for d, i, j, s in zip(dest.tolist(), xs, ys, sign):
+            groups.setdefault(d, []).append((xf[i], yf[j], s))
+        for d, terms in groups.items():
+            out[d] = _field_sum(chart, kind, terms)
+    out = out.reshape((size, n_t) + tail)
+    return 2.0 * out if fold else out
+
+
 def _transgress(algebroid, conn0, conns, poly):
     """Integral over the n-simplex of P(eta_1, ..., eta_n, F, ..., F).
 
     n = len(conns), eta_i = omega(conns[i]) - omega(conn0), and F is the
-    curvature of omega(conn0) + sum_i t_i eta_i. The form has degree
-    2k - n: on a sorted frame tuple, the eta_i take ordered heads and the
-    other indices are perfectly matched into curvature slots, each slot
-    one t-monomial of F; a term weighs its sign times the simplex moment
-    of its t-monomial. Degree above the rank gives the zero form with its
-    overflow flag set.
+    curvature of omega(conn0) + sum_i t_i eta_i, a polynomial in t. With one
+    odd generator eps_i per eta_i, G = F + sum_i eps_i eta_i is an even
+    matrix-valued 2-form, so sigma_k(G) follows from the power sums
+    tr(G^j) by Newton's identities; its eps_1...eps_n component on a sorted
+    frame tuple is k! (-1)^(n(n+1)/2) times the coefficient of the form.
+    Only masks that can reach that component are kept, t is carried up to
+    degree 2(k - n), and each t-monomial is integrated by its exact simplex
+    moment. The form has degree 2k - n; degree above the rank gives the
+    zero form with its overflow flag set.
     """
     n = len(conns)
     k = poly.k
@@ -171,29 +308,57 @@ def _transgress(algebroid, conn0, conns, poly):
         out.overflow = degree > r
         return out
     numeric = algebroid.dimension == 0
+    chart = None if numeric else algebroid.chart
     omega0 = _frame_matrices(conn0, numeric)
     etas = [[x - y for x, y in zip(_frame_matrices(c, numeric), omega0)]
             for c in conns]
+    monos, tpairs = _monomials(n, 2 * (k - n))
+    index = {e: i for i, e in enumerate(monos)}
+    masks = _level(r, n, k, 1)
+    g = _zeros(chart, (len(masks), len(monos), poly.q, poly.q))
     fam = _family_curvature(algebroid, omega0, etas, numeric) \
         if k > n else None
-    monos = [e for e in itertools.product(range(3), repeat=n) if sum(e) <= 2]
+    for b, mask in enumerate(masks):
+        s, t = (x for x in range(r + n) if mask >> x & 1)
+        if t < r:
+            for e, mat in fam[(s, t)].items():
+                g[b, index[e]] = mat
+        else:
+            # eps_i ^ eta_i = -sum_s eta_i[s] e^s ^ eps_i
+            g[b, 0] = -etas[t - r][s]
+
+    def wedge(x, ja, y, jb, kind):
+        return _wedge(x, y, _wedge_table(r, n, k, ja, jb), tpairs,
+                      len(_level(r, n, k, ja + jb)), kind, chart)
+
+    # G^j up to j = ceil(k/2), then p_j = tr(G^(j - j//2) ^ G^(j//2))
+    powers = [None, g]
+    for j in range(2, (k + 1) // 2 + 1):
+        powers.append(wedge(powers[-1], j - 1, g, 1, "mat"))
+    sums = [None]
+    for j in range(1, k + 1):
+        if j < len(powers):
+            sums.append(np.trace(powers[j], axis1=2, axis2=3))
+        else:
+            a, b = j - j // 2, j // 2
+            sums.append(wedge(powers[a], a, powers[b], b, "trace"))
+    # Newton's identities: m e_m = sum_{j=1..m} (-1)^(j-1) e_(m-j) p_j
+    elem = [None]
+    for m in range(1, k + 1):
+        acc = sums[m] if m % 2 else -sums[m]
+        for j in range(1, m):
+            term = wedge(elem[m - j], m - j, sums[j], j, "scalar")
+            acc = acc + term if j % 2 else acc - term
+        elem.append(acc if m == 1 else acc * (1.0 / m))
+    values = elem[k] @ np.array([_simplex_moment(e) for e in monos])
+    scale = TWO_PI ** -k / math.factorial(k)
+    if n % 4 in (1, 2):
+        scale = -scale
     entries = {}
-    for key in itertools.combinations(range(r), degree):
-        total = None
-        for heads in itertools.permutations(key, n):
-            rest = [x for x in key if x not in heads]
-            head_mats = [eta[h] for eta, h in zip(etas, heads)]
-            for matching in _matchings(rest):
-                sgn = perm_sign(heads + tuple(x for pair in matching
-                                              for x in pair))
-                for powers in itertools.product(monos, repeat=k - n):
-                    exps = tuple(sum(p[i] for p in powers) for i in range(n))
-                    mats = head_mats + [fam[p][e]
-                                        for p, e in zip(matching, powers)]
-                    term = sgn * _simplex_moment(exps) * poly(*mats)
-                    total = term if total is None else total + term
-        entries[key] = ScalarField.constant(algebroid.chart, total) \
-            if numeric else total
+    for mask, v in zip(_level(r, n, k, k), values):
+        key = tuple(x for x in range(r) if mask >> x & 1)
+        entries[key] = ScalarField._scalar(algebroid.chart, scale * v) \
+            if numeric else scale * v
     form = AForm(algebroid, degree, entries)
     form.overflow = False
     return form
@@ -299,14 +464,13 @@ def secondary_class(algebroid, k):
 def modular_cocycle(algebroid):
     """Degree-1 cocycle pairing the bracket trace with the anchor divergence."""
     a = algebroid
+    one = ScalarField.constant(a.chart, 1.0)
     entries = {}
     for s in range(a.rank):
-        total = ScalarField(a.chart)
-        for u in range(a.rank):
-            total = total + a.bracket[s, u, u]
-        for i in range(a.dimension):
-            total = total + a.anchor[s][i].partial(i)
-        entries[(s,)] = total
+        terms = [a.bracket[s, u, u] for u in range(a.rank)] \
+            + [a.anchor[s][i].partial(i) for i in range(a.dimension)]
+        # times the unit field, dot adds the fields as chained sums would
+        entries[(s,)] = dot(a.chart, ((f, one) for f in terms))
     form = AForm(a, 1, entries)
     return CocycleSection(form, 1, _closedness_residual(form), ("basic",))
 
@@ -389,10 +553,11 @@ def transformation_m1(data):
     """Order-1 class of an action: bracket trace plus anchor divergence."""
     n = data.algebra_dim
     chart = data.chart
+    one = ScalarField.constant(chart, 1.0)
     out = []
     for s in range(n):
-        total = ScalarField.constant(chart, float(np.trace(data.constants[s])))
-        for i in range(chart.dimension):
-            total = total + data.fields[s].comps[i].partial(i)
+        trace = ScalarField.constant(chart, float(np.trace(data.constants[s])))
+        total = dot(chart, ((data.fields[s].comps[i].partial(i), one)
+                            for i in range(chart.dimension)), start=trace)
         out.append((1.0 / TWO_PI) * total)
     return out

@@ -208,23 +208,24 @@ def curvature(conn):
     r = a.rank
     q = conn.q
     gamma = conn.symbols
+    minus = -gamma
     entries = {}
     for s in range(r):
         for t in range(s + 1, r):
+            brackets = [(-c, w) for w in range(r)
+                        if not (c := a.bracket[s, t, w]).is_zero()]
             mat = np.empty((q, q), dtype=object)
             for u in range(q):
                 for v in range(q):
-                    total = a.anchor_row(s).apply(gamma[t, u, v]) \
+                    lead = a.anchor_row(s).apply(gamma[t, u, v]) \
                         - a.anchor_row(t).apply(gamma[s, u, v])
+                    pairs = []
                     for w in range(q):
-                        total = total + gamma[t, u, w] * gamma[s, w, v]
-                        total = total - gamma[s, u, w] * gamma[t, w, v]
-                    for w in range(a.rank):
-                        c = a.bracket[s, t, w]
-                        if not c.is_zero():
-                            total = total - c * gamma[w, u, v]
+                        pairs.append((gamma[t, u, w], gamma[s, w, v]))
+                        pairs.append((minus[s, u, w], gamma[t, w, v]))
+                    pairs += [(c, gamma[w, u, v]) for c, w in brackets]
                     # matrix rows are output components
-                    mat[v, u] = total
+                    mat[v, u] = dot(a.chart, pairs, start=lead)
             entries[(s, t)] = mat
     return MatrixForm(a, 2, q, entries)
 
@@ -272,16 +273,20 @@ def _family_curvature(algebroid, omega0, etas, numeric):
 
     def linear(x, a, b):
         # #a(x_b) - #b(x_a) - c_ab^u x_u; over a point the anchor is zero
+        terms = [(-c, x[u]) for u in range(r)
+                 if not (c := algebroid.bracket[a, b, u]).is_zero()]
         if numeric:
             total = np.zeros(x[a].shape)
-        else:
-            total = (_apply_to_matrix(algebroid.anchor_row(a), x[b])
-                     - _apply_to_matrix(algebroid.anchor_row(b), x[a]))
-        for u in range(r):
-            c = algebroid.bracket[a, b, u]
-            if not c.is_zero():
-                total = total - (c.evaluate(()) if numeric else c) * x[u]
-        return total
+            for c, m in terms:
+                total = total + c.evaluate(()) * m
+            return total
+        lead = (_apply_to_matrix(algebroid.anchor_row(a), x[b])
+                - _apply_to_matrix(algebroid.anchor_row(b), x[a]))
+        out = np.empty(lead.shape, dtype=object)
+        for idx in np.ndindex(*lead.shape):
+            out[idx] = dot(algebroid.chart, [(c, m[idx]) for c, m in terms],
+                           start=lead[idx])
+        return out
 
     def comm(x, y):
         return _mat_mul(x, y) - _mat_mul(y, x)

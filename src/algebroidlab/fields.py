@@ -109,9 +109,12 @@ def _accumulate(total, coeffs):
 class ScalarField:
     """Sparse polynomial: dict from exponent tuples to nonzero coefficients.
 
-    The constructor is the one validating entry point. Results of the
-    closed operations (sums, products, negation, powers, partials and
-    ``dot``) are built by ``_of`` without re-checking their exponents.
+    The constructor is the one validating entry point: exponents must be
+    non-negative integers of the chart's length and coefficients finite.
+    Results of the closed operations (sums, products, negation, powers,
+    partials and ``dot``), numbers in arithmetic among them, are built by
+    ``_of`` without re-checking, so arithmetic may still overflow to inf or
+    nan.
     """
 
     __slots__ = ("chart", "coeffs")
@@ -125,6 +128,9 @@ class ScalarField:
                 c = float(c)
                 if c == 0.0:
                     continue
+                if not math.isfinite(c):
+                    raise ExpressionSyntaxError(
+                        "coefficient %r is not a finite number" % c)
                 ints = _int_exponents(exps)
                 if ints is None or len(ints) != m or any(e < 0 for e in ints):
                     raise DimensionMismatchError(
@@ -143,6 +149,12 @@ class ScalarField:
         f.chart = chart
         f.coeffs = coeffs
         return f
+
+    @classmethod
+    def _scalar(cls, chart, value):
+        """Trusted constant: value is stored as given, nothing when zero."""
+        value = float(value)
+        return cls._of(chart, {(0,) * chart.dimension: value} if value else {})
 
     @classmethod
     def constant(cls, chart, value):
@@ -164,7 +176,7 @@ class ScalarField:
                 raise DimensionMismatchError("fields live on different charts")
             return other
         if isinstance(other, (int, float)):
-            return ScalarField.constant(self.chart, other)
+            return ScalarField._scalar(self.chart, other)
         return None
 
     def __add__(self, other):
@@ -296,14 +308,19 @@ class ScalarField:
         return "ScalarField(%s)" % self.to_string()
 
 
-def dot(chart, pairs):
-    """Sum of a * b over the pairs (a, b) of fields on chart.
+def dot(chart, pairs, start=None):
+    """start (default zero) plus the sum of a * b over the pairs (a, b) of
+    fields on chart.
 
     The sum is built in one dict: each product is summed per monomial and
     then added to the total in pair order, so the result is bit-identical to
-    ``total = total + a * b`` chained from the zero field.
+    ``total = total + a * b`` chained from start.
     """
     total = {}
+    if start is not None:
+        if start.chart is not chart and start.chart != chart:
+            raise DimensionMismatchError("fields live on different charts")
+        total.update(start.coeffs)
     for a, b in pairs:
         if ((a.chart is not chart and a.chart != chart)
                 or (b.chart is not chart and b.chart != chart)):

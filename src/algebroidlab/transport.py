@@ -63,7 +63,7 @@ def _substitute(field, curves):
     """Evaluate a chart polynomial along 1-parameter polynomial curves."""
     out = ScalarField(T_CHART)
     for exps, c in field.coeffs.items():
-        term = ScalarField.constant(T_CHART, c)
+        term = ScalarField._scalar(T_CHART, c)
         for i, e in enumerate(exps):
             for _ in range(e):
                 term = term * curves[i]
@@ -256,7 +256,7 @@ def lift_base_path(algebroid, base, grid=64):
             for order in range(1, 4):
                 for i in range(3, order - 1, -1):
                     dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - order])
-            total = ScalarField.constant(T_CHART, dd[0])
+            total = ScalarField._scalar(T_CHART, dd[0])
             basis = ScalarField.constant(T_CHART, 1.0)
             for i in range(1, 4):
                 basis = basis * (t_var - float(xs[i - 1]))

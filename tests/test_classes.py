@@ -1,5 +1,6 @@
 """Primary and secondary characteristic classes."""
 
+import itertools
 import math
 
 import numpy as np
@@ -9,19 +10,19 @@ import algebroidlab as al
 from algebroidlab import classes
 from algebroidlab.classes import (
     InvariantPolynomial,
-    _matchings,
     _simplex_moment,
     invariant_polynomial,
 )
-from algebroidlab.connections import bundle_rank
+from algebroidlab.connections import AConnection, bundle_rank
 from algebroidlab.errors import (
     AlgebroidMismatchError,
     BadOrderError,
     ShapeMismatchError,
 )
-from algebroidlab.fields import Chart, ScalarField, parse_field
+from algebroidlab.fields import Chart, ScalarField, parse_field, perm_sign
 from conftest import (
     AFF1_CONSTANTS,
+    EPS3,
     SL2_CONSTANTS,
     form_coeff_max,
     form_diff_max,
@@ -69,15 +70,6 @@ def test_invariant_polynomial_order_bounds():
     p = InvariantPolynomial(2, 3)
     with pytest.raises(ShapeMismatchError):
         p(np.eye(3))
-
-
-def test_matchings_count_double_factorial():
-    for n, want in ((0, 1), (2, 1), (4, 3), (6, 15)):
-        found = list(_matchings(range(n)))
-        assert len(found) == want
-        for matching in found:
-            flat = sorted(x for pair in matching for x in pair)
-            assert flat == list(range(n))
 
 
 def gauss_t_moments(max_d, n_nodes):
@@ -216,6 +208,142 @@ def test_polynomial_on_field_matrices_evaluates_pointwise():
         assert abs(poly(*mats[:k]).evaluate(p) - want) < 1e-12
         assert abs(poly.sigma(mats[k - 1]).evaluate(p)
                    - poly.sigma(at_p[k - 1])) < 1e-12
+
+
+class TrivialBundleConnection(AConnection):
+    """Constant symbols on a trivial bundle of any rank q over the algebroid;
+    the class engine reads only the symbols, so q need not be a bundle of
+    the catalog."""
+
+    __slots__ = ()
+
+    def __init__(self, algebroid, symbols):
+        self.algebroid = algebroid
+        self.bundle = "trivial"
+        self.q = symbols.shape[1]
+        self.symbols = symbols
+
+
+def constant_connection(algebroid, values):
+    sym = np.empty(values.shape, dtype=object)
+    for idx in np.ndindex(*values.shape):
+        sym[idx] = ScalarField.constant(algebroid.chart, float(values[idx]))
+    return TrivialBundleConnection(algebroid, sym)
+
+
+def direct_sum(c1, c2):
+    c1, c2 = np.asarray(c1, dtype=float), np.asarray(c2, dtype=float)
+    n1, n2 = c1.shape[0], c2.shape[0]
+    out = np.zeros((n1 + n2,) * 3)
+    out[:n1, :n1, :n1] = c1
+    out[n1:, n1:, n1:] = c2
+    return out
+
+
+def brute_class(constants, omegas, k):
+    """Coefficients of the class integrand by the full signed permutation sum.
+
+    omegas[0] is the base connection matrix per frame section, omegas[1:]
+    the others; the key sum runs over every permutation of the key, eta_i
+    in the first n slots and curvature pairs after them, and divides by the
+    2^(k-n) (k-n)! orderings of one perfect matching. The simplex integral
+    uses Gauss-Legendre nodes (Duffy map on the triangle).
+    """
+    c = np.asarray(constants)
+    r = c.shape[0]
+    n = len(omegas) - 1
+    etas = [[w[s] - omegas[0][s] for s in range(r)] for w in omegas[1:]]
+    g, gw = np.polynomial.legendre.leggauss(4)
+    u, uw = 0.5 * (g + 1.0), 0.5 * gw
+    if n == 0:
+        nodes = [((), 1.0)]
+    elif n == 1:
+        nodes = [((x,), w) for x, w in zip(u, uw)]
+    else:
+        nodes = [((x * (1.0 - y), x * y), wx * wy * x)
+                 for x, wx in zip(u, uw) for y, wy in zip(u, uw)]
+    poly = InvariantPolynomial(k, omegas[0][0].shape[0])
+    degree = 2 * k - n
+    scale = 2 ** (k - n) * math.factorial(k - n)
+    out = {}
+    for key in itertools.combinations(range(r), degree):
+        total = 0.0
+        for t, weight in nodes:
+            w = [omegas[0][s] + sum(ti * e[s] for ti, e in zip(t, etas))
+                 for s in range(r)]
+
+            def curv(a, b):
+                # over a point: F_ab = [w_a, w_b] - c_ab^u w_u
+                return (w[a] @ w[b] - w[b] @ w[a]
+                        - sum(c[a, b, x] * w[x] for x in range(r)))
+            for perm in itertools.permutations(key):
+                mats = [etas[i][perm[i]] for i in range(n)]
+                mats += [curv(perm[i], perm[i + 1])
+                         for i in range(n, degree, 2)]
+                total += weight * perm_sign(perm) * poly(*mats)
+        out[key] = total / scale
+    return out
+
+
+def engine_classes(a, conns, k):
+    """The engine's form for n = len(conns) - 1: chern_weil of conns[0],
+    transgression_form(conns[1], conns[0]) or secondary_triple."""
+    poly = InvariantPolynomial(k, conns[0].q)
+    if len(conns) == 1:
+        return al.chern_weil(a, conns[0], poly)
+    if len(conns) == 2:
+        return al.transgression_form(conns[1], conns[0], poly)
+    return al.secondary_triple(a, conns[2], conns[1], conns[0], poly)
+
+
+@pytest.mark.parametrize("constants,q", [
+    (direct_sum(SL2_CONSTANTS, AFF1_CONSTANTS), 3),
+    (direct_sum(EPS3, direct_sum(AFF1_CONSTANTS, np.zeros((1, 1, 1)))), 4)])
+def test_engine_matches_permutation_sum_oracle(constants, q):
+    # every order and parameter count the engine serves, on connections of
+    # a trivial bundle whose rank q differs from the algebra's rank; the
+    # algebras are not unimodular, so exact top-degree forms need not vanish
+    a = al.catalog_build("lie_algebra", {"constants": constants.tolist()})
+    r = a.rank
+    rng = rng_for("engine-oracle-%d" % r)
+    values = [rng.uniform(-1.0, 1.0, size=(r, q, q)) for _ in range(3)]
+    conns = [constant_connection(a, v) for v in values]
+    omegas = [[v[s].T for s in range(r)] for v in values]
+    cases = [(k, n) for k in (1, 2, 3) for n in (0, 1, 2)
+             if n <= k and 2 * k - n <= r and (n < 2 or k % 2)]
+    assert len(cases) >= 6
+    for k, n in cases:
+        form = engine_classes(a, conns[:n + 1], k)
+        want = brute_class(constants, omegas[:n + 1], k)
+        assert form.degree == 2 * k - n and not form.overflow
+        assert max(abs(v) for v in want.values()) > 1e-6, (k, n)
+        for key, value in want.items():
+            got = form.coeff(key).evaluate(())
+            assert abs(got - value) < 1e-12, (k, n, key)
+
+
+def test_field_route_matches_numeric_route_pointwise():
+    # heisenberg_r4 has a zero anchor, so the class forms at a point are
+    # those of the Lie algebra there, with the symbols' values there
+    a = heisenberg_r4()
+    conns = [al.build_connection(a, "E", random_symbols(a, "E", key,
+                                                         degree=1))
+             for key in (11, 12, 13)]
+    for x in (-0.6, 1.3):
+        at = al.catalog_build("lie_algebra", {"constants": [
+            [[a.bracket[s, t, u].evaluate((x,)) for u in range(a.rank)]
+             for t in range(a.rank)] for s in range(a.rank)]})
+        point = [constant_connection(at, np.array(
+            [[[f.evaluate((x,)) for f in row] for row in g]
+             for g in c.symbols])) for c in conns]
+        for k, n in ((1, 0), (2, 0), (1, 1), (2, 1), (3, 2)):
+            field = engine_classes(a, conns[:n + 1], k)
+            numeric = engine_classes(at, point[:n + 1], k)
+            assert form_coeff_max(numeric) > 1e-6, (k, n)
+            for key in set(field.coeffs) | set(numeric.coeffs):
+                got = field.coeff(key).evaluate((x,))
+                want = numeric.coeff(key).evaluate(())
+                assert abs(got - want) < 1e-12, (k, n, key)
 
 
 def test_transgression_quadrature_insensitive(sl3, sl3_conns, monkeypatch):

@@ -276,6 +276,12 @@ def test_closed_operations_build_canonical_fields(fs, n):
     assert (f - f).is_zero()
     assert bits(dot(f.chart, pairs)) == bits(chained(f.chart, pairs))
     assert bits(dot(f.chart, [])) == []
+    # a start field, and a subtraction as the product with a negated factor
+    want = g - fs[2] * fs[3]
+    for a, b in pairs:
+        want = want + a * b
+    got = dot(f.chart, [(-fs[2], fs[3])] + pairs, start=g)
+    assert bits(got) == bits(want)
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
@@ -303,6 +309,22 @@ def test_dot_rejects_fields_on_other_charts():
     x = ScalarField.coordinate(CHART2, 0)
     with pytest.raises(DimensionMismatchError):
         dot(CHART2, [(x, ScalarField.constant(Chart(1), 1.0))])
+    with pytest.raises(DimensionMismatchError):
+        dot(CHART2, [(x, x)], start=ScalarField.constant(Chart(1), 1.0))
+
+
+def test_constructor_rejects_non_finite_coefficients():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ExpressionSyntaxError):
+            ScalarField(CHART2, {(1, 0): bad})
+        with pytest.raises(ExpressionSyntaxError):
+            ScalarField(CHART2, {(0, 0): 1.0, (0, 1): np.float64(bad)})
+        with pytest.raises(ExpressionSyntaxError):
+            ScalarField.constant(CHART2, bad)
+    # arithmetic builds its results unchecked, so it may still overflow
+    big = ScalarField(CHART2, {(1, 0): 1e200})
+    assert (big * big).coeffs == {(2, 0): math.inf}
+    assert math.isnan((big * big - big * big).coeffs[(2, 0)])
 
 
 # ----------------------------------------------- adversarial expression text
