@@ -2,10 +2,11 @@
 
 An algebroid here is a chart, a rank, an anchor matrix of polynomial
 fields, and an antisymmetric bracket tensor. On top of that sit the
-differential calculus, dual Poisson structures, A-connections with
-torsion and curvature, A-path parallel transport, and the primary and
-secondary characteristic class pipeline, plus a JSON-driven command
-line front end.
+differential calculus (chart forms are forms of the chart's tangent
+algebroid, so one differential is also the de Rham one), dual Poisson
+structures, A-connections with torsion and curvature, A-path parallel
+transport, and the primary and secondary characteristic class pipeline,
+plus a JSON-driven command line front end.
 """
 
 from .algebroid import (

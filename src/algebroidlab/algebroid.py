@@ -23,7 +23,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .fields import Chart, ScalarField, as_field, dot, parse_field
-from .sampling import max_abs, seeded_points
+from .sampling import _MAX_SIZE, max_abs, seeded_points
 
 RANK_CUTOFF = 1e-9
 
@@ -163,8 +163,17 @@ class LieAlgebroid:
         return "LieAlgebroid(m=%d, r=%d)" % (self.dimension, self.rank)
 
 
+def _bounded(n, what):
+    """n as an int, refused above _MAX_SIZE before anything is allocated."""
+    n = int(n)
+    if n > _MAX_SIZE:
+        raise ShapeMismatchError("%s %d is above the limit of %d"
+                                 % (what, n, _MAX_SIZE))
+    return n
+
+
 def _positive_rank(rank):
-    rank = int(rank)
+    rank = _bounded(rank, "rank")
     if rank < 1:
         raise ShapeMismatchError("rank must be positive")
     return rank
@@ -420,8 +429,10 @@ class TransformationData:
 def _check_constants(c, anti_tol, jacobi_tol):
     """Raise unless constant structure data are antisymmetric and Jacobi.
 
-    Non-finite entries give a NaN or infinite defect, which fails too.
+    Non-finite entries give a NaN or infinite defect, which fails too. The
+    size is checked first: the Jacobi defect tensor has n**4 entries.
     """
+    _bounded(c.shape[0], "rank")
     anti = max_abs((c + np.swapaxes(c, 0, 1)).flat)
     if not anti <= anti_tol:
         raise AntisymmetryViolationError(
@@ -581,7 +592,7 @@ def catalog_build(kind, params):
         return build_algebroid(chart, n, anchor, constants, meta)
 
     if kind == "tangent":
-        m = int(params["dimension"])
+        m = _bounded(params["dimension"], "dimension")
         chart = Chart(m)
         anchor = [[1.0 if i == s else 0.0 for i in range(m)] for s in range(m)]
         bracket = np.zeros((m, m, m))
@@ -589,7 +600,7 @@ def catalog_build(kind, params):
         return build_algebroid(chart, m, anchor, bracket, meta)
 
     if kind == "poisson":
-        m = int(params["dimension"])
+        m = _bounded(params["dimension"], "dimension")
         chart = Chart(m)
         pi = params["bivector"]
         rows = [[as_field(chart, pi[i][j]) for j in range(m)] for i in range(m)]
@@ -612,7 +623,7 @@ def catalog_build(kind, params):
     if kind == "transformation":
         data = params.get("data")
         if data is None:
-            m = int(params["dimension"])
+            m = _bounded(params["dimension"], "dimension")
             chart = Chart(m)
             constants = np.asarray(params["constants"], dtype=float)
             fields = [VectorField(chart, row) for row in params["fields"]]
@@ -636,7 +647,7 @@ def catalog_build(kind, params):
         return build_algebroid(chart, n, anchor, bracket, meta)
 
     if kind == "lie_algebra_bundle":
-        m = int(params["dimension"])
+        m = _bounded(params["dimension"], "dimension")
         r = _positive_rank(params["rank"])
         chart = Chart(m)
         tensor = _bracket_entries_to_tensor(chart, r, params["bracket"])

@@ -3,16 +3,20 @@
 Forms are stored on strictly increasing index tuples; other orderings are
 resolved by sign on lookup. The differential follows the Cartan convention
 with no combinatorial prefactor, and the wedge uses the determinant
-(shuffle-sum) convention.
+(shuffle-sum) convention. Chart forms are forms of the chart's tangent
+algebroid (unit anchor, zero bracket), so the same differential is the
+de Rham one on them.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 
 import numpy as np
 
-from .algebroid import VectorField
+from .algebroid import LieAlgebroid, Section, VectorField
 from .errors import (
     AlgebroidMismatchError,
     DimensionMismatchError,
@@ -150,35 +154,50 @@ class AForm:
 
 
 def differential(form):
-    """Exterior derivative of a frame-component form, Cartan convention."""
+    """Exterior derivative of a frame-component form, Cartan convention.
+
+    On a sorted key s_0 < ... < s_k, with ^ marking a dropped index,
+
+        dw(s_0..s_k) = sum_i (-1)^i #s_i(w(..s_i^..))
+            + sum_{i<j} (-1)^(i+j) sum_u c[s_i, s_j, u] w(u, ..s_i^..s_j^..).
+
+    Faces are read straight from the sorted keys of form.coeffs: dropping
+    indices keeps a key sorted, and putting u at its place p in the sorted
+    rest costs (-1)^p; when u is already there the key repeats an index
+    and is in no form. Each output coefficient is one fields.dot.
+    """
     a = form.algebroid
     r = a.rank
     k = form.degree
+    coeffs = form.coeffs
+    anchor = [[(b, -b, i) for i, b in enumerate(row) if b.coeffs]
+              for row in a.anchor]
+    brackets = {}
     out = {}
     for key in itertools.combinations(range(r), k + 1):
-        total = ScalarField(a.chart)
+        pairs = []
         for i, s in enumerate(key):
-            rest = key[:i] + key[i + 1:]
-            f = form.coeff(rest)
-            if not f.is_zero():
-                term = a.anchor_row(s).apply(f)
-                total = total + term if i % 2 == 0 else total - term
-        for i in range(k + 1):
-            for j in range(i + 1, k + 1):
-                rest = tuple(key[x] for x in range(k + 1) if x != i and x != j)
-                sign = (-1) ** (i + j)
-                for u in range(r):
-                    c = a.bracket[key[i], key[j], u]
-                    if c.is_zero():
-                        continue
-                    f = form.coeff((u,) + rest)
-                    if f.is_zero():
-                        continue
-                    term = c * f
-                    total = total + term if sign > 0 else total - term
-        if not total.is_zero():
+            f = coeffs.get(key[:i] + key[i + 1:])
+            if f is not None:
+                pairs += [(b if i % 2 == 0 else nb, f.partial(x))
+                          for b, nb, x in anchor[s]]
+        for i, j in itertools.combinations(range(k + 1), 2):
+            st = key[i], key[j]
+            if st not in brackets:
+                brackets[st] = [(u, c, -c) for u in range(r)
+                                if (c := a.bracket[st + (u,)]).coeffs]
+            rest = key[:i] + key[i + 1:j] + key[j + 1:]
+            for u, c, nc in brackets[st]:
+                p = bisect.bisect_left(rest, u)
+                f = coeffs.get(rest[:p] + (u,) + rest[p:])
+                if f is not None:
+                    pairs.append((c if (i + j + p) % 2 == 0 else nc, f))
+        total = dot(a.chart, pairs)
+        if total.coeffs:
             out[key] = total
-    return AForm(a, k + 1, out)
+    d = AForm(a, k + 1)
+    d.coeffs = out   # sorted keys and nonzero fields already
+    return d
 
 
 d_A = differential
@@ -203,92 +222,40 @@ def wedge(p_form, q_form):
     return AForm(a, k + l, {k_: v for k_, v in out.items() if not v.is_zero()})
 
 
-class CoordForm:
-    """Differential form on the chart, components on coordinate tuples."""
+@functools.lru_cache(maxsize=None)
+def _tangent(chart):
+    """The tangent algebroid of a chart: unit anchor, zero bracket.
 
-    __slots__ = ("chart", "degree", "coeffs")
-
-    def __init__(self, chart, degree, entries=None):
-        degree = int(degree)
-        if degree < 0:
-            raise ShapeMismatchError("form degree must be nonnegative")
-        self.chart = chart
-        self.degree = degree
-        coeffs = {}
-        for key, value in (entries or {}).items():
-            key = (key,) if isinstance(key, int) else tuple(key)
-            if len(key) != degree:
-                raise ShapeMismatchError(
-                    "key %r does not match degree %d" % (key, degree))
-            skey, sign = _normalize_key(key, chart.dimension)
-            if sign == 0:
-                continue
-            f = as_field(chart, value)
-            if sign < 0:
-                f = -f
-            coeffs[skey] = coeffs[skey] + f if skey in coeffs else f
-        self.coeffs = {k: v for k, v in coeffs.items() if not v.is_zero()}
-
-    def coeff(self, key):
-        skey, sign = _normalize_key(tuple(key), self.chart.dimension)
-        if sign == 0 or skey not in self.coeffs:
-            return ScalarField(self.chart)
-        f = self.coeffs[skey]
-        return f if sign > 0 else -f
-
-    def __call__(self, *fields_):
-        if len(fields_) != self.degree:
-            raise ShapeMismatchError(
-                "form of degree %d applied to %d vector fields"
-                % (self.degree, len(fields_)))
-        if self.degree == 0:
-            return self.coeffs.get((), ScalarField(self.chart))
-        for x in fields_:
-            if x.chart != self.chart:
-                raise DimensionMismatchError("vector field on a different chart")
-        total = ScalarField(self.chart)
-        for key, f in self.coeffs.items():
-            det = _poly_det([[x.comps[i] for i in key] for x in fields_])
-            total = total + f * det
-        return total
-
-    def is_zero(self):
-        return not self.coeffs
+    One instance per chart (equal charts share it), so that chart forms
+    can be compared and pulled back. Any dimension works, zero included.
+    """
+    m = chart.dimension
+    one = ScalarField.constant(chart, 1.0)
+    zero = ScalarField(chart)
+    anchor = [[one if i == s else zero for i in range(m)] for s in range(m)]
+    return LieAlgebroid(chart, m, anchor,
+                        np.full((m, m, m), zero, dtype=object))
 
 
-def de_rham(form):
-    """Coordinate exterior derivative, same sign convention as differential."""
-    chart = form.chart
-    k = form.degree
-    out = {}
-    for key in itertools.combinations(range(chart.dimension), k + 1):
-        total = ScalarField(chart)
-        for i, idx in enumerate(key):
-            rest = key[:i] + key[i + 1:]
-            f = form.coeff(rest)
-            if f.is_zero():
-                continue
-            term = f.partial(idx)
-            total = total + term if i % 2 == 0 else total - term
-        if not total.is_zero():
-            out[key] = total
-    return CoordForm(chart, k + 1, out)
+def CoordForm(chart, degree, entries=None):
+    """A differential form on the chart: a form of its tangent algebroid,
+    components on coordinate tuples."""
+    return AForm(_tangent(chart), degree, entries)
+
+
+# on the tangent algebroid the Cartan differential is the de Rham one
+de_rham = differential
 
 
 def anchor_pullback(algebroid, form):
     """Pull a chart form back to the algebroid through the anchor."""
-    if form.chart != algebroid.chart:
-        raise DimensionMismatchError("form lives on a different chart")
-    k = form.degree
-    if k == 0:
-        return AForm(algebroid, 0, {(): form.coeff(())})
-    rows = [algebroid.anchor_row(s) for s in range(algebroid.rank)]
-    out = {}
-    for key in itertools.combinations(range(algebroid.rank), k):
-        value = form(*[rows[s] for s in key])
-        if not value.is_zero():
-            out[key] = value
-    return AForm(algebroid, k, out)
+    tangent = _tangent(algebroid.chart)
+    if form.algebroid is not tangent:
+        raise DimensionMismatchError("form is not a chart form of this chart")
+    rows = [Section(tangent, row) for row in algebroid.anchor]
+    return AForm(algebroid, form.degree, {
+        key: form(*[rows[s] for s in key])
+        for key in itertools.combinations(range(algebroid.rank), form.degree)})
 
 
 class MatrixForm:
@@ -336,22 +303,6 @@ class MatrixForm:
         mat = self.coeffs[skey]
         return mat if sign > 0 else -mat
 
-    def __call__(self, *sections):
-        if len(sections) != self.degree:
-            raise ShapeMismatchError(
-                "form of degree %d applied to %d sections"
-                % (self.degree, len(sections)))
-        total = self.zero_matrix()
-        for key, mat in self.coeffs.items():
-            det = _poly_det([[sec.coeffs[s] for s in key] for sec in sections])
-            total = total + det * mat
-        return total
-
-    def entry_form(self, i, j):
-        """One matrix slot as a scalar form."""
-        return AForm(self.algebroid, self.degree,
-                     {k: mat[i, j] for k, mat in self.coeffs.items()})
-
     def is_zero(self):
         return not self.coeffs
 
@@ -372,16 +323,30 @@ def _apply_to_matrix(vf, mat):
     return out
 
 
-def _mat_mul(a, b):
-    """Matrix product; on field matrices, one ``dot`` per entry."""
-    if a.dtype != object:
-        return a @ b
-    n = a.shape[0]
-    chart = a[0, 0].chart
-    out = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = dot(chart, zip(a[i], b[:, j]))
+def _mat_dot(pairs, start=None):
+    """start plus the sum of x @ y over the pairs (x, y); a scalar x scales y.
+
+    Float arrays are summed by numpy. Field matrices take one fields.dot
+    per output entry, over the pairs in order and the inner index within
+    each, so an entry is bit-identical to the chained sum of its products.
+    """
+    pairs = [(x, y, not isinstance(x, np.ndarray)) for x, y in pairs]
+    if pairs[0][1].dtype != object:
+        for x, y, scalar in pairs:
+            term = x * y if scalar else x @ y
+            start = term if start is None else start + term
+        return start
+    x, y, scalar = pairs[0]
+    shape = y.shape if scalar else (x.shape[0], y.shape[1])
+    out = np.empty(shape, dtype=object)
+    if not out.size:
+        return out
+    chart = (y if start is None else start).flat[0].chart
+    for i, j in np.ndindex(*shape):
+        out[i, j] = dot(chart, itertools.chain.from_iterable(
+            ((x, y[i, j]),) if scalar else zip(x[i], y[:, j])
+            for x, y, scalar in pairs),
+            start=None if start is None else start[i, j])
     return out
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import AForm, _mat_mul, differential
+from .calculus import AForm, _mat_dot, differential
 from .connections import (
     _family_curvature,
     _frame_matrices,
@@ -74,7 +74,7 @@ def _cycle_trace(mats):
     """tr(X_1 X_2 ... X_m); the last product is summed inside the trace."""
     if len(mats) == 1:
         return np.trace(mats[0])
-    head = functools.reduce(_mat_mul, mats[:-1])
+    head = functools.reduce(lambda x, y: _mat_dot([(x, y)]), mats[:-1])
     last = mats[-1].T
     if head.dtype == object and last.dtype == object:
         # the terms in C order, as numpy's sum of the product adds them
@@ -220,19 +220,14 @@ def _nonzero_blocks(x):
 
 def _field_sum(chart, kind, terms):
     """Sum of sign * (a kind b) over the terms (a, b, sign) of field blocks,
-    one fields.dot per output entry."""
+    one fields.dot per output entry (through _mat_dot for matrices)."""
     terms = [(a if s > 0 else -a, b) for a, b, s in terms]
     if kind == "scalar":
         return dot(chart, terms)
     if kind == "trace":
         return dot(chart, (p for a, b in terms
                            for p in zip(a.flat, b.T.flat)))
-    q = terms[0][0].shape[0]
-    out = np.empty((q, q), dtype=object)
-    for i, j in np.ndindex(q, q):
-        out[i, j] = dot(chart, (p for a, b in terms
-                                for p in zip(a[i], b[:, j])))
-    return out
+    return _mat_dot(terms)
 
 
 def _wedge(x, y, table, tpairs, size, kind, chart):
@@ -367,10 +362,10 @@ def _transgress(algebroid, conn0, conns, poly):
 def chern_weil(algebroid, conn, poly):
     """Primary characteristic form of order k as a 2k-form.
 
-    Coefficient on a sorted frame tuple is the signed sum over perfect
-    matchings of P applied to the curvature matrices of the pairs; for
-    k = 1 this is tr(Omega)/(2*pi). If 2k exceeds the rank the zero form
-    is returned with its overflow flag set.
+    It is P(F, ..., F) of the curvature F, computed by the exterior-algebra
+    engine of _transgress (the n = 0 case); for k = 1 this is
+    tr(F)/(2*pi). If 2k exceeds the rank the zero form is returned with its
+    overflow flag set.
     """
     if conn.algebroid is not algebroid:
         raise AlgebroidMismatchError("connection over a different algebroid")

@@ -9,10 +9,12 @@ bundles: the algebroid itself ("A"), the chart tangent ("TM"), its dual
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .algebroid import Section, anchor_apply, bracket_sections
-from .calculus import MatrixForm, _apply_to_matrix, _mat_mul, _poly_det
+from .calculus import MatrixForm, _apply_to_matrix, _mat_dot, _poly_det
 from .errors import (
     AlgebroidMismatchError,
     BundleMismatchError,
@@ -203,31 +205,16 @@ def torsion_applied(conn, alpha, beta):
 
 
 def curvature(conn):
-    """Curvature as a matrix-valued 2-form, from the coordinate formula."""
+    """Curvature as a matrix-valued 2-form, the Cartan formula on the
+    connection matrices of the frame (the n = 0 family of
+    _family_curvature)."""
     a = conn.algebroid
-    r = a.rank
-    q = conn.q
-    gamma = conn.symbols
-    minus = -gamma
-    entries = {}
-    for s in range(r):
-        for t in range(s + 1, r):
-            brackets = [(-c, w) for w in range(r)
-                        if not (c := a.bracket[s, t, w]).is_zero()]
-            mat = np.empty((q, q), dtype=object)
-            for u in range(q):
-                for v in range(q):
-                    lead = a.anchor_row(s).apply(gamma[t, u, v]) \
-                        - a.anchor_row(t).apply(gamma[s, u, v])
-                    pairs = []
-                    for w in range(q):
-                        pairs.append((gamma[t, u, w], gamma[s, w, v]))
-                        pairs.append((minus[s, u, w], gamma[t, w, v]))
-                    pairs += [(c, gamma[w, u, v]) for c, w in brackets]
-                    # matrix rows are output components
-                    mat[v, u] = dot(a.chart, pairs, start=lead)
-            entries[(s, t)] = mat
-    return MatrixForm(a, 2, q, entries)
+    fam = _family_curvature(a, _frame_matrices(conn), [], False)
+    return MatrixForm(a, 2, conn.q,
+                      {pair: mono[()] for pair, mono in fam.items()})
+
+
+local_curvature = curvature
 
 
 def curvature_applied(conn, alpha, beta, target):
@@ -259,60 +246,37 @@ def _family_curvature(algebroid, omega0, etas, numeric):
 
     The Cartan formula F_ab = #a(w_b) - #b(w_a) + [w_a, w_b] - c_ab^u w_u
     of w = sum_i t_i w_i, with t_0 = 1, w_0 = omega0 and w_i = eta_i,
-    collected by monomial. Returns {(a, b): {exponents: matrix}} where
-    exponents is one tuple over t_1..t_n with total degree at most 2.
+    collected by monomial: the t_i t_j entry is one _mat_dot of the
+    products w_ia w_jb and -w_jb w_ia (and the same with i and j swapped
+    when i < j), plus, for i = 0, the bracket terms of w_j from the anchor
+    term, which is zero over a point. Returns {(a, b): {exponents: matrix}}
+    where exponents is one tuple over t_1..t_n with total degree at most 2.
     """
-    r = algebroid.rank
     ws = [omega0] + list(etas)
-
-    def monomial(i, j):
-        e = [0] * len(ws)
-        e[i] += 1
-        e[j] += 1
-        return tuple(e[1:])
-
-    def linear(x, a, b):
-        # #a(x_b) - #b(x_a) - c_ab^u x_u; over a point the anchor is zero
-        terms = [(-c, x[u]) for u in range(r)
-                 if not (c := algebroid.bracket[a, b, u]).is_zero()]
-        if numeric:
-            total = np.zeros(x[a].shape)
-            for c, m in terms:
-                total = total + c.evaluate(()) * m
-            return total
-        lead = (_apply_to_matrix(algebroid.anchor_row(a), x[b])
-                - _apply_to_matrix(algebroid.anchor_row(b), x[a]))
-        out = np.empty(lead.shape, dtype=object)
-        for idx in np.ndindex(*lead.shape):
-            out[idx] = dot(algebroid.chart, [(c, m[idx]) for c, m in terms],
-                           start=lead[idx])
-        return out
-
-    def comm(x, y):
-        return _mat_mul(x, y) - _mat_mul(y, x)
-
+    neg = [[-x for x in w] for w in ws]
     out = {}
-    for a in range(r):
-        for b in range(a + 1, r):
-            terms = {}
-            for i in range(len(ws)):
-                for j in range(i, len(ws)):
-                    value = comm(ws[i][a], ws[j][b])
-                    if i < j:
-                        value = value + comm(ws[j][a], ws[i][b])
-                    if i == 0:
-                        value = linear(ws[j], a, b) + value
-                    terms[monomial(i, j)] = value
-            out[(a, b)] = terms
+    for a, b in itertools.combinations(range(algebroid.rank), 2):
+        brackets = [(-c.evaluate(()) if numeric else -c, u)
+                    for u, c in enumerate(algebroid.bracket[a, b])
+                    if c.coeffs]
+        terms = {}
+        for i, j in itertools.combinations_with_replacement(range(len(ws)), 2):
+            pairs = [(ws[i][a], ws[j][b]), (neg[j][b], ws[i][a])]
+            if i < j:
+                pairs += [(ws[j][a], ws[i][b]), (neg[i][b], ws[j][a])]
+            lead = None
+            if i == 0:
+                pairs += [(c, ws[j][u]) for c, u in brackets]
+                if not numeric:
+                    lead = (_apply_to_matrix(algebroid.anchor_row(a), ws[j][b])
+                            - _apply_to_matrix(algebroid.anchor_row(b),
+                                               ws[j][a]))
+            e = [0] * len(ws)
+            e[i] += 1
+            e[j] += 1
+            terms[tuple(e[1:])] = _mat_dot(pairs, lead)
+        out[(a, b)] = terms
     return out
-
-
-def local_curvature(conn):
-    """Curvature assembled from connection matrices of the frame."""
-    a = conn.algebroid
-    fam = _family_curvature(a, _frame_matrices(conn), [], False)
-    return MatrixForm(a, 2, conn.q,
-                      {pair: mono[()] for pair, mono in fam.items()})
 
 
 class FrameChange:
@@ -382,42 +346,15 @@ def transform_symbols(conn, change):
     q = conn.q
     mat = change.matrix
     inv = change.inverse
-    zero = ScalarField(a.chart)
-    full = conn.bundle == "A"
-
-    # core[s, t', u] = #alpha_s(a^{t'}_u) + sum_t a^{t'}_t Gamma[s, t, u]
-    core = np.empty((r, q, q), dtype=object)
-    for s in range(r):
-        row = a.anchor_row(s)
-        for tp in range(q):
-            for u in range(q):
-                total = row.apply(mat[tp, u])
-                for t in range(q):
-                    g = conn.symbols[s, t, u]
-                    if not g.is_zero():
-                        total = total + mat[tp, t] * g
-                core[s, tp, u] = total
-
-    out = np.empty((r, q, q), dtype=object)
-    for tp in range(q):
-        for up in range(q):
-            for s in range(r):
-                total = zero
-                for u in range(q):
-                    if not core[s, tp, u].is_zero():
-                        total = total + core[s, tp, u] * inv[u, up]
-                out[s, tp, up] = total
-    if not full:
+    # core_s = #alpha_s(a) + a Gamma_s, then Gamma'_s = core_s a^-1
+    out = np.stack([
+        _mat_dot([(_mat_dot([(mat, conn.symbols[s])],
+                            _apply_to_matrix(a.anchor_row(s), mat)), inv)])
+        for s in range(r)])
+    if conn.bundle != "A":
         return AConnection(a, conn.bundle, out)
-    final = np.empty((r, q, q), dtype=object)
-    for sp in range(r):
-        for tp in range(q):
-            for up in range(q):
-                total = zero
-                for s in range(r):
-                    if not out[s, tp, up].is_zero():
-                        total = total + mat[sp, s] * out[s, tp, up]
-                final[sp, tp, up] = total
+    # on bundle A the direction slot moves too
+    final = _mat_dot([(mat, out.reshape(r, q * q))]).reshape(r, q, q)
     return AConnection(a, "A", final)
 
 
@@ -431,36 +368,21 @@ def transform_algebroid(algebroid, change):
     r = a.rank
     mat = change.matrix
     inv = change.inverse
-    anchor = []
-    for sp in range(r):
-        row = []
-        for i in range(a.dimension):
-            total = ScalarField(a.chart)
-            for s in range(r):
-                if not a.anchor[s][i].is_zero():
-                    total = total + mat[sp, s] * a.anchor[s][i]
-            row.append(total)
-        anchor.append(row)
-    new_frames = [Section(a, list(mat[sp, :])) for sp in range(r)]
-    bracket = np.empty((r, r, r), dtype=object)
-    zero = ScalarField(a.chart)
-    bracket[...] = zero
-    for sp in range(r):
-        for tp in range(sp, r):
-            if sp == tp:
-                continue
-            w = bracket_sections(a, new_frames[sp], new_frames[tp])
-            for up in range(r):
-                total = zero
-                for u in range(r):
-                    if not w.coeffs[u].is_zero():
-                        total = total + w.coeffs[u] * inv[u, up]
-                bracket[sp, tp, up] = total
-                bracket[tp, sp, up] = -total
+    anchor = _mat_dot([(mat, np.array(a.anchor, dtype=object)
+                              .reshape(r, a.dimension))])
+    frames = [Section(a, list(mat[sp, :])) for sp in range(r)]
+    pairs = list(itertools.combinations(range(r), 2))
+    bracket = np.full((r, r, r), ScalarField(a.chart), dtype=object)
+    if pairs:
+        brs = np.array([bracket_sections(a, frames[sp], frames[tp]).coeffs
+                        for sp, tp in pairs], dtype=object)
+        for (sp, tp), row in zip(pairs, _mat_dot([(brs, inv)])):
+            bracket[sp, tp] = row
+            bracket[tp, sp] = -row
     meta = dict(a.metadata)
     meta.pop("kind", None)
     meta.pop("params", None)
-    return build_algebroid(a.chart, r, anchor, bracket, meta or None)
+    return build_algebroid(a.chart, r, anchor.tolist(), bracket, meta or None)
 
 
 def compatible_connection(algebroid):

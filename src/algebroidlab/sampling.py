@@ -3,16 +3,26 @@ NaN-safe maximum their residuals are reduced with."""
 
 import numpy as np
 
+# largest rank or chart dimension read from input; a bracket tensor then
+# holds at most _MAX_SIZE**3 fields, and a sample at most as many points
+_MAX_SIZE = 64
+
 
 def generator(seed):
     """Counter-based generator keyed by a single 64-bit seed."""
+    seed = int(seed)
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError("seed must be in [0, 2**64), got %d" % seed)
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
 def seeded_points(n, dim, seed, low=-1.0, high=1.0):
     """n points uniform in [low, high]^dim, reproducible across runs."""
-    gen = generator(seed)
-    return gen.uniform(low, high, size=(int(n), int(dim)))
+    n = int(n)
+    if n > _MAX_SIZE ** 3:
+        raise ValueError("%d sample points is above the limit of %d"
+                         % (n, _MAX_SIZE ** 3))
+    return generator(seed).uniform(low, high, size=(n, int(dim)))
 
 
 def max_abs(values):

@@ -31,6 +31,7 @@ import numpy as np
 from .algebroid import (
     TransformationData,
     VectorField,
+    _bounded,
     _bracket_from_entries,
     _positive_rank,
     build_algebroid,
@@ -50,7 +51,7 @@ def algebroid_from_dict(data):
             merged.update(built.metadata)
             built.metadata = merged
         return built
-    m = int(data["dimension"])
+    m = _bounded(data["dimension"], "dimension")
     r = _positive_rank(data["rank"])
     labels = data.get("labels")
     chart = Chart(m, tuple(labels)) if labels else Chart(m)

@@ -9,7 +9,7 @@ import pytest
 
 import algebroidlab as al
 from algebroidlab.fields import Chart, ScalarField, parse_field
-from algebroidlab.sampling import max_abs, seeded_points
+from algebroidlab.sampling import _MAX_SIZE, max_abs, seeded_points
 from algebroidlab.errors import (
     AlgebroidError,
     AntisymmetryViolationError,
@@ -89,6 +89,14 @@ def test_catalog_rejects_non_finite_constants():
             al.catalog_build("transformation", {
                 "dimension": 1, "constants": constants,
                 "fields": [["x1"]] * len(constants)})
+
+
+def test_structure_constants_above_the_size_limit_are_refused():
+    big = np.zeros((_MAX_SIZE + 1,) * 3)
+    with pytest.raises(ShapeMismatchError):
+        al.catalog_build("lie_algebra", {"constants": big})
+    with pytest.raises(ShapeMismatchError):
+        al.TransformationData(big, [al.VectorField(Chart(0), [])] * len(big))
 
 
 def test_validate_at_explicit_points(catalog):

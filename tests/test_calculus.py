@@ -8,8 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 import algebroidlab as al
 from algebroidlab.calculus import DualChart, fiber_linear
-from algebroidlab.fields import ScalarField, parse_field
-from algebroidlab.errors import AlgebroidMismatchError, ShapeMismatchError
+from algebroidlab.fields import Chart, ScalarField, parse_field
+from algebroidlab.errors import (
+    AlgebroidMismatchError,
+    DimensionMismatchError,
+    ShapeMismatchError,
+)
 from conftest import (
     build_catalog,
     form_coeff_max,
@@ -129,6 +133,36 @@ def test_de_rham_squares_to_zero(catalog):
     w = al.CoordForm(a.chart, 1, coeffs)
     dd = al.de_rham(al.de_rham(w))
     assert max((f.max_abs_coeff() for f in dd.coeffs.values()), default=0.0) == 0.0
+
+
+def test_chart_forms_on_a_point(catalog):
+    # the tangent algebroid of a point has rank 0: functions only
+    w = al.CoordForm(Chart(0), 0, {(): 2.0})
+    assert w.algebroid.rank == 0
+    assert al.de_rham(w).is_zero()
+    pulled = al.anchor_pullback(catalog["so3"], w)
+    assert pulled.coeff(()).constant_value() == 2.0
+    assert al.d_A(pulled).is_zero()
+
+
+def test_chart_forms_pull_back_from_an_equal_chart(catalog):
+    a = catalog["so3_action"]
+    chart = Chart(3)
+    assert chart == a.chart and chart is not a.chart
+    w = al.CoordForm(chart, 1, {(0,): parse_field(chart, "x2")})
+    pulled = al.anchor_pullback(a, w)
+    x2 = parse_field(a.chart, "x2")
+    for s in range(3):
+        assert (pulled.coeff((s,)) - a.anchor[s][0] * x2).is_zero()
+
+
+def test_pullback_rejects_forms_of_other_charts(catalog):
+    a = catalog["so3_action"]
+    for w in (al.CoordForm(Chart(2), 1, {(0,): 1.0}),
+              al.CoordForm(Chart(3, ("u", "v", "w")), 1, {(0,): 1.0}),
+              al.AForm(a, 1, {(0,): 1.0})):
+        with pytest.raises(DimensionMismatchError):
+            al.anchor_pullback(a, w)
 
 
 coeff = st.integers(min_value=-4, max_value=4)

@@ -7,12 +7,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 
 from algebroidlab import classes
 from algebroidlab.cli import main
+from algebroidlab.sampling import _MAX_SIZE
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
@@ -176,6 +178,54 @@ def test_error_documents(tmp_path):
         code, doc = run_doc(argv)
         assert code == 1
         assert set(doc) == {"error"}
+
+
+def test_oversized_input_is_refused_before_allocation(tmp_path):
+    # a few bytes of JSON must not ask for a tensor of n**3 fields
+    big = _MAX_SIZE + 1
+    specs = [
+        ({"dimension": 1, "rank": big}, "rank"),
+        ({"dimension": big, "rank": 1}, "dimension"),
+        ({"kind": "lie_algebra_bundle", "params": {
+            "dimension": 1, "rank": big, "bracket": []}}, "rank"),
+        ({"kind": "lie_algebra_bundle", "params": {
+            "dimension": big, "rank": 1, "bracket": []}}, "dimension"),
+        ({"kind": "tangent", "params": {"dimension": big}}, "dimension"),
+        ({"kind": "poisson", "params": {
+            "dimension": big, "bivector": []}}, "dimension"),
+        ({"kind": "transformation", "params": {
+            "dimension": big, "constants": [[[0.0]]], "fields": [[]]}},
+         "dimension"),
+    ]
+    tracemalloc.start()
+    try:
+        for i, (spec, what) in enumerate(specs):
+            path = tmp_path / ("spec%d.json" % i)
+            path.write_text(json.dumps(spec))
+            code, doc = run_doc(["validate", "--spec", path])
+            assert code == 1
+            assert doc == {"error": "%s %d is above the limit of %d"
+                           % (what, big, _MAX_SIZE)}
+        for samples in (_MAX_SIZE ** 3 + 1, 10 ** 12):
+            code, doc = run_doc(["validate", "--spec", DATA / "aff1.json",
+                                 "--samples", samples])
+            assert code == 1
+            assert doc == {"error": "ValueError: %d sample points is above "
+                           "the limit of %d" % (samples, _MAX_SIZE ** 3)}
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 6
+
+
+def test_out_of_range_seed_is_an_error_document():
+    for command in ("validate", "modular"):
+        for seed in (-1, 2 ** 64):
+            code, doc = run_doc([command, "--spec", DATA / "aff1.json",
+                                 "--seed", seed])
+            assert code == 1
+            assert doc == {"error": "ValueError: seed must be in [0, 2**64), "
+                           "got %d" % seed}
 
 
 def test_modular_computes_each_class_once(monkeypatch):

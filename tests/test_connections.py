@@ -370,15 +370,27 @@ def test_transform_symbols_equivariance(catalog):
     assert worst < 1e-9
 
 
-def test_local_curvature_matches_curvature(catalog):
+def test_curvature_oracle_on_bundle_e(catalog):
+    # q = 6 bundle slots against r = 3 direction slots, so a mix-up of the
+    # two shows. The basic connection of an action is flat; a random
+    # degree-1 connection on E is not.
     a = catalog["so3_action"]
-    conn = al.build_connection(a, "A", random_symbols(a, "A", 15, degree=1))
-    R1 = al.curvature(conn)
-    R2 = al.local_curvature(conn)
-    assert set(R1.coeffs) == set(R2.coeffs)
-    for key in R1.coeffs:
-        m1 = R1.coeff(key)
-        m2 = R2.coeff(key)
-        for i in range(3):
-            for j in range(3):
-                assert (m1[i, j] - m2[i, j]).max_abs_coeff() < 1e-12
+    frames = a.frame_sections()
+    units = [al.TensorSection(a, "E", 1, 0, row) for row in np.eye(6)]
+    pts = [tuple(p) for p in rng_for("epts").uniform(-1, 1, (20, 3))]
+    for conn, flat in [(al.basic_connection(a), True),
+                       (al.build_connection(a, "E", random_symbols(
+                           a, "E", 16, degree=1)), False)]:
+        R = al.curvature(conn)
+        worst = scale = 0.0
+        for s, t in itertools.combinations(range(3), 2):
+            mat = R.coeff((s, t))
+            for u in range(6):
+                op = al.curvature_applied(conn, frames[s], frames[t], units[u])
+                for p in pts:
+                    want = op.evaluate(p)
+                    got = np.array([mat[v, u].evaluate(p) for v in range(6)])
+                    worst = max(worst, float(np.max(np.abs(want - got))))
+                    scale = max(scale, float(np.max(np.abs(want))))
+        assert (scale == 0.0) if flat else (scale > 0.1)
+        assert worst < 1e-9

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import algebroidlab as al
-from algebroidlab.calculus import _mat_mul
+from algebroidlab.calculus import _mat_dot
 from algebroidlab.classes import _cycle_trace
 from algebroidlab.fields import (
     Chart,
@@ -247,8 +247,8 @@ def bits(f):
     return [(e, c.hex()) for e, c in f.coeffs.items()]
 
 
-def chained(chart, pairs):
-    total = ScalarField(chart)
+def chained(chart, pairs, start=None):
+    total = ScalarField(chart) if start is None else start
     for a, b in pairs:
         total = total + a * b
     return total
@@ -297,12 +297,26 @@ def test_field_matrix_products_match_chained_sums(mats):
     a, b = mats
     n = a.shape[0]
     chart = a[0, 0].chart
-    prod = _mat_mul(a, b)
+    prod = _mat_dot([(a, b)])
+    # several pairs, a scalar factor and a start matrix, in pair order
+    c = a[0, 0]
+    total = _mat_dot([(a, b), (-b, a), (c, b)], start=b)
     for i in range(n):
         for j in range(n):
             want = chained(chart, [(a[i, k], b[k, j]) for k in range(n)])
             assert bits(prod[i, j]) == bits(want)
+            want = chained(chart, [(a[i, k], b[k, j]) for k in range(n)]
+                           + [(-b[i, k], a[k, j]) for k in range(n)]
+                           + [(c, b[i, j])], start=b[i, j])
+            assert bits(total[i, j]) == bits(want)
     assert bits(_cycle_trace([a, b])) == bits((a * b.T).sum())
+    # a rectangular product, rows of a times n copies of flattened b
+    wide = np.stack([b.reshape(-1)] * n)
+    flat = _mat_dot([(a, wide)])
+    assert flat.shape == (n, n * n)
+    for i, j in np.ndindex(n, n * n):
+        want = chained(chart, [(a[i, k], wide[k, j]) for k in range(n)])
+        assert bits(flat[i, j]) == bits(want)
 
 
 def test_dot_rejects_fields_on_other_charts():
