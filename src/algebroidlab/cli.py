@@ -296,6 +296,9 @@ def main(argv=None):
         args = parser.parse_args(argv)
         if not args.command:
             raise UsageError("no command given")
+        if args.tol is not None and not (math.isfinite(args.tol)
+                                         and args.tol >= 0.0):
+            raise UsageError("--tol must be a finite number >= 0")
         doc, digest = _read_json(args.spec)
         results, residuals, tolerances, code = \
             _COMMANDS[args.command](algebroid_from_dict(doc), args)

@@ -7,6 +7,17 @@ Transport integrates dv/dt = -M(t) v with classical RK4, where
 M[u][w](t) = sum_s a_s(t) Gamma[s][w][u](gamma(t)); the reported result
 always comes from the finer of an N vs 2N Richardson pair.
 
+Evaluation works on whole arrays of times. A path keeps its segments'
+polynomials in one dense coefficient table and evaluates values and
+t-derivatives at an array of times by Horner's rule, the segment of each
+time found by np.searchsorted; the tangency check evaluates the anchor at
+all of its sample points in one ScalarField.evaluate_many call per anchor
+entry, and lift_base_path evaluates its nodes and builds its cubic cells
+the same way. Transport forms M(t) at all RK4 nodes of a segment (step
+starts and midpoints, in blocks) with one power sum, in the same order of
+operations as a sum formed one time at a time, so the RK4 recurrence and
+its results do not change by a bit.
+
 scipy is imported inside fixed_point_holonomy, its only user: importing
 scipy.linalg costs more than the rest of the package together, and no
 CLI command needs it.
@@ -36,20 +47,51 @@ T_CHART = Chart(1, ("t",))
 PATH_TOL = 1e-6
 JOINT_TOL = 1e-9
 RESIDUAL_GRID = 256
+# transport matrices formed at once, at most about this many entries
+_BLOCK_ENTRIES = 2 ** 16
 
 
-def _coeff_array(f):
-    """Dense coefficient array of a 1-variable polynomial, index = degree."""
-    deg = max((e[0] for e in f.coeffs), default=0)
-    out = np.zeros(deg + 1)
-    for e, c in f.coeffs.items():
-        out[e[0]] = c
+def _table(rows):
+    """Dense coefficient table of equal-length lists of 1-variable
+    polynomials: index [list, polynomial, power of t]."""
+    deg = max((e[0] for fs in rows for f in fs for e in f.coeffs), default=0)
+    out = np.zeros((len(rows), len(rows[0]), deg + 1))
+    for i, fs in enumerate(rows):
+        for j, f in enumerate(fs):
+            for e, c in f.coeffs.items():
+                out[i, j, e[0]] = c
+    return out
+
+
+def _horner(table, starts, ts, seg=None):
+    """Values and t-derivatives, each (len(ts), polynomials), of a table of
+    piecewise polynomials at the times ts. seg gives each time's row of the
+    table; by default the last segment starting at or before it."""
+    ts = np.asarray(ts, dtype=float)
+    if seg is None:
+        seg = np.searchsorted(starts, ts, side="right") - 1
+        seg = np.clip(seg, 0, len(table) - 1)
+    t = ts[:, None]
+    val = table[seg, :, -1]
+    der = np.zeros_like(val)
+    for d in range(table.shape[2] - 2, -1, -1):
+        der = der * t + val
+        val = val * t + table[seg, :, d]
+    return val, der
+
+
+def _anchor_many(algebroid, points):
+    """anchor_matrix_at at each row of points: shape (n, rank, dimension)."""
+    out = np.empty((len(points), algebroid.rank, algebroid.dimension))
+    for s, row in enumerate(algebroid.anchor):
+        for i, f in enumerate(row):
+            out[:, s, i] = f.evaluate_many(points)
     return out
 
 
 def _compose1(f, g):
     """f(g(t)) for polynomials in one variable."""
-    coeffs = _coeff_array(f)
+    coeffs = _table([[f]])[0, 0]
     out = ScalarField(T_CHART)
     power = ScalarField.constant(T_CHART, 1.0)
     for d, c in enumerate(coeffs):
@@ -72,9 +114,14 @@ def _substitute(field, curves):
 
 
 class APath:
-    """Piecewise polynomial path in the algebroid over its base curve."""
+    """Piecewise polynomial path in the algebroid over its base curve.
 
-    __slots__ = ("algebroid", "segments", "starts", "residual")
+    The base curve and the coefficients of all segments sit in one dense
+    table, [segment, gamma then coeffs, power of t], that every evaluation
+    reads by Horner's rule at a whole array of times.
+    """
+
+    __slots__ = ("algebroid", "segments", "starts", "residual", "_table")
 
     def __init__(self, algebroid, segments):
         m = algebroid.dimension
@@ -98,47 +145,52 @@ class APath:
             raise ShapeMismatchError("path needs at least one segment")
         if abs(cleaned[0][0]) > 1e-12 or abs(cleaned[-1][1] - 1.0) > 1e-12:
             raise ShapeMismatchError("segments must cover [0, 1]")
-        for a, b in zip(cleaned, cleaned[1:]):
-            if abs(a[1] - b[0]) > 1e-12:
-                raise ShapeMismatchError("segments leave a gap in [0, 1]")
-            left = np.array([g.evaluate((a[1],)) for g in a[2]])
-            right = np.array([g.evaluate((b[0],)) for g in b[2]])
-            if not max_abs(left - right) <= JOINT_TOL:
-                raise NotTangentError("base curve jumps at a segment joint")
         self.algebroid = algebroid
         self.segments = cleaned
-        self.starts = [seg[0] for seg in cleaned]
+        self.starts = np.array([seg[0] for seg in cleaned])
+        self._table = _table([seg[2] + seg[3] for seg in cleaned])
+        # each segment's base point at its end against the next one's at
+        # its start
+        joint = np.arange(len(cleaned) - 1)
+        left = self._eval([seg[1] for seg in cleaned[:-1]], joint)[0]
+        right = self._eval(self.starts[1:], joint + 1)[0]
+        jumps = ~np.all(np.abs(left[:, :m] - right[:, :m]) <= JOINT_TOL,
+                        axis=1)
+        for a, b, jump in zip(cleaned, cleaned[1:], jumps):
+            if abs(a[1] - b[0]) > 1e-12:
+                raise ShapeMismatchError("segments leave a gap in [0, 1]")
+            if jump:
+                raise NotTangentError("base curve jumps at a segment joint")
         self.residual = self._tangency_residual()
         if not self.residual <= PATH_TOL:
             raise NotTangentError(
                 "path is not tangent to the anchor distribution "
                 "(residual %.3e)" % self.residual)
 
-    def _segment_index(self, t):
-        i = bisect.bisect_right(self.starts, t) - 1
-        return min(max(i, 0), len(self.segments) - 1)
+    def _eval(self, ts, seg=None):
+        return _horner(self._table, self.starts, ts, seg)
 
     def base_at(self, t):
-        seg = self.segments[self._segment_index(t)]
-        return np.array([g.evaluate((t,)) for g in seg[2]])
+        return self._eval([t])[0][0, :self.algebroid.dimension]
 
     def velocity_at(self, t):
-        seg = self.segments[self._segment_index(t)]
-        return np.array([g.partial(0).evaluate((t,)) for g in seg[2]])
+        return self._eval([t])[1][0, :self.algebroid.dimension]
 
     def coeff_at(self, t):
-        seg = self.segments[self._segment_index(t)]
-        return np.array([a.evaluate((t,)) for a in seg[3]])
+        return self._eval([t])[0][0, self.algebroid.dimension:]
 
     def _tangency_residual(self):
         m = self.algebroid.dimension
         if m == 0:
             return 0.0
-        anchor_at = self.algebroid.anchor_matrix_at
+        # a fixed grid, and every segment's midpoint so that no segment
+        # goes unchecked however many there are
+        mids = [0.5 * (seg[0] + seg[1]) for seg in self.segments]
+        val, der = self._eval(
+            np.concatenate((np.linspace(0.0, 1.0, RESIDUAL_GRID), mids)))
+        b = _anchor_many(self.algebroid, val[:, :m])
         return max_abs(
-            x for t in np.linspace(0.0, 1.0, RESIDUAL_GRID)
-            for x in self.coeff_at(t) @ anchor_at(self.base_at(t))
-            - self.velocity_at(t))
+            (np.einsum("ns,nsi->ni", val[:, m:], b) - der[:, :m]).ravel())
 
     def endpoint(self, end=1.0):
         return self.base_at(float(end))
@@ -199,6 +251,31 @@ def reparametrize_path(path, phi):
                    [rate * _compose1(a, phi) for a in coeffs])])
 
 
+def _cubic_cells(nodes, values):
+    """Monomial coefficients, shape (cells, columns of values, 4), of the
+    cubic through the four nodes nearest each cell of a grid."""
+    grid = len(nodes) - 1
+    near = np.clip(np.arange(grid) - 1, 0, grid - 3)[:, None] + np.arange(4)
+    xs = nodes[near]
+    dd = values[near]
+    # Newton form of the cubic through the four nodes; divided differences
+    # keep the monomial coefficients O(1) so fine grids do not lose the
+    # interpolant to cancellation
+    for order in range(1, 4):
+        for i in range(3, order - 1, -1):
+            dd[:, i] = ((dd[:, i] - dd[:, i - 1])
+                        / (xs[:, i] - xs[:, i - order])[:, None])
+    basis = np.zeros((grid, 4))
+    basis[:, 0] = 1.0
+    out = dd[:, 0, :, None] * basis[:, None, :]
+    for i in range(1, 4):
+        # basis times (t - xs[i - 1])
+        shifted = np.concatenate((np.zeros((grid, 1)), basis[:, :-1]), axis=1)
+        basis = shifted - xs[:, i - 1, None] * basis
+        out = out + dd[:, i, :, None] * basis[:, None, :]
+    return out
+
+
 def lift_base_path(algebroid, base, grid=64):
     """Lift a base curve to an A-path by least squares at grid nodes.
 
@@ -207,9 +284,6 @@ def lift_base_path(algebroid, base, grid=64):
     minimum-norm solutions of the anchor system; between nodes they are
     interpolated by a cubic through the four nearest nodes.
     """
-    m = algebroid.dimension
-    r = algebroid.rank
-
     def is_piece(x):
         return (isinstance(x, (tuple, list)) and len(x) == 3
                 and isinstance(x[0], (int, float)))
@@ -221,6 +295,10 @@ def lift_base_path(algebroid, base, grid=64):
     else:
         pieces = [(0.0, 1.0, [as_field(T_CHART, g) for g in base])]
     pieces.sort(key=lambda seg: seg[0])
+    for _t0, _t1, gs in pieces:
+        if len(gs) != algebroid.dimension:
+            raise ShapeMismatchError("base curve needs %d components, got %d"
+                                     % (algebroid.dimension, len(gs)))
     starts = [p[0] for p in pieces]
 
     def piece_at(t):
@@ -231,38 +309,16 @@ def lift_base_path(algebroid, base, grid=64):
     if grid < 4:
         raise ShapeMismatchError("grid must have at least 4 cells")
     nodes = np.linspace(0.0, 1.0, grid + 1)
-    a_nodes = np.zeros((grid + 1, r))
-    for j, t in enumerate(nodes):
-        _t0, _t1, gs = piece_at(t)
-        p = tuple(g.evaluate((t,)) for g in gs)
-        vel = np.array([g.partial(0).evaluate((t,)) for g in gs])
-        b = algebroid.anchor_matrix_at(p)
-        sol, *_rest = np.linalg.lstsq(b.T, vel, rcond=None)
-        a_nodes[j] = sol
-
+    points, vel = _horner(_table([gs for _t0, _t1, gs in pieces]), starts,
+                          nodes)
+    a_nodes = np.array([np.linalg.lstsq(b.T, v, rcond=None)[0] for b, v
+                        in zip(_anchor_many(algebroid, points), vel)])
     h = 1.0 / grid
-    t_var = ScalarField.coordinate(T_CHART, 0)
     base_breaks = {t0 for t0, _t1, _g in pieces} | {1.0}
-    cell_polys = []
-    for j in range(grid):
-        k0 = min(max(j - 1, 0), grid - 3)
-        xs = nodes[k0:k0 + 4]
-        polys = []
-        for s in range(r):
-            # Newton form of the cubic through nodes k0..k0+3; divided
-            # differences keep the monomial coefficients O(1) so fine grids
-            # do not lose the interpolant to cancellation
-            dd = [float(v) for v in a_nodes[k0:k0 + 4, s]]
-            for order in range(1, 4):
-                for i in range(3, order - 1, -1):
-                    dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - order])
-            total = ScalarField._scalar(T_CHART, dd[0])
-            basis = ScalarField.constant(T_CHART, 1.0)
-            for i in range(1, 4):
-                basis = basis * (t_var - float(xs[i - 1]))
-                total = total + dd[i] * basis
-            polys.append(total)
-        cell_polys.append(polys)
+    cell_polys = [[ScalarField._of(T_CHART, {(d,): c for d, c
+                                             in enumerate(row) if c})
+                   for row in cell]
+                  for cell in _cubic_cells(nodes, a_nodes).tolist()]
 
     breaks = sorted(base_breaks | set(nodes))
     breaks = [t for t in breaks if -1e-12 < t < 1.0 + 1e-12]
@@ -315,33 +371,41 @@ def _segment_matrices(conn, path):
     return out
 
 
-def _matrix_at(c, t):
-    total = np.zeros(c.shape[1:])
-    power = 1.0
-    for d in range(c.shape[0]):
-        total = total + power * c[d]
-        power *= t
-    return total
+def _neg_matrices(c, ts):
+    """-M(t) at each of the times ts, M(t) summed from the constant term up
+    with the powers of t built by repeated products."""
+    total = np.zeros((len(ts),) + c.shape[1:])
+    power = np.ones(len(ts))
+    for cd in c:
+        total = total + power[:, None, None] * cd
+        power = power * ts
+    return -total
 
 
 def _integrate(conn, path, v0, n_steps, seg_mats):
     v = np.array(v0, dtype=float)
     total = 0
+    block = max(1, _BLOCK_ENTRIES // conn.q ** 2)
     for seg, c in zip(path.segments, seg_mats):
         t0, t1 = seg[0], seg[1]
         n = max(1, math.ceil(n_steps * (t1 - t0)))
         h = (t1 - t0) / n
-        t = t0
-        for _ in range(n):
-            m1 = _matrix_at(c, t)
-            m2 = _matrix_at(c, t + 0.5 * h)
-            m4 = _matrix_at(c, t + h)
-            k1 = -(m1 @ v)
-            k2 = -(m2 @ (v + 0.5 * h * k1))
-            k3 = -(m2 @ (v + 0.5 * h * k2))
-            k4 = -(m4 @ (v + h * k3))
-            v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t += h
+        half = 0.5 * h
+        sixth = h / 6.0
+        # step starts by a running sum from t0, each t + h rounded once
+        ts = np.full(n + 1, h)
+        ts[0] = t0
+        ts = np.cumsum(ts)
+        for lo in range(0, n, block):
+            hi = min(lo + block, n)
+            ends = _neg_matrices(c, ts[lo:hi + 1])
+            mids = _neg_matrices(c, ts[lo:hi] + half)
+            for k in range(hi - lo):
+                k1 = ends[k] @ v
+                k2 = mids[k] @ (v + half * k1)
+                k3 = mids[k] @ (v + half * k2)
+                k4 = ends[k + 1] @ (v + h * k3)
+                v = v + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         total += n
     return v, total
 
@@ -351,7 +415,8 @@ def parallel_transport(conn, path, v0, n_steps=200, tol=None,
     """Transport a fiber vector (or matrix of columns) along a path.
 
     n_steps is the coarse step count over [0, 1]; ValueError unless
-    1 <= n_steps and 2 * n_steps <= max_steps.
+    1 <= n_steps and 2 * n_steps <= max_steps, or when tol is given and is
+    not a finite number >= 0.
     """
     if path.algebroid is not conn.algebroid:
         raise AlgebroidMismatchError("path over a different algebroid")
@@ -364,6 +429,8 @@ def parallel_transport(conn, path, v0, n_steps=200, tol=None,
     if not (1 <= n and 2 * n <= max_steps):
         raise ValueError("n_steps must be at least 1 and at most %d, got %d"
                          % (max_steps // 2, n))
+    if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError("tol must be a finite number >= 0, got %r" % (tol,))
     seg_mats = _segment_matrices(conn, path)
     coarse, _ = _integrate(conn, path, v0, n, seg_mats)
     while True:

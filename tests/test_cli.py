@@ -174,6 +174,13 @@ def test_error_documents(tmp_path):
         for command in ("transport", "holonomy"):
             cases.append([command, "--spec", DATA / "so3_action.json",
                           "--path", DATA / "loop_x.json", "--steps", steps])
+    # a NaN or negative tolerance is a usage error, not a failed check or a
+    # refinement that never stops
+    for tol in ("nan", "-1", "inf", "-inf"):
+        cases.append(["validate", "--spec", DATA / "so3_action.json",
+                      "--tol", tol])
+        cases.append(["transport", "--spec", DATA / "so3_action.json",
+                      "--path", DATA / "loop_x.json", "--tol", tol])
     for argv in cases:
         code, doc = run_doc(argv)
         assert code == 1
@@ -337,6 +344,12 @@ def test_golden_reports_byte_identical():
          "modular_aff1.json", 0),
         (["validate", "--spec", str(DATA / "broken.json")],
          "validate_broken.json", 2),
+        (["transport", "--spec", str(DATA / "so3_action.json"),
+          "--path", str(DATA / "loop_x.json"), "--tol", "1e-10"],
+         "transport_so3_loop_x.json", 0),
+        (["holonomy", "--spec", str(DATA / "tangent2.json"),
+          "--path", str(DATA / "loop_plane.json"), "--steps", "100"],
+         "holonomy_tangent2_loop_plane.json", 0),
     ]
     for argv, golden, want_code in cases:
         cmd = [sys.executable, "-m", "algebroidlab.cli"] + argv

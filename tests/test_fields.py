@@ -319,6 +319,42 @@ def test_field_matrix_products_match_chained_sums(mats):
         assert bits(flat[i, j]) == bits(want)
 
 
+@st.composite
+def fields_and_points(draw):
+    """A field from field_lists and up to 8 points of its chart, coordinates
+    in [-2, 2]."""
+    (f,) = draw(field_lists(1))
+    m = f.chart.dimension
+    n = draw(st.integers(min_value=0, max_value=8))
+    coord = st.floats(min_value=-2.0, max_value=2.0)
+    rows = draw(st.lists(st.lists(coord, min_size=m, max_size=m),
+                         min_size=n, max_size=n))
+    return f, np.array(rows, dtype=float).reshape(n, m)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(fields_and_points())
+def test_evaluate_many_matches_evaluate(case):
+    # the same terms summed in the same order; numpy's and the float power
+    # may differ in the last bit, so each value is within 1e-13 of the sum
+    # of the terms' absolute values (plus an underflow floor)
+    f, points = case
+    size = ScalarField(f.chart, {e: abs(c) for e, c in f.coeffs.items()})
+    got = f.evaluate_many(points)
+    assert got.shape == (len(points),)
+    for value, p in zip(got, points):
+        bound = 1e-13 * size.evaluate(np.abs(p)) + 1e-300
+        assert abs(value - f.evaluate(p)) <= bound
+
+
+def test_evaluate_many_checks_the_point_shape():
+    f = parse_field(CHART2, "x1*x2 + 1")
+    assert f.evaluate_many(np.zeros((0, 2))).shape == (0,)
+    for bad in (np.zeros((3, 3)), np.zeros(2), [[1.0], [2.0]]):
+        with pytest.raises(DimensionMismatchError):
+            f.evaluate_many(bad)
+
+
 def test_dot_rejects_fields_on_other_charts():
     x = ScalarField.coordinate(CHART2, 0)
     with pytest.raises(DimensionMismatchError):

@@ -284,3 +284,154 @@ def test_transport_rejects_step_counts_out_of_range(catalog):
     res = al.parallel_transport(conn, path, np.eye(3), n_steps=50,
                                 max_steps=100)
     assert res.steps == 100
+
+
+def test_transport_rejects_bad_tolerances(catalog):
+    # a NaN tolerance is never met, so refinement would run to max_steps
+    a = catalog["so3_action"]
+    conn = bracket_conn(a)
+    path = al.constant_path(a, V, (0.0, 0.0, 0.0))
+    for tol in (float("nan"), float("inf"), -1.0, -1e-300):
+        with pytest.raises(ValueError):
+            al.parallel_transport(conn, path, np.eye(3), tol=tol)
+        with pytest.raises(ValueError):
+            al.holonomy_matrix(conn, path, tol=tol)
+    # zero is a tolerance: refinement runs, and gives up at max_steps
+    with pytest.raises(ToleranceNotMetError):
+        al.parallel_transport(conn, path, np.eye(3), n_steps=4, tol=0.0,
+                              max_steps=16)
+
+
+def test_tangency_check_samples_every_segment(catalog):
+    # 512 segments on gamma = (t, 0); only segment 1, [1/512, 2/512], runs
+    # at the wrong speed, and no point of the 256-point grid falls in it
+    a = catalog["tangent2"]
+    n = 512
+    doc = {"segments": [{"t0": j / n, "t1": (j + 1) / n, "gamma": ["t", "0"],
+                         "coeffs": ["5" if j == 1 else "1", "0"]}
+                        for j in range(n)]}
+    grid = np.linspace(0.0, 1.0, 256)
+    assert not np.any((grid >= 1 / n) & (grid <= 2 / n))
+    with pytest.raises(NotTangentError, match="residual 4.000e"):
+        al.path_from_dict(a, doc)
+    doc["segments"][1]["coeffs"] = ["1", "0"]
+    assert al.path_from_dict(a, doc).residual == 0.0
+
+
+def per_stage_integrate(path, v0, n_steps, seg_mats):
+    """RK4 with M(t) summed afresh at each stage, t advanced by t += h: the
+    reference the node-array kernel must match bit for bit."""
+
+    def matrix_at(c, t):
+        total = np.zeros(c.shape[1:])
+        power = 1.0
+        for d in range(c.shape[0]):
+            total = total + power * c[d]
+            power *= t
+        return total
+
+    v = np.array(v0, dtype=float)
+    total = 0
+    for seg, c in zip(path.segments, seg_mats):
+        t0, t1 = seg[0], seg[1]
+        n = max(1, int(np.ceil(n_steps * (t1 - t0))))
+        h = (t1 - t0) / n
+        t = t0
+        for _ in range(n):
+            m1 = matrix_at(c, t)
+            m2 = matrix_at(c, t + 0.5 * h)
+            m4 = matrix_at(c, t + h)
+            k1 = -(m1 @ v)
+            k2 = -(m2 @ (v + 0.5 * h * k1))
+            k3 = -(m2 @ (v + 0.5 * h * k2))
+            k4 = -(m4 @ (v + h * k3))
+            v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t += h
+        total += n
+    return v, total
+
+
+def tangent3_loop():
+    """Closed cubic loop x0 + (t - t^2)(a + b t) on two segments, with
+    coefficients equal to its velocity."""
+    a = al.catalog_build("tangent", {"dimension": 3})
+    gamma = ["0.25 + 2*t - 5*t^2 + 3*t^3", "-0.5 - t + 3*t^2 - 2*t^3",
+             "t - t^2"]
+    coeffs = ["2 - 10*t + 9*t^2", "-1 + 6*t - 6*t^2", "1 - 2*t"]
+    return a, al.APath(a, [(0.0, 0.5, gamma, coeffs),
+                           (0.5, 1.0, gamma, coeffs)])
+
+
+def test_integrate_matches_per_stage_rk4(catalog):
+    from algebroidlab.transport import _integrate, _segment_matrices
+
+    t3, loop = tangent3_loop()
+    so3 = catalog["so3_action"]
+    point = np.array([1.0, -2.0, 2.0])
+    cases = [(t3, loop), (so3, al.constant_path(so3, 0.5 * point, point))]
+    for a, path in cases:
+        conn = al.build_connection(a, "A", random_symbols(a, "A", 5, degree=1))
+        mats = _segment_matrices(conn, path)
+        for v0 in (np.eye(conn.q), np.array([0.3, -1.0, 2.0])):
+            for n in (1, 7, 16, 100):
+                got, steps = _integrate(conn, path, v0, n, mats)
+                want, want_steps = per_stage_integrate(path, v0, n, mats)
+                assert steps == want_steps
+                assert np.array_equal(got, want)
+
+
+def test_integrate_blocks_do_not_change_the_result(catalog, monkeypatch):
+    from algebroidlab import transport
+
+    a, loop = tangent3_loop()
+    conn = al.build_connection(a, "A", random_symbols(a, "A", 5, degree=1))
+    mats = transport._segment_matrices(conn, loop)
+    whole = transport._integrate(conn, loop, np.eye(3), 50, mats)
+    monkeypatch.setattr(transport, "_BLOCK_ENTRIES", 3 * 9)
+    blocked = transport._integrate(conn, loop, np.eye(3), 50, mats)
+    assert whole[1] == blocked[1]
+    assert np.array_equal(whole[0], blocked[0])
+
+
+def newton_cells(nodes, values):
+    """Cubic cells as ScalarFields from the Newton form, built by field
+    arithmetic: the reference for the array kernel _cubic_cells."""
+    t_chart = al.transport.T_CHART
+    grid = len(nodes) - 1
+    t_var = ScalarField.coordinate(t_chart, 0)
+    cells = []
+    for j in range(grid):
+        k0 = min(max(j - 1, 0), grid - 3)
+        xs = nodes[k0:k0 + 4]
+        polys = []
+        for s in range(values.shape[1]):
+            dd = [float(v) for v in values[k0:k0 + 4, s]]
+            for order in range(1, 4):
+                for i in range(3, order - 1, -1):
+                    dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - order])
+            total = ScalarField._scalar(t_chart, dd[0])
+            basis = ScalarField.constant(t_chart, 1.0)
+            for i in range(1, 4):
+                basis = basis * (t_var - float(xs[i - 1]))
+                total = total + dd[i] * basis
+            polys.append(total)
+        cells.append(polys)
+    return cells
+
+
+def test_lift_cells_match_newton_form():
+    from algebroidlab.transport import _cubic_cells
+
+    for grid in (4, 5, 64, 512):
+        nodes = np.linspace(0.0, 1.0, grid + 1)
+        values = np.column_stack([np.cos(2 * np.pi * nodes),
+                                  np.sin(2 * np.pi * nodes),
+                                  0.3 - nodes + 2.0 * nodes ** 3])
+        got = _cubic_cells(nodes, values)
+        assert got.shape == (grid, 3, 4)
+        for cell, polys in zip(got, newton_cells(nodes, values)):
+            for row, poly in zip(cell, polys):
+                want = np.zeros(4)
+                for e, c in poly.coeffs.items():
+                    want[e[0]] = c
+                assert np.max(np.abs(row - want)) <= 1e-12
