@@ -25,7 +25,6 @@ CLI command needs it.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -63,14 +62,20 @@ def _table(rows):
     return out
 
 
+def _segment_of(starts, ts):
+    """Index of the last segment starting at or before each time, clipped
+    to the segments there are."""
+    seg = np.searchsorted(starts, ts, side="right") - 1
+    return np.clip(seg, 0, len(starts) - 1)
+
+
 def _horner(table, starts, ts, seg=None):
     """Values and t-derivatives, each (len(ts), polynomials), of a table of
     piecewise polynomials at the times ts. seg gives each time's row of the
-    table; by default the last segment starting at or before it."""
+    table; by default _segment_of(starts, ts)."""
     ts = np.asarray(ts, dtype=float)
     if seg is None:
-        seg = np.searchsorted(starts, ts, side="right") - 1
-        seg = np.clip(seg, 0, len(table) - 1)
+        seg = _segment_of(starts, ts)
     t = ts[:, None]
     val = table[seg, :, -1]
     der = np.zeros_like(val)
@@ -300,11 +305,6 @@ def lift_base_path(algebroid, base, grid=64):
             raise ShapeMismatchError("base curve needs %d components, got %d"
                                      % (algebroid.dimension, len(gs)))
     starts = [p[0] for p in pieces]
-
-    def piece_at(t):
-        i = bisect.bisect_right(starts, t) - 1
-        return pieces[min(max(i, 0), len(pieces) - 1)]
-
     grid = int(grid)
     if grid < 4:
         raise ShapeMismatchError("grid must have at least 4 cells")
@@ -322,14 +322,12 @@ def lift_base_path(algebroid, base, grid=64):
 
     breaks = sorted(base_breaks | set(nodes))
     breaks = [t for t in breaks if -1e-12 < t < 1.0 + 1e-12]
-    segments = []
-    for t0, t1 in zip(breaks, breaks[1:]):
-        if t1 - t0 < 1e-12:
-            continue
-        mid = 0.5 * (t0 + t1)
-        _p0, _p1, gs = piece_at(mid)
-        cell = min(int(mid / h), grid - 1)
-        segments.append((t0, t1, gs, cell_polys[cell]))
+    spans = [(t0, t1) for t0, t1 in zip(breaks, breaks[1:])
+             if t1 - t0 >= 1e-12]
+    mids = [0.5 * (t0 + t1) for t0, t1 in spans]
+    segments = [(t0, t1, pieces[i][2], cell_polys[min(int(mid / h), grid - 1)])
+                for (t0, t1), mid, i
+                in zip(spans, mids, _segment_of(starts, mids).tolist())]
     return APath(algebroid, segments)
 
 
@@ -385,7 +383,7 @@ def _neg_matrices(c, ts):
 def _integrate(conn, path, v0, n_steps, seg_mats):
     v = np.array(v0, dtype=float)
     total = 0
-    block = max(1, _BLOCK_ENTRIES // conn.q ** 2)
+    block = max(1, _BLOCK_ENTRIES // max(1, conn.q ** 2))
     for seg, c in zip(path.segments, seg_mats):
         t0, t1 = seg[0], seg[1]
         n = max(1, math.ceil(n_steps * (t1 - t0)))
@@ -435,7 +433,7 @@ def parallel_transport(conn, path, v0, n_steps=200, tol=None,
     coarse, _ = _integrate(conn, path, v0, n, seg_mats)
     while True:
         fine, fine_count = _integrate(conn, path, v0, 2 * n, seg_mats)
-        err = float(np.max(np.abs(fine - coarse))) / 15.0
+        err = float(np.max(np.abs(fine - coarse), initial=0.0)) / 15.0
         if tol is None or err <= tol:
             return TransportResult(fine, fine_count, err, tol)
         if 4 * n > max_steps:

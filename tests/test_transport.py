@@ -302,6 +302,20 @@ def test_transport_rejects_bad_tolerances(catalog):
                               max_steps=16)
 
 
+def test_transport_on_a_rank_zero_bundle(catalog):
+    # TM over the point of a Lie algebra: the fiber is {0}
+    a = catalog["so3"]
+    conn = al.build_connection(a, "TM", np.empty((a.rank, 0, 0)))
+    path = al.constant_path(a, V, ())
+    for tol in (None, 1e-10):
+        res = al.parallel_transport(conn, path, np.zeros(0), n_steps=7,
+                                    tol=tol)
+        assert res.value.shape == (0,)
+        assert res.steps == 14
+        assert res.error == 0.0
+    assert al.holonomy_matrix(conn, path).shape == (0, 0)
+
+
 def test_tangency_check_samples_every_segment(catalog):
     # 512 segments on gamma = (t, 0); only segment 1, [1/512, 2/512], runs
     # at the wrong speed, and no point of the 256-point grid falls in it
