@@ -75,7 +75,7 @@ from .connections import (
     transform_symbols,
 )
 from .errors import *  # noqa: F401,F403
-from .fields import Chart, ScalarField, eval_partial, parse_field
+from .fields import Chart, ScalarField, parse_field
 from .specio import (
     algebroid_from_dict,
     algebroid_to_dict,

@@ -17,6 +17,10 @@ class DimensionMismatchError(AlgebroidError):
     """Point, chart, or component count does not match the expected dimension."""
 
 
+class ExponentTooLargeError(AlgebroidError):
+    """A monomial exponent exceeds the limit of packed monomials, 32,767."""
+
+
 class ShapeMismatchError(AlgebroidError):
     """Array of structure data has the wrong shape."""
 

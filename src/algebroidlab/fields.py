@@ -4,18 +4,25 @@ A ScalarField is a sparse multivariate polynomial with double coefficients,
 keyed by exponent tuples. Evaluation and partial differentiation are exact
 (no truncation), which is what makes every downstream identity checkable at
 tight tolerances.
+
+Products multiply packed monomials: the exponent tuple (e_1, ..., e_m) is
+the integer sum(e_i << 16*(i-1)), so the exponent sum of two monomials is
+one integer add. Every exponent is at most MAX_EXPONENT = 32,767, so the sum
+of two fits in its 16 bits and never carries into the next variable. A
+result that would hold a larger exponent raises ExponentTooLargeError; a
+term that drops out (a zero product or an exact cancellation) does not.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import re
 
 import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    ExponentTooLargeError,
     ExpressionSyntaxError,
     UnknownVariableError,
 )
@@ -73,24 +80,79 @@ def _fmt(x):
     return r
 
 
-def _int_exponents(exps):
-    """exps as a tuple of ints, or None when an entry is not integral."""
+MAX_EXPONENT = (1 << 15) - 1
+_SHIFT = 16
+
+
+class _Encoder(dict):
+    """Exponent tuple -> packed key, filled on a miss."""
+
+    __slots__ = ()
+
+    def __missing__(self, exps):
+        key = self[exps] = sum(e << _SHIFT * i for i, e in enumerate(exps))
+        return key
+
+
+class _Decoder(dict):
+    """Packed key -> exponent tuple of one chart dimension, filled on a miss.
+
+    A key is the sum of two packed monomials at most, so each 16-bit field
+    holds an exponent below 2^16; one above MAX_EXPONENT is refused here,
+    before it is stored and could be summed again.
+    """
+
+    __slots__ = ("dimension",)
+
+    def __init__(self, dimension):
+        self.dimension = dimension
+
+    def __missing__(self, key):
+        exps = tuple(key >> _SHIFT * i & 0xFFFF for i in range(self.dimension))
+        if max(exps, default=0) > MAX_EXPONENT:
+            raise ExponentTooLargeError(
+                "exponent %d is above the limit %d"
+                % (max(exps), MAX_EXPONENT))
+        self[key] = exps
+        return exps
+
+
+class _Codecs(dict):
+    """Chart dimension -> (encoder, decoder), made on first use."""
+
+    def __missing__(self, m):
+        codec = self[m] = (_Encoder(), _Decoder(m))
+        return codec
+
+
+_CODECS = _Codecs()
+
+
+def _exponents(exps, m):
+    """exps as a tuple of m ints in [0, MAX_EXPONENT], or an error."""
     try:
         ints = tuple(int(e) for e in exps)
     except (TypeError, ValueError, OverflowError):
-        return None
-    return ints if ints == tuple(exps) else None
+        ints = None
+    if (ints is None or ints != tuple(exps) or len(ints) != m
+            or any(e < 0 for e in ints)):
+        raise DimensionMismatchError(
+            "bad exponent tuple %r for chart of dimension %d" % (exps, m))
+    if max(ints, default=0) > MAX_EXPONENT:
+        raise ExponentTooLargeError(
+            "exponent %d is above the limit %d" % (max(ints), MAX_EXPONENT))
+    return ints
 
 
-def _product(a, b):
-    """Coefficient dict of a product, zeros not yet dropped."""
+def _product(terms_a, terms_b):
+    """Packed-key dict of the product of two packed term lists, zeros not
+    yet dropped."""
     out = {}
-    b = b.items()
-    add = operator.add
-    for e1, c1 in a.items():
-        for e2, c2 in b:
-            e = tuple(map(add, e1, e2))
-            out[e] = out.get(e, 0.0) + c1 * c2
+    get = out.get
+    for k1, c1 in terms_a:
+        for k2, c2 in terms_b:
+            k = k1 + k2
+            out[k] = get(k, 0.0) + c1 * c2
     return out
 
 
@@ -112,17 +174,21 @@ class ScalarField:
     """Sparse polynomial: dict from exponent tuples to nonzero coefficients.
 
     The constructor is the one validating entry point: exponents must be
-    non-negative integers of the chart's length and coefficients finite.
-    Results of the closed operations (sums, products, negation, powers,
-    partials and ``dot``), numbers in arithmetic among them, are built by
-    ``_of`` without re-checking, so arithmetic may still overflow to inf or
-    nan.
+    integers in [0, MAX_EXPONENT], one per chart coordinate, and
+    coefficients finite. Results of the closed operations (sums, products,
+    negation, powers, partials and ``dot``) are built by ``_of`` without
+    re-checking, so arithmetic may still overflow to inf or nan; a number
+    in arithmetic must be finite.
+
+    A field's ``coeffs`` must not be mutated after construction: the field
+    caches its terms with packed keys on first use in a product.
     """
 
-    __slots__ = ("chart", "coeffs")
+    __slots__ = ("chart", "coeffs", "_packed")
 
     def __init__(self, chart, coeffs=None):
         self.chart = chart
+        self._packed = None
         clean = {}
         if coeffs:
             m = chart.dimension
@@ -133,11 +199,7 @@ class ScalarField:
                 if not math.isfinite(c):
                     raise ExpressionSyntaxError(
                         "coefficient %r is not a finite number" % c)
-                ints = _int_exponents(exps)
-                if ints is None or len(ints) != m or any(e < 0 for e in ints):
-                    raise DimensionMismatchError(
-                        "bad exponent tuple %r for chart of dimension %d"
-                        % (exps, m))
+                ints = _exponents(exps, m)
                 clean[ints] = clean.get(ints, 0.0) + c
                 if clean[ints] == 0.0:
                     del clean[ints]
@@ -150,7 +212,17 @@ class ScalarField:
         f = object.__new__(cls)
         f.chart = chart
         f.coeffs = coeffs
+        f._packed = None
         return f
+
+    def _terms(self):
+        """[(packed key, coefficient), ...] in the order of coeffs, cached."""
+        packed = self._packed
+        if packed is None:
+            encode = _CODECS[self.chart.dimension][0]
+            packed = self._packed = [(encode[e], c)
+                                     for e, c in self.coeffs.items()]
+        return packed
 
     @classmethod
     def _scalar(cls, chart, value):
@@ -178,6 +250,9 @@ class ScalarField:
                 raise DimensionMismatchError("fields live on different charts")
             return other
         if isinstance(other, (int, float)):
+            if not math.isfinite(other):
+                raise ExpressionSyntaxError(
+                    "%r is not a finite number" % (other,))
             return ScalarField._scalar(self.chart, other)
         return None
 
@@ -211,10 +286,10 @@ class ScalarField:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = _product(self.coeffs, other.coeffs)
-        if 0.0 in out.values():
-            out = {e: c for e, c in out.items() if c != 0.0}
-        return ScalarField._of(self.chart, out)
+        out = _product(self._terms(), other._terms())
+        decode = _CODECS[self.chart.dimension][1]
+        return ScalarField._of(self.chart, {
+            decode[k]: c for k, c in out.items() if c != 0.0})
 
     __rmul__ = __mul__
 
@@ -337,22 +412,26 @@ def dot(chart, pairs, start=None):
     """start (default zero) plus the sum of a * b over the pairs (a, b) of
     fields on chart.
 
-    The sum is built in one dict: each product is summed per monomial and
-    then added to the total in pair order, so the result is bit-identical to
-    ``total = total + a * b`` chained from start.
+    The sum is built in one dict keyed by packed monomials and decoded once
+    at the end: each product is summed per monomial and then added to the
+    total in pair order, so the result is bit-identical to
+    ``total = total + a * b`` chained from start. Only the monomials of the
+    sum are decoded, so a product term past MAX_EXPONENT that cancels in the
+    sum raises nothing, where the chained sum would raise.
     """
     total = {}
     if start is not None:
         if start.chart is not chart and start.chart != chart:
             raise DimensionMismatchError("fields live on different charts")
-        total.update(start.coeffs)
+        total.update(start._terms())
     for a, b in pairs:
         if ((a.chart is not chart and a.chart != chart)
                 or (b.chart is not chart and b.chart != chart)):
             raise DimensionMismatchError("fields live on different charts")
         if a.coeffs and b.coeffs:
-            _accumulate(total, _product(a.coeffs, b.coeffs))
-    return ScalarField._of(chart, total)
+            _accumulate(total, _product(a._terms(), b._terms()))
+    decode = _CODECS[chart.dimension][1]
+    return ScalarField._of(chart, {decode[k]: c for k, c in total.items()})
 
 
 _TOKEN = re.compile(
@@ -441,6 +520,11 @@ def parse_field(chart, text):
                     ptext = tokens[i][1]
                     if not ptext.isdigit():
                         fail("power must be a non-negative integer", tokens[i])
+                    # refuse a long power before int() reads it
+                    if len(ptext.lstrip("0")) > len(str(MAX_EXPONENT)):
+                        raise ExponentTooLargeError(
+                            "power above the limit %d (at %d)"
+                            % (MAX_EXPONENT, tokens[i][2]))
                     power = int(ptext)
                     i += 1
                 exps[labels[value]] += power
@@ -478,15 +562,3 @@ def perm_sign(seq):
             if seq[i] > seq[j]:
                 sign = -sign
     return sign
-
-
-def eval_partial(f, orders, p):
-    """Differentiate f by the listed coordinate indices, then evaluate at p.
-
-    orders is a sequence of 0-based coordinate indices, repeats allowed; an
-    empty sequence means plain evaluation.
-    """
-    g = f
-    for i in orders:
-        g = g.partial(int(i))
-    return g.evaluate(p)

@@ -296,6 +296,15 @@ def test_non_finite_input_is_an_error_document(tmp_path):
         assert code == 1 and set(doc) == {"error"}
 
 
+def test_exponent_above_the_limit_is_an_error_document(tmp_path):
+    spec = tmp_path / "big.json"
+    spec.write_text('{"dimension": 1, "rank": 1, "anchor": [["x1^40000"]]}')
+    for command in ("validate", "modular"):
+        code, doc = run_doc([command, "--spec", spec])
+        assert code == 1
+        assert doc == {"error": "exponent 40000 is above the limit 32767"}
+
+
 def test_bundle_spec_with_entry_list(tmp_path):
     spec = tmp_path / "bundle.json"
     spec.write_text(json.dumps({

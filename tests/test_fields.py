@@ -11,16 +11,17 @@ import algebroidlab as al
 from algebroidlab.calculus import _mat_dot
 from algebroidlab.classes import _cycle_trace
 from algebroidlab.fields import (
+    MAX_EXPONENT,
     Chart,
     ScalarField,
     as_field,
     dot,
-    eval_partial,
     parse_field,
     perm_sign,
 )
 from algebroidlab.errors import (
     DimensionMismatchError,
+    ExponentTooLargeError,
     ExpressionSyntaxError,
     UnknownVariableError,
 )
@@ -117,17 +118,6 @@ def test_partials_commute():
     assert (a - b).is_zero()
 
 
-def test_eval_partial():
-    # the multi-index lists coordinate directions, repeats allowed
-    f = parse_field(CHART2, "x1^2*x2")
-    assert eval_partial(f, (0,), (2.0, 3.0)) == 12.0
-    assert eval_partial(f, (1,), (2.0, 3.0)) == 4.0
-    assert eval_partial(f, (0, 0), (2.0, 3.0)) == 6.0
-    assert eval_partial(f, (), (2.0, 3.0)) == 12.0
-    c = ScalarField.constant(CHART2, 5.0)
-    assert eval_partial(c, (0,), (1.0, 1.0)) == 0.0
-
-
 def test_constant_and_coordinate():
     c = ScalarField.constant(CHART2, 7.5)
     assert c.is_constant()
@@ -216,7 +206,7 @@ def test_leibniz_rule(u, v):
 # coefficients (quarter-integers) make algebraic identities exact; general
 # ones include products that underflow to zero and must be dropped.
 
-CHARTS = [Chart(m) for m in range(4)]
+CHARTS = [Chart(m) for m in range(5)]
 exact_coeff = st.integers(min_value=-36, max_value=36).map(lambda k: k / 4)
 any_coeff = st.one_of(exact_coeff,
                       st.floats(min_value=-1e3, max_value=1e3),
@@ -319,6 +309,88 @@ def test_field_matrix_products_match_chained_sums(mats):
         assert bits(flat[i, j]) == bits(want)
 
 
+# Products and ``dot`` multiply packed monomial keys; this reference works
+# on exponent tuples and shares no code with them. An exponent above the
+# limit raises when it would be in a result, so each case asserts either bit
+# equality with the reference or that error.
+
+def ref_product(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0.0) + c1 * c2
+    return {e: c for e, c in out.items() if c != 0.0}
+
+
+def ref_sum(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        c = out.get(e, 0.0) + c
+        if c != 0.0:
+            out[e] = c
+        elif e in out:
+            del out[e]
+    return out
+
+
+def too_large(coeffs):
+    return any(x > MAX_EXPONENT for e in coeffs for x in e)
+
+
+def assert_matches(op, want):
+    """op() equals the reference coefficients want bit for bit, in dict
+    order, or raises because want holds an exponent past the limit."""
+    if want is None:
+        with pytest.raises(ExponentTooLargeError):
+            op()
+    else:
+        got = op().coeffs
+        assert [(e, tuple(map(type, e)), c.hex()) for e, c in got.items()] \
+            == [(e, (int,) * len(e), c.hex()) for e, c in want.items()]
+
+
+near_limit = st.one_of(st.integers(min_value=0, max_value=2),
+                       st.integers(min_value=MAX_EXPONENT // 2 - 1,
+                                   max_value=MAX_EXPONENT // 2 + 2))
+
+
+@st.composite
+def near_limit_fields(draw, n):
+    """n fields on one chart of dimension 0 to 4, exponents 0-2 or near
+    half the limit, so that some sums reach it and some pass it."""
+    m = draw(st.integers(min_value=0, max_value=4))
+    exps = st.tuples(*[near_limit] * m)
+    return [ScalarField(CHARTS[m], draw(st.dictionaries(exps, any_coeff,
+                                                         max_size=5)))
+            for _ in range(n)]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(near_limit_fields(7), st.integers(min_value=0, max_value=3),
+       st.booleans())
+def test_packed_kernels_match_tuple_reference(fs, n, with_start):
+    f, g = fs[:2]
+    chart = f.chart
+    prod = ref_product(f.coeffs, g.coeffs)
+    assert_matches(lambda: f * g, None if too_large(prod) else prod)
+    # a power is a chain of products from the constant 1
+    power = {(0,) * chart.dimension: 1.0}
+    for _ in range(n):
+        power = ref_product(power, f.coeffs)
+        if too_large(power):
+            power = None
+            break
+    assert_matches(lambda: f ** n, power)
+    start = fs[-1] if with_start else None
+    pairs = list(zip(fs[:6:2], fs[1:6:2]))
+    total = start.coeffs if with_start else {}
+    for a, b in pairs:
+        total = ref_sum(total, ref_product(a.coeffs, b.coeffs))
+    assert_matches(lambda: dot(chart, pairs, start=start),
+                   None if too_large(total) else total)
+
+
 @st.composite
 def fields_and_points(draw):
     """A field from field_lists and up to 8 points of its chart, coordinates
@@ -375,6 +447,53 @@ def test_constructor_rejects_non_finite_coefficients():
     big = ScalarField(CHART2, {(1, 0): 1e200})
     assert (big * big).coeffs == {(2, 0): math.inf}
     assert math.isnan((big * big - big * big).coeffs[(2, 0)])
+
+
+def test_arithmetic_rejects_non_finite_numbers():
+    x = ScalarField.coordinate(CHART2, 0)
+    for bad in (math.nan, math.inf, -math.inf, np.float64("nan")):
+        for op in (lambda: x + bad, lambda: bad + x, lambda: x - bad,
+                   lambda: bad - x, lambda: x * bad, lambda: bad * x):
+            with pytest.raises(ExpressionSyntaxError):
+                op()
+
+
+# ------------------------------------------------------------ exponent limit
+
+def test_exponents_up_to_the_limit_are_accepted():
+    assert MAX_EXPONENT == 32767
+    top = parse_field(CHART2, "x1^32767*x2^32767")
+    assert top.coeffs == {(32767, 32767): 1.0}
+    assert ScalarField(CHART2, {(0, 32767): 2.0}).coeffs == {(0, 32767): 2.0}
+    f = parse_field(CHART2, "x1^16383 + x2^16384")
+    g = parse_field(CHART2, "x1^16384 + x2^16383")
+    assert list((f * g).coeffs.items()) == [
+        ((32767, 0), 1.0), ((16383, 16383), 1.0), ((16384, 16384), 1.0),
+        ((0, 32767), 1.0)]
+
+
+def test_exponents_above_the_limit_are_rejected():
+    with pytest.raises(ExponentTooLargeError):
+        ScalarField(CHART2, {(32768, 0): 1.0})
+    for text in ("x2^32768", "x1^40000", "x1^20000*x1^20000",
+                 "x1^" + "9" * 5000, "x1^0000032768"):
+        with pytest.raises(ExponentTooLargeError):
+            parse_field(CHART2, text)
+    assert parse_field(CHART2, "x1^0000032767").coeffs == {(32767, 0): 1.0}
+
+
+def test_products_past_the_limit_raise_and_never_carry():
+    x = parse_field(CHART2, "x1^20000")
+    y = parse_field(CHART2, "x1^16384 + x2")
+    for op in (lambda: x * x, lambda: x ** 2, lambda: y * y,
+               lambda: dot(CHART2, [(x, x)]),
+               lambda: dot(CHART2, [(y, y)], start=x)):
+        with pytest.raises(ExponentTooLargeError):
+            op()
+    # the error is about results: a term that drops out is never decoded
+    tiny = parse_field(CHART2, "1e-170*x1^20000")
+    assert (tiny * tiny).is_zero()
+    assert dot(CHART2, [(x, x), (-x, x)]).is_zero()
 
 
 # ----------------------------------------------- adversarial expression text
