@@ -3,10 +3,10 @@
 An algebroid here is a chart, a rank, an anchor matrix of polynomial
 fields, and an antisymmetric bracket tensor. On top of that sit the
 differential calculus (chart forms are forms of the chart's tangent
-algebroid, so one differential is also the de Rham one), dual Poisson
-structures, A-connections with torsion and curvature, A-path parallel
-transport, and the primary and secondary characteristic class pipeline,
-plus a JSON-driven command line front end.
+algebroid, so one differential is also the de Rham one), A-connections
+with torsion and curvature, A-path parallel transport, and the primary
+and secondary characteristic class pipeline, plus a JSON-driven command
+line front end.
 """
 
 from .algebroid import (
@@ -30,16 +30,11 @@ from .algebroid import (
 from .calculus import (
     AForm,
     CoordForm,
-    DualChart,
     MatrixForm,
     anchor_pullback,
     d_A,
     de_rham,
     differential,
-    dual_poisson_bracket,
-    dual_poisson_matrix,
-    fiber_linear,
-    hamiltonian_vector_field,
     wedge,
 )
 from .classes import (

@@ -22,7 +22,14 @@ from .errors import (
     NotClosedError,
     ShapeMismatchError,
 )
-from .fields import Chart, ScalarField, as_field, dot, parse_field
+from .fields import (
+    Chart,
+    ScalarField,
+    _field_array,
+    as_field,
+    dot,
+    parse_field,
+)
 from .sampling import _MAX_SIZE, max_abs, seeded_points
 
 RANK_CUTOFF = 1e-9
@@ -186,30 +193,8 @@ def build_algebroid(chart, rank, anchor, bracket, metadata=None):
     use validate for that.
     """
     rank = _positive_rank(rank)
-    m = chart.dimension
-    anchor = list(anchor)
-    if len(anchor) != rank:
-        raise ShapeMismatchError(
-            "anchor needs %d rows, got %d" % (rank, len(anchor)))
-    rows = []
-    for row in anchor:
-        row = [as_field(chart, v) for v in row]
-        if len(row) != m:
-            raise ShapeMismatchError(
-                "anchor row has %d entries, chart dimension is %d"
-                % (len(row), m))
-        rows.append(row)
-
-    tensor = np.empty((rank, rank, rank), dtype=object)
-    bracket = np.asarray(bracket, dtype=object)
-    if bracket.shape != (rank, rank, rank):
-        raise ShapeMismatchError(
-            "bracket tensor must have shape %r, got %r"
-            % ((rank, rank, rank), bracket.shape))
-    for s in range(rank):
-        for t in range(rank):
-            for u in range(rank):
-                tensor[s, t, u] = as_field(chart, bracket[s, t, u])
+    rows = _field_array(chart, anchor, (rank, chart.dimension), "anchor")
+    tensor = _field_array(chart, bracket, (rank,) * 3, "bracket tensor")
     for s in range(rank):
         for t in range(s, rank):
             for u in range(rank):
@@ -218,7 +203,7 @@ def build_algebroid(chart, rank, anchor, bracket, metadata=None):
                     raise AntisymmetryViolationError(
                         "c[%d,%d,%d] + c[%d,%d,%d] is not zero"
                         % (s, t, u, t, s, u))
-    return LieAlgebroid(chart, rank, rows, tensor, metadata)
+    return LieAlgebroid(chart, rank, rows.tolist(), tensor, metadata)
 
 
 def anchor_apply(algebroid, section):
@@ -344,15 +329,17 @@ def validate(algebroid, points=None, tol=1e-10, n_samples=50, seed=0):
                             tol, len(pts), seed)
 
 
+def _rank(sv):
+    """Numerical rank from singular values in descending order."""
+    if not (sv.size and sv[0] > 0.0):
+        return 0
+    return int(np.sum(sv > RANK_CUTOFF * sv[0]))
+
+
 def anchor_rank_at(algebroid, p):
     """Numerical rank of the anchor matrix at a point."""
     b = algebroid.anchor_matrix_at(p)
-    if b.size == 0:
-        return 0
-    sv = np.linalg.svd(b, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > RANK_CUTOFF * sv[0]))
+    return _rank(np.linalg.svd(b, compute_uv=False)) if b.size else 0
 
 
 IsotropyData = namedtuple("IsotropyData", ["basis", "constants", "residual"])
@@ -364,11 +351,7 @@ def _kernel_basis(b):
     if b.shape[1] == 0:
         return np.eye(r)
     u, sv, _vt = np.linalg.svd(b)
-    if sv.size and sv[0] > 0.0:
-        rank = int(np.sum(sv > RANK_CUTOFF * sv[0]))
-    else:
-        rank = 0
-    kernel = u[:, rank:].copy()
+    kernel = u[:, _rank(sv):].copy()
     for a in range(kernel.shape[1]):
         col = kernel[:, a]
         i = int(np.argmax(np.abs(col)))
@@ -467,11 +450,7 @@ def linearize_at(algebroid, p, tol=1e-9):
     b = algebroid.anchor_matrix_at(p)
     if m:
         _u, sv, vt = np.linalg.svd(b)
-        if sv.size and sv[0] > 0.0:
-            rank = int(np.sum(sv > RANK_CUTOFF * sv[0]))
-        else:
-            rank = 0
-        q = [vt[i] for i in range(rank)]
+        q = list(vt[:_rank(sv)])
         normal = []
         for i in range(m):
             w = np.zeros(m)
@@ -549,28 +528,12 @@ def _bracket_from_entries(chart, rank, entries):
     return tensor
 
 
-def _bracket_entries_to_tensor(chart, rank, entries):
-    """Bracket tensor from a 0-based sparse dict, the 1-based entry list
-    or a dense (r, r, r) array."""
-    if isinstance(entries, list) and all(isinstance(e, dict) for e in entries):
-        return _bracket_from_entries(chart, rank, entries)
-    tensor = np.empty((rank, rank, rank), dtype=object)
-    zero = ScalarField(chart)
-    tensor[...] = zero
-    if isinstance(entries, dict):
-        for (s, t, u), value in entries.items():
-            f = as_field(chart, value)
-            tensor[s, t, u] = tensor[s, t, u] + f
-            tensor[t, s, u] = tensor[t, s, u] - f
-    else:
-        arr = np.asarray(entries, dtype=object)
-        if arr.shape != (rank, rank, rank):
-            raise ShapeMismatchError(
-                "bracket data must be (r, r, r), a sparse dict or an "
-                "entry list")
-        for idx in np.ndindex(rank, rank, rank):
-            tensor[idx] = as_field(chart, arr[idx])
-    return tensor
+def _bracket_entries(algebroid):
+    """The file format's 1-based entry list of the bracket, s < t."""
+    r = algebroid.rank
+    return [{"s": s + 1, "t": t + 1, "u": u + 1, "value": f.to_string()}
+            for s in range(r) for t in range(s + 1, r) for u in range(r)
+            if not (f := algebroid.bracket[s, t, u]).is_zero()]
 
 
 def catalog_build(kind, params):
@@ -602,22 +565,20 @@ def catalog_build(kind, params):
     if kind == "poisson":
         m = _bounded(params["dimension"], "dimension")
         chart = Chart(m)
-        pi = params["bivector"]
-        rows = [[as_field(chart, pi[i][j]) for j in range(m)] for i in range(m)]
+        rows = _field_array(chart, params["bivector"], (m, m), "bivector")
         for i in range(m):
             for j in range(i, m):
-                if not (rows[i][j] + rows[j][i]).is_zero():
+                if not (rows[i, j] + rows[j, i]).is_zero():
                     raise NotABivectorError(
                         "bivector entry (%d,%d) breaks antisymmetry" % (i, j))
         bracket = np.empty((m, m, m), dtype=object)
         for i in range(m):
             for j in range(m):
                 for k in range(m):
-                    bracket[i, j, k] = rows[i][j].partial(k)
+                    bracket[i, j, k] = rows[i, j].partial(k)
         meta = {"kind": kind, "params": {
             "dimension": m,
-            "bivector": [[rows[i][j].to_string() for j in range(m)]
-                         for i in range(m)]}}
+            "bivector": [[f.to_string() for f in row] for row in rows]}}
         return build_algebroid(chart, m, rows, bracket, meta)
 
     if kind == "transformation":
@@ -629,14 +590,7 @@ def catalog_build(kind, params):
             fields = [VectorField(chart, row) for row in params["fields"]]
             data = TransformationData(constants, fields, chart=chart)
         chart = data.chart
-        n = data.algebra_dim
-        anchor = [list(f.comps) for f in data.fields]
-        bracket = np.empty((n, n, n), dtype=object)
-        for s in range(n):
-            for t in range(n):
-                for u in range(n):
-                    bracket[s, t, u] = ScalarField.constant(
-                        chart, data.constants[s, t, u])
+        anchor = [f.comps for f in data.fields]
         meta = {"kind": kind,
                 "params": {
                     "dimension": chart.dimension,
@@ -644,38 +598,25 @@ def catalog_build(kind, params):
                     "fields": [[c.to_string() for c in f.comps]
                                for f in data.fields]},
                 "data": data}
-        return build_algebroid(chart, n, anchor, bracket, meta)
+        return build_algebroid(chart, data.algebra_dim, anchor,
+                               data.constants, meta)
 
     if kind == "lie_algebra_bundle":
         m = _bounded(params["dimension"], "dimension")
         r = _positive_rank(params["rank"])
         chart = Chart(m)
-        tensor = _bracket_entries_to_tensor(chart, r, params["bracket"])
-        for s in range(r):
-            for t in range(s, r):
-                for u in range(r):
-                    if not (tensor[s, t, u] + tensor[t, s, u]).is_zero():
-                        raise AntisymmetryViolationError(
-                            "bracket entry (%d,%d,%d) breaks antisymmetry"
-                            % (s, t, u))
-        at_points = [np.array([[[tensor[s, t, u].evaluate(p) for u in range(r)]
-                                for t in range(r)] for s in range(r)])
-                     for p in seeded_points(20, m, 0)]
-        worst = max_abs(x for c in at_points
-                           for x in constants_jacobiator(c).flat)
+        bracket = params["bracket"]
+        if isinstance(bracket, list) and all(isinstance(e, dict)
+                                             for e in bracket):
+            bracket = _bracket_from_entries(chart, r, bracket)
+        a = build_algebroid(chart, r, [[0.0] * m for _ in range(r)], bracket)
+        worst = max_abs(x for p in seeded_points(20, m, 0)
+                        for x in constants_jacobiator(a.bracket_at(p)).flat)
         if not worst <= 1e-10:
             raise JacobiViolationError(
                 "bracket fails Jacobi pointwise (defect %.3e)" % worst)
-        anchor = [[0.0] * m for _ in range(r)]
-        entries = []
-        for s in range(r):
-            for t in range(s + 1, r):
-                for u in range(r):
-                    if not tensor[s, t, u].is_zero():
-                        entries.append({"s": s + 1, "t": t + 1, "u": u + 1,
-                                        "value": tensor[s, t, u].to_string()})
-        meta = {"kind": kind, "params": {
-            "dimension": m, "rank": r, "bracket": entries}}
-        return build_algebroid(chart, r, anchor, tensor, meta)
+        a.metadata = {"kind": kind, "params": {
+            "dimension": m, "rank": r, "bracket": _bracket_entries(a)}}
+        return a
 
     raise ValueError("unknown catalog kind %r" % (kind,))

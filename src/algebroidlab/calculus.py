@@ -1,4 +1,4 @@
-"""Exterior calculus over an algebroid frame and the dual Poisson structure.
+"""Exterior calculus over an algebroid frame.
 
 Forms are stored on strictly increasing index tuples; other orderings are
 resolved by sign on lookup. The differential follows the Cartan convention
@@ -16,13 +16,13 @@ import itertools
 
 import numpy as np
 
-from .algebroid import LieAlgebroid, Section, VectorField
+from .algebroid import LieAlgebroid, Section
 from .errors import (
     AlgebroidMismatchError,
     DimensionMismatchError,
     ShapeMismatchError,
 )
-from .fields import Chart, ScalarField, as_field, dot, perm_sign
+from .fields import ScalarField, _field_array, as_field, dot, perm_sign
 from .sampling import max_abs
 
 
@@ -273,23 +273,13 @@ class MatrixForm:
             skey, sign = _normalize_key(key, algebroid.rank)
             if sign == 0:
                 continue
-            mat = self._as_matrix(mat)
+            mat = _field_array(algebroid.chart, mat, (self.size,) * 2,
+                               "matrix component")
             if sign < 0:
                 mat = -mat
             coeffs[skey] = coeffs[skey] + mat if skey in coeffs else mat
         self.coeffs = {k: v for k, v in coeffs.items()
                        if not _matrix_is_zero(v)}
-
-    def _as_matrix(self, mat):
-        chart = self.algebroid.chart
-        out = np.empty((self.size, self.size), dtype=object)
-        arr = np.asarray(mat, dtype=object)
-        if arr.shape != (self.size, self.size):
-            raise ShapeMismatchError(
-                "matrix component must be %d by %d" % (self.size, self.size))
-        for idx in np.ndindex(*out.shape):
-            out[idx] = as_field(chart, arr[idx])
-        return out
 
     def zero_matrix(self):
         out = np.empty((self.size, self.size), dtype=object)
@@ -348,119 +338,3 @@ def _mat_dot(pairs, start=None):
             for x, y, scalar in pairs),
             start=None if start is None else start[i, j])
     return out
-
-
-class DualChart(Chart):
-    """Chart on the dual bundle: base coordinates then fiber coordinates."""
-
-    __slots__ = ("base_dimension", "fiber_rank")
-
-    def __init__(self, algebroid):
-        m = algebroid.dimension
-        r = algebroid.rank
-        fiber = tuple("xi%d" % (s + 1) for s in range(r))
-        base = algebroid.chart.labels
-        if set(base) & set(fiber):
-            raise DimensionMismatchError(
-                "chart labels collide with fiber labels")
-        super().__init__(m + r, base + fiber)
-        self.base_dimension = m
-        self.fiber_rank = r
-
-    def xi(self, s):
-        return ScalarField.coordinate(self, self.base_dimension + s)
-
-
-def _lift(dual, f):
-    """Reinterpret a base-chart polynomial on the dual chart."""
-    r = dual.fiber_rank
-    return ScalarField._of(dual,
-                           {e + (0,) * r: c for e, c in f.coeffs.items()})
-
-
-def fiber_linear(algebroid, section):
-    """Fiberwise-linear function of a section on the dual chart."""
-    if section.algebroid is not algebroid:
-        raise AlgebroidMismatchError("section of a different algebroid")
-    dual = DualChart(algebroid)
-    total = ScalarField(dual)
-    for s in range(algebroid.rank):
-        total = total + _lift(dual, section.coeffs[s]) * dual.xi(s)
-    return total
-
-
-def dual_poisson_matrix(algebroid):
-    """Poisson tensor of the dual bundle in (x, xi) coordinates."""
-    m = algebroid.dimension
-    r = algebroid.rank
-    dual = DualChart(algebroid)
-    zero = ScalarField(dual)
-    pi = np.empty((m + r, m + r), dtype=object)
-    pi[...] = zero
-    for s in range(r):
-        for i in range(m):
-            b = _lift(dual, algebroid.anchor[s][i])
-            pi[i, m + s] = -b
-            pi[m + s, i] = b
-    for s in range(r):
-        for t in range(r):
-            total = zero
-            for u in range(r):
-                c = algebroid.bracket[s, t, u]
-                if not c.is_zero():
-                    total = total + _lift(dual, c) * dual.xi(u)
-            pi[m + s, m + t] = total
-    return dual, pi
-
-
-def dual_poisson_bracket(algebroid, f, g):
-    """Poisson bracket of two polynomials on the dual chart."""
-    dual, pi = dual_poisson_matrix(algebroid)
-    if f.chart != dual or g.chart != dual:
-        raise DimensionMismatchError("arguments must live on the dual chart")
-    n = dual.dimension
-    total = ScalarField(dual)
-    for i in range(n):
-        df = f.partial(i)
-        if df.is_zero():
-            continue
-        for j in range(n):
-            if pi[i, j].is_zero():
-                continue
-            dg = g.partial(j)
-            if dg.is_zero():
-                continue
-            total = total + pi[i, j] * df * dg
-    return total
-
-
-def hamiltonian_vector_field(algebroid, section):
-    """Hamiltonian field of a section's fiber-linear function."""
-    if section.algebroid is not algebroid:
-        raise AlgebroidMismatchError("section of a different algebroid")
-    m = algebroid.dimension
-    r = algebroid.rank
-    dual = DualChart(algebroid)
-    comps = []
-    for i in range(m):
-        total = ScalarField(dual)
-        for s in range(r):
-            total = total + _lift(dual, section.coeffs[s]) * \
-                _lift(dual, algebroid.anchor[s][i])
-        comps.append(total)
-    for t in range(r):
-        total = ScalarField(dual)
-        for u in range(r):
-            coeff = ScalarField(dual)
-            for s in range(r):
-                c = algebroid.bracket[s, t, u]
-                if not c.is_zero():
-                    coeff = coeff + _lift(dual, section.coeffs[s]) * _lift(dual, c)
-            for i in range(m):
-                b = algebroid.anchor[t][i]
-                if not b.is_zero():
-                    coeff = coeff - _lift(dual, section.coeffs[u].partial(i)) * \
-                        _lift(dual, b)
-            total = total + coeff * dual.xi(u)
-        comps.append(total)
-    return VectorField(dual, comps)

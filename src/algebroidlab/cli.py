@@ -311,7 +311,7 @@ def main(argv=None):
     except AlgebroidError as exc:
         _emit({"error": str(exc)})
         return 1
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
         _emit({"error": "%s: %s" % (type(exc).__name__, exc)})
         return 1
     if not all(math.isfinite(v) for v in residuals.values()):

@@ -21,7 +21,7 @@ from .errors import (
     NotInvertibleError,
     ShapeMismatchError,
 )
-from .fields import ScalarField, as_field, dot
+from .fields import ScalarField, _field_array, dot
 from .sampling import max_abs
 
 BUNDLES = ("A", "TM", "T*M", "E")
@@ -55,15 +55,8 @@ class AConnection:
 def build_connection(algebroid, bundle, symbols):
     """Validate shapes and wrap a symbol tensor as a connection."""
     q = bundle_rank(algebroid, bundle)
-    r = algebroid.rank
-    arr = np.asarray(symbols, dtype=object)
-    if arr.shape != (r, q, q):
-        raise ShapeMismatchError(
-            "symbols must have shape %r, got %r" % ((r, q, q), arr.shape))
-    out = np.empty((r, q, q), dtype=object)
-    for idx in np.ndindex(r, q, q):
-        out[idx] = as_field(algebroid.chart, arr[idx])
-    return AConnection(algebroid, bundle, out)
+    return AConnection(algebroid, bundle, _field_array(
+        algebroid.chart, symbols, (algebroid.rank, q, q), "symbols"))
 
 
 def connection_matrix(conn, section):
@@ -87,15 +80,8 @@ class TensorSection:
 
     def __init__(self, algebroid, bundle, n_upper, n_lower, comps):
         q = bundle_rank(algebroid, bundle)
-        shape = (q,) * (n_upper + n_lower)
-        arr = np.asarray(comps, dtype=object)
-        if arr.shape != shape:
-            raise ShapeMismatchError(
-                "tensor components must have shape %r, got %r"
-                % (shape, arr.shape))
-        out = np.empty(shape, dtype=object)
-        for idx in np.ndindex(*shape):
-            out[idx] = as_field(algebroid.chart, arr[idx])
+        out = _field_array(algebroid.chart, comps, (q,) * (n_upper + n_lower),
+                           "tensor components")
         self.algebroid = algebroid
         self.bundle = bundle
         self.n_upper = int(n_upper)
@@ -289,13 +275,9 @@ class FrameChange:
     __slots__ = ("chart", "size", "matrix", "inverse", "det")
 
     def __init__(self, chart, matrix):
-        arr = np.asarray(matrix, dtype=object)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ShapeMismatchError("frame change must be a square matrix")
-        n = arr.shape[0]
-        out = np.empty((n, n), dtype=object)
-        for idx in np.ndindex(n, n):
-            out[idx] = as_field(chart, arr[idx])
+        # a scalar has no length; its shape () then fails the check
+        n = len(matrix) if np.iterable(matrix) else 0
+        out = _field_array(chart, matrix, (n, n), "frame change")
         det = _poly_det([[out[i, j] for j in range(n)] for i in range(n)])
         if det is None:
             raise ShapeMismatchError("empty frame change")

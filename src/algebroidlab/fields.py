@@ -24,6 +24,7 @@ from .errors import (
     DimensionMismatchError,
     ExponentTooLargeError,
     ExpressionSyntaxError,
+    ShapeMismatchError,
     UnknownVariableError,
 )
 from .sampling import max_abs
@@ -193,12 +194,9 @@ class ScalarField:
         if coeffs:
             m = chart.dimension
             for exps, c in coeffs.items():
-                c = float(c)
+                c = _finite(c)
                 if c == 0.0:
                     continue
-                if not math.isfinite(c):
-                    raise ExpressionSyntaxError(
-                        "coefficient %r is not a finite number" % c)
                 ints = _exponents(exps, m)
                 clean[ints] = clean.get(ints, 0.0) + c
                 if clean[ints] == 0.0:
@@ -232,7 +230,7 @@ class ScalarField:
 
     @classmethod
     def constant(cls, chart, value):
-        return cls(chart, {(0,) * chart.dimension: float(value)})
+        return cls(chart, {(0,) * chart.dimension: value})
 
     @classmethod
     def coordinate(cls, chart, i):
@@ -250,10 +248,7 @@ class ScalarField:
                 raise DimensionMismatchError("fields live on different charts")
             return other
         if isinstance(other, (int, float)):
-            if not math.isfinite(other):
-                raise ExpressionSyntaxError(
-                    "%r is not a finite number" % (other,))
-            return ScalarField._scalar(self.chart, other)
+            return ScalarField._scalar(self.chart, _finite(other))
         return None
 
     def __add__(self, other):
@@ -540,6 +535,19 @@ def parse_field(chart, text):
     return ScalarField(chart, result)
 
 
+def _finite(v):
+    """v as a finite float; a number too large for a double is refused
+    like an infinite one."""
+    try:
+        x = float(v)
+    except OverflowError:
+        raise ExpressionSyntaxError(
+            "number too large for a double") from None
+    if not math.isfinite(x):
+        raise ExpressionSyntaxError("%r is not a finite number" % x)
+    return x
+
+
 def as_field(chart, v):
     """A ScalarField on chart from a field, expression or finite number."""
     if isinstance(v, ScalarField):
@@ -548,10 +556,27 @@ def as_field(chart, v):
         return v
     if isinstance(v, str):
         return parse_field(chart, v)
-    v = float(v)
-    if not math.isfinite(v):
-        raise ExpressionSyntaxError("%r is not a finite number" % v)
     return ScalarField.constant(chart, v)
+
+
+def _field_array(chart, data, shape, what):
+    """Object array of the given shape holding as_field of each entry of
+    nested data (lists, arrays, fields, expressions or numbers)."""
+    shape = tuple(shape)
+    try:
+        arr = np.asarray(data, dtype=object)
+    except ValueError:   # ragged nesting that numpy refuses outright
+        arr = None
+    # numpy lays out other ragged nesting as an array holding lists
+    if (arr is None or arr.shape != shape or any(
+            isinstance(v, (list, tuple, np.ndarray)) for v in arr.flat)):
+        raise ShapeMismatchError(
+            "%s must have shape %r, one field, expression or number per "
+            "entry" % (what, shape))
+    out = np.empty(shape, dtype=object)
+    for idx in np.ndindex(*shape):
+        out[idx] = as_field(chart, arr[idx])
+    return out
 
 
 def perm_sign(seq):

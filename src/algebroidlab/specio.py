@@ -32,12 +32,12 @@ from .algebroid import (
     TransformationData,
     VectorField,
     _bounded,
+    _bracket_entries,
     _bracket_from_entries,
     _positive_rank,
     build_algebroid,
     catalog_build,
 )
-from .errors import ShapeMismatchError
 from .fields import Chart, parse_field
 from .transport import T_CHART, APath
 
@@ -58,9 +58,6 @@ def algebroid_from_dict(data):
     anchor_rows = data.get("anchor")
     if anchor_rows is None:
         anchor_rows = [["0"] * m for _ in range(r)]
-    if len(anchor_rows) != r:
-        raise ShapeMismatchError(
-            "anchor needs %d rows, got %d" % (r, len(anchor_rows)))
     anchor = [[parse_field(chart, str(v)) for v in row] for row in anchor_rows]
 
     tensor = _bracket_from_entries(chart, r, data.get("bracket", []))
@@ -77,22 +74,12 @@ def algebroid_from_dict(data):
 
 
 def algebroid_to_dict(algebroid):
-    m = algebroid.dimension
-    r = algebroid.rank
-    entries = []
-    for s in range(r):
-        for t in range(s + 1, r):
-            for u in range(r):
-                f = algebroid.bracket[s, t, u]
-                if not f.is_zero():
-                    entries.append({"s": s + 1, "t": t + 1, "u": u + 1,
-                                    "value": f.to_string()})
     out = {
-        "dimension": m,
-        "rank": r,
+        "dimension": algebroid.dimension,
+        "rank": algebroid.rank,
         "labels": list(algebroid.chart.labels),
         "anchor": [[f.to_string() for f in row] for row in algebroid.anchor],
-        "bracket": entries,
+        "bracket": _bracket_entries(algebroid),
     }
     meta = {k: v for k, v in algebroid.metadata.items() if k != "data"}
     if meta:

@@ -56,8 +56,8 @@ def build_catalog():
         "transformation", {"dimension": 1, "constants": [[[0.0]]],
                            "fields": [["x1"]]})
     cat["heisenberg"] = al.catalog_build(
-        "lie_algebra_bundle", {"dimension": 1, "rank": 3,
-                               "bracket": {(0, 1, 2): "x1"}})
+        "lie_algebra_bundle", {"dimension": 1, "rank": 3, "bracket": [
+            {"s": 1, "t": 2, "u": 3, "value": "x1"}]})
     return cat
 
 

@@ -287,6 +287,41 @@ def test_bundle_metadata_round_trip(catalog):
     assert all(f == g for f, g in zip(a.bracket.flat, b.bracket.flat))
 
 
+def _heisenberg_dense(p="2 - x1 + 3*x1^2"):
+    """[e1, e2] = p(x) e3 over a line as a dense 3 x 3 x 3 nested list."""
+    dense = [[["0"] * 3 for _ in range(3)] for _ in range(3)]
+    dense[0][1][2] = p
+    dense[1][0][2] = (-parse_field(Chart(1), p)).to_string()
+    return dense
+
+
+def test_bundle_entry_list_and_dense_list_agree():
+    p = "2 - x1 + 3*x1^2"
+    listed = al.catalog_build("lie_algebra_bundle", {
+        "dimension": 1, "rank": 3,
+        "bracket": [{"s": 1, "t": 2, "u": 3, "value": p}]})
+    dense = al.catalog_build("lie_algebra_bundle", {
+        "dimension": 1, "rank": 3, "bracket": _heisenberg_dense(p)})
+    assert dense.metadata == listed.metadata
+    assert all(f == g for f, g in zip(dense.bracket.flat, listed.bracket.flat))
+    assert al.algebroid_to_dict(dense) == al.algebroid_to_dict(listed)
+
+
+def test_dense_bundle_bracket_must_be_antisymmetric():
+    # c[2,1,3] = -c[1,2,3] + 1 is caught by the build, before Jacobi
+    dense = _heisenberg_dense()
+    dense[1][0][2] += " + 1"
+    with pytest.raises(AntisymmetryViolationError):
+        al.catalog_build("lie_algebra_bundle", {
+            "dimension": 1, "rank": 3, "bracket": dense})
+
+
+def test_zero_based_bracket_dict_is_refused():
+    with pytest.raises(AlgebroidError):
+        al.catalog_build("lie_algebra_bundle", {
+            "dimension": 1, "rank": 3, "bracket": {(0, 1, 2): "x1"}})
+
+
 def test_sl3_constants_are_a_lie_algebra(sl3):
     assert sl3.rank == 8
     jac = al.constants_jacobiator(sl3.bracket_at(()))

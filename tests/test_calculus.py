@@ -1,4 +1,4 @@
-"""Exterior calculus on the algebroid and the dual Poisson structure."""
+"""Exterior calculus on the algebroid."""
 
 import itertools
 
@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import algebroidlab as al
-from algebroidlab.calculus import DualChart, fiber_linear
 from algebroidlab.fields import Chart, ScalarField, parse_field
 from algebroidlab.errors import (
     AlgebroidMismatchError,
@@ -185,107 +184,3 @@ def test_d_squared_zero_property(vals):
 
 
 test_d_squared_zero_property.algebroid = build_catalog()["so3_action"]
-
-
-def test_dual_chart_labels(catalog):
-    a = catalog["so3_action"]
-    dual = DualChart(a)
-    assert dual.labels == ("x1", "x2", "x3", "xi1", "xi2", "xi3")
-    assert dual.base_dimension == 3
-    assert dual.fiber_rank == 3
-
-
-def test_dual_poisson_matrix_blocks(catalog):
-    # base-base block zero, base-fiber block the anchor, fiber-fiber the
-    # bracket contracted with xi
-    a = catalog["dual_aff1"]
-    dual, pi = al.dual_poisson_matrix(a)
-    m, r = 2, 2
-    for i in range(m):
-        for j in range(m):
-            assert pi[i, j].is_zero()
-    anti = 0.0
-    for i in range(m + r):
-        for j in range(m + r):
-            anti = max(anti, (pi[i, j] + pi[j, i]).max_abs_coeff())
-    assert anti == 0.0
-
-
-def test_dual_poisson_of_lie_algebra_matches_catalog(catalog):
-    # the fiber block over a point is exactly the linear Lie-Poisson tensor
-    aff1 = catalog["aff1"]
-    dual, pi = al.dual_poisson_matrix(aff1)
-    xi2 = dual.xi(1)
-    assert (pi[0, 1] - xi2).is_zero()
-    assert (pi[1, 0] + xi2).is_zero()
-
-
-def test_fiber_linear_bracket_morphism(catalog):
-    # {l_alpha, l_beta} = l_[alpha, beta]
-    for name in ("aff1", "so3", "so3_action", "dual_so3", "heisenberg"):
-        a = catalog[name]
-        rng = rng_for(name + "-dual")
-        coeffs1 = [float(rng.integers(-2, 3)) for _ in range(a.rank)]
-        coeffs2 = [float(rng.integers(-2, 3)) for _ in range(a.rank)]
-        alpha = al.Section(a, coeffs1)
-        beta = al.Section(a, coeffs2)
-        lhs = al.dual_poisson_bracket(a, fiber_linear(a, alpha),
-                                      fiber_linear(a, beta))
-        rhs = fiber_linear(a, al.bracket_sections(a, alpha, beta))
-        assert (lhs - rhs).max_abs_coeff() < 1e-12, name
-
-
-def test_fiber_linear_on_base_functions(catalog):
-    # {l_alpha, f} picks up the anchor derivative of f
-    a = catalog["so3_action"]
-    dual = DualChart(a)
-    alpha = al.Section(a, ["1", "0", "x1"])
-    f = parse_field(a.chart, "x2^2 + x3")
-    lifted = ScalarField(dual, {e + (0, 0, 0): c for e, c in f.coeffs.items()})
-    br = al.dual_poisson_bracket(a, fiber_linear(a, alpha), lifted)
-    want_base = al.anchor_apply(a, alpha).apply(f)
-    want = ScalarField(dual, {e + (0, 0, 0): c
-                              for e, c in want_base.coeffs.items()})
-    assert (br - want).max_abs_coeff() < 1e-12
-
-
-def test_dual_poisson_jacobi(catalog):
-    a = catalog["aff1"]
-    dual, _pi = al.dual_poisson_matrix(a)
-    rng = rng_for("jacobi-dual")
-
-    def rand_poly():
-        poly = {}
-        for exps in itertools.product(range(3), repeat=2):
-            if sum(exps) <= 2:
-                poly[exps] = float(rng.integers(-3, 4))
-        return ScalarField(dual, poly)
-
-    f, g, h = rand_poly(), rand_poly(), rand_poly()
-    br = lambda u, v: al.dual_poisson_bracket(a, u, v)
-    total = br(f, br(g, h)) + br(g, br(h, f)) + br(h, br(f, g))
-    assert total.max_abs_coeff() < 1e-10
-
-
-def test_hamiltonian_field_realizes_bracket(catalog):
-    a = catalog["dual_aff1"]
-    alpha = al.Section(a, ["x1", "1"])
-    X = al.hamiltonian_vector_field(a, alpha)
-    dual = DualChart(a)
-    beta = al.Section(a, ["0", "x2"])
-    lb = fiber_linear(a, beta)
-    lhs = X.apply(lb)
-    rhs = al.dual_poisson_bracket(a, fiber_linear(a, alpha), lb)
-    assert (lhs - rhs).max_abs_coeff() < 1e-12
-
-
-def test_hamiltonian_field_projects_to_anchor(catalog):
-    # base components of the hamiltonian field are the anchor image
-    a = catalog["so3_action"]
-    alpha = al.Section(a, ["1", "x2", "0"])
-    X = al.hamiltonian_vector_field(a, alpha)
-    v = al.anchor_apply(a, alpha)
-    for i in range(a.dimension):
-        lifted = ScalarField(X.chart, {e + (0, 0, 0): c
-                                       for e, c in v.comps[i].coeffs.items()})
-        assert (X.comps[i] - lifted).is_zero()

@@ -172,7 +172,8 @@ def heisenberg_r4():
     p quadratic and [e1, e4] = g(x) e4 with g linear."""
     return al.catalog_build("lie_algebra_bundle", {
         "dimension": 1, "rank": 4,
-        "bracket": {(0, 1, 2): "2 - x1 + 3*x1^2", (0, 3, 3): "1 + 2*x1"}})
+        "bracket": [{"s": 1, "t": 2, "u": 3, "value": "2 - x1 + 3*x1^2"},
+                    {"s": 1, "t": 4, "u": 4, "value": "1 + 2*x1"}]})
 
 
 def test_transgression_boundary_identity_on_field_matrices():

@@ -187,6 +187,30 @@ def test_error_documents(tmp_path):
         assert set(doc) == {"error"}
 
 
+def test_numbers_too_large_for_a_double_are_error_documents(tmp_path):
+    # a 401-digit integer overflows float(); each report is an error document
+    huge = 10 ** 400
+    specs = [
+        {"kind": "lie_algebra", "params": {"constants": [[[huge]]]}},
+        {"dimension": 1, "rank": 1, "anchor": [[huge]]},
+        {"dimension": 1, "rank": 1, "anchor": [["x1"]],
+         "metadata": {"kind": "transformation", "params": {
+             "constants": [[[huge]]], "fields": [["x1"]]}}},
+    ]
+    for i, spec in enumerate(specs):
+        path = tmp_path / ("huge%d.json" % i)
+        path.write_text(json.dumps(spec))
+        code, doc = run_doc(["validate", "--spec", path])
+        assert code == 1 and set(doc) == {"error"}, doc
+    path = tmp_path / "huge_path.json"
+    path.write_text(json.dumps({"segments": [{
+        "t0": huge, "t1": 1, "gamma": ["0", "0", "1"],
+        "coeffs": ["0", "0", "0"]}]}))
+    code, doc = run_doc(["transport", "--spec", DATA / "so3_action.json",
+                         "--path", path])
+    assert code == 1 and set(doc) == {"error"}, doc
+
+
 def test_oversized_input_is_refused_before_allocation(tmp_path):
     # a few bytes of JSON must not ask for a tensor of n**3 fields
     big = _MAX_SIZE + 1

@@ -23,6 +23,7 @@ from algebroidlab.errors import (
     DimensionMismatchError,
     ExponentTooLargeError,
     ExpressionSyntaxError,
+    ShapeMismatchError,
     UnknownVariableError,
 )
 
@@ -458,6 +459,17 @@ def test_arithmetic_rejects_non_finite_numbers():
                 op()
 
 
+def test_numbers_too_large_for_a_double_are_syntax_errors():
+    x = ScalarField.coordinate(CHART2, 0)
+    huge = 10 ** 400
+    for op in (lambda: x + huge, lambda: huge - x, lambda: x * huge,
+               lambda: as_field(CHART2, huge),
+               lambda: ScalarField.constant(CHART2, huge),
+               lambda: ScalarField(CHART2, {(1, 0): huge})):
+        with pytest.raises(ExpressionSyntaxError, match="too large"):
+            op()
+
+
 # ------------------------------------------------------------ exponent limit
 
 def test_exponents_up_to_the_limit_are_accepted():
@@ -515,3 +527,47 @@ def test_parse_round_trips_or_raises_parse_errors(text):
     except (ExpressionSyntaxError, UnknownVariableError):
         return
     assert parse_field(chart, f.to_string()) == f
+
+
+# ----------------------------------------------------- field-array coercer
+
+def _coercer_callers():
+    """Every builder that coerces nested data through fields._field_array,
+    by name; each call takes the data in place of a 3 by 3 (by 3) array of
+    fields over the so(3) action chart."""
+    a = al.catalog_build("transformation", {
+        "dimension": 3,
+        "constants": [[[0, 0, 0], [0, 0, 1], [0, -1, 0]],
+                      [[0, 0, -1], [0, 0, 0], [1, 0, 0]],
+                      [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]],
+        "fields": [["0", "-x3", "x2"], ["x3", "0", "-x1"],
+                   ["-x2", "x1", "0"]]})
+    zero = np.zeros((3, 3, 3))
+    return {
+        "anchor": lambda d: al.build_algebroid(a.chart, 3, d, zero),
+        "bracket": lambda d: al.build_algebroid(a.chart, 3, a.anchor, d),
+        "bundle": lambda d: al.catalog_build("lie_algebra_bundle", {
+            "dimension": 3, "rank": 3, "bracket": d}),
+        "bivector": lambda d: al.catalog_build("poisson", {
+            "dimension": 3, "bivector": d}),
+        "connection": lambda d: al.build_connection(a, "A", d),
+        "tensor": lambda d: al.TensorSection(a, "A", 1, 1, d),
+        "matrix-form": lambda d: al.MatrixForm(a, 1, 3, {(0,): d}),
+        "frame-change": lambda d: al.FrameChange(a.chart, d),
+    }
+
+
+@pytest.mark.parametrize("caller", list(_coercer_callers()))
+@pytest.mark.parametrize("bad", [
+    [["0", "1", "x1"], ["1", "0", "x2"]],
+    [[0.0, 0.0, 0.0], [0.0, 0.0], [0.0]],
+    [[[0.0] * 3] * 3, [[0.0] * 3] * 2, [[0.0] * 2] * 3],
+    [[[0.0] * 3, [0.0] * 2, "0"]] * 3,
+    [np.zeros((3, 3)), np.zeros((3, 2)), np.zeros((3, 3))],
+    5.0,
+], ids=["wrong-shape", "ragged", "ragged-deep", "ragged-leaves",
+        "ragged-arrays", "scalar"])
+def test_field_array_callers_refuse_bad_shapes(caller, bad):
+    # a shape error, never a TypeError or IndexError from the coercion loop
+    with pytest.raises(ShapeMismatchError):
+        _coercer_callers()[caller](bad)
