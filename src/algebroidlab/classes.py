@@ -29,6 +29,7 @@ import numpy as np
 
 from .calculus import AForm, _mat_dot, differential
 from .connections import (
+    _BLOCK,
     _family_curvature,
     _frame_matrices,
     basic_connection,
@@ -136,7 +137,7 @@ def invariant_polynomial(k, q):
 # t-monomials of _monomials; the trailing axes are (q, q) for a
 # matrix-valued form and empty for a scalar one.
 
-_BLOCK = 1 << 13   # entries per temporary in the float products
+_MAX_WORK = 1 << 26   # entries of one engine array, or wedge-table steps
 
 
 @functools.lru_cache(maxsize=None)
@@ -163,6 +164,33 @@ def _level(r, n, k, j):
     return tuple(sum(1 << x for x in c)
                  for c in itertools.combinations(range(r + n), 2 * j)
                  if lo <= sum(x >= r for x in c) <= hi)
+
+
+def _level_size(r, n, k, j):
+    """len(_level(r, n, k, j)), counted without building the masks."""
+    return sum(math.comb(r, 2 * j - e) * math.comb(n, e)
+               for e in range(max(0, n - k + j), min(j, n) + 1))
+
+
+def _check_work(r, n, k, q):
+    """Refuse an engine run above _MAX_WORK before anything is built.
+
+    Two sizes are bounded: the largest array in entries, which is a power
+    G^j (j <= ceil(k/2), (q, q) per mask and t-monomial) or a scalar form
+    of grade up to 2k, and the loop steps of the wedge tables, one per pair
+    of masks of grades ja + jb <= k; Newton's identities build all of them.
+    """
+    sizes = [_level_size(r, n, k, j) for j in range(k + 1)]
+    n_t = math.comb(2 * (k - n) + n, n)
+    entries = n_t * max(max(sizes[1:(k + 1) // 2 + 1]) * q * q,
+                        max(sizes[1:]))
+    steps = sum(sizes[a] * sizes[b] for a in range(1, k)
+                for b in range(1, k - a + 1))
+    if max(entries, steps) > _MAX_WORK:
+        raise ShapeMismatchError(
+            "order %d on rank %d with %d connection(s) needs arrays of %d "
+            "entries and %d table steps, above the limit of %d"
+            % (k, r, n + 1, entries, steps, _MAX_WORK))
 
 
 @functools.lru_cache(maxsize=None)
@@ -259,6 +287,8 @@ def _wedge(x, y, table, tpairs, size, kind, chart):
     out = _zeros(chart, (size * n_t,) + tail)
     if chart is None:
         step = max(1, _BLOCK // xf[0].size)
+        flat, width = out.reshape(-1), math.prod(tail)
+        cols = np.arange(width)
         for lo in range(0, len(dest), step):
             cut = slice(lo, lo + step)
             a, b = xf[xs[cut]], yf[ys[cut]]
@@ -269,7 +299,9 @@ def _wedge(x, y, table, tpairs, size, kind, chart):
             else:
                 v = a * b
             v *= sign[cut].reshape((-1,) + (1,) * (v.ndim - 1))
-            np.add.at(out, dest[cut], v)
+            # numpy's fast 1-D add.at; each entry adds its terms in row order
+            np.add.at(flat, (dest[cut, None] * width + cols).ravel(),
+                      v.ravel())
     else:
         groups = {}
         for d, i, j, s in zip(dest.tolist(), xs, ys, sign):
@@ -302,23 +334,24 @@ def _transgress(algebroid, conn0, conns, poly):
         out = AForm(algebroid, degree)
         out.overflow = degree > r
         return out
+    _check_work(r, n, k, poly.q)
     numeric = algebroid.dimension == 0
     chart = None if numeric else algebroid.chart
     omega0 = _frame_matrices(conn0, numeric)
-    etas = [[x - y for x, y in zip(_frame_matrices(c, numeric), omega0)]
-            for c in conns]
+    etas = [_frame_matrices(c, numeric) - omega0 for c in conns]
     monos, tpairs = _monomials(n, 2 * (k - n))
     index = {e: i for i, e in enumerate(monos)}
     masks = _level(r, n, k, 1)
     g = _zeros(chart, (len(masks), len(monos), poly.q, poly.q))
-    fam = _family_curvature(algebroid, omega0, etas, numeric) \
-        if k > n else None
+    if k > n:
+        # the masks below 1 << r are the frame pairs a < b, in order
+        frame = [b for b, mask in enumerate(masks) if mask < 1 << r]
+        for e, mats in _family_curvature(algebroid, omega0, etas,
+                                         numeric).items():
+            g[frame, index[e]] = mats
     for b, mask in enumerate(masks):
         s, t = (x for x in range(r + n) if mask >> x & 1)
-        if t < r:
-            for e, mat in fam[(s, t)].items():
-                g[b, index[e]] = mat
-        else:
+        if t >= r:
             # eps_i ^ eta_i = -sum_s eta_i[s] e^s ^ eps_i
             g[b, 0] = -etas[t - r][s]
 

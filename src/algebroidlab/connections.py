@@ -26,6 +26,8 @@ from .sampling import max_abs
 
 BUNDLES = ("A", "TM", "T*M", "E")
 
+_BLOCK = 1 << 13   # entries per temporary in the float products
+
 
 def bundle_rank(algebroid, bundle):
     if bundle == "A":
@@ -195,9 +197,9 @@ def curvature(conn):
     connection matrices of the frame (the n = 0 family of
     _family_curvature)."""
     a = conn.algebroid
-    fam = _family_curvature(a, _frame_matrices(conn), [], False)
-    return MatrixForm(a, 2, conn.q,
-                      {pair: mono[()] for pair, mono in fam.items()})
+    fam = _family_curvature(a, _frame_matrices(conn), [])
+    return MatrixForm(a, 2, conn.q, dict(zip(
+        itertools.combinations(range(a.rank), 2), fam[()])))
 
 
 local_curvature = curvature
@@ -214,54 +216,82 @@ def curvature_applied(conn, alpha, beta, target):
     return out - a_derivative(conn, br, target)
 
 
+def _constant_terms(fields):
+    """Constant terms of an array of fields as floats: over a point, their
+    values, since evaluate(()) adds the (never zero) stored term to 0.0."""
+    return np.fromiter((f.coeffs.get((), 0.0) for f in fields.flat), float,
+                       fields.size).reshape(fields.shape)
+
+
 def _frame_matrices(conn, numeric=False):
-    """Matrix of nabla along each frame section, omega_s[u, t] = Gamma[s, t, u].
+    """Frame matrices of nabla, stacked: out[s, u, t] = Gamma[s, t, u].
 
-    The same matrices as connection_matrix(conn, e_s), read off the
-    symbols; numeric evaluates them on a zero-dimensional chart.
+    out[s] is connection_matrix(conn, e_s), read off the symbols; numeric
+    reads the float values of a zero-dimensional chart in one pass.
     """
-    mats = [g.T.copy() for g in conn.symbols]
-    if numeric:
-        return [np.array([[f.evaluate(()) for f in row] for row in m])
-                for m in mats]
-    return mats
+    symbols = _constant_terms(conn.symbols) if numeric else conn.symbols
+    return symbols.transpose(0, 2, 1).copy()
 
 
-def _family_curvature(algebroid, omega0, etas, numeric):
+def _family_curvature(algebroid, omega0, etas, numeric=False):
     """Curvature of omega0 + sum_i t_i eta_i per frame pair, by monomial.
 
     The Cartan formula F_ab = #a(w_b) - #b(w_a) + [w_a, w_b] - c_ab^u w_u
-    of w = sum_i t_i w_i, with t_0 = 1, w_0 = omega0 and w_i = eta_i,
-    collected by monomial: the t_i t_j entry is one _mat_dot of the
-    products w_ia w_jb and -w_jb w_ia (and the same with i and j swapped
-    when i < j), plus, for i = 0, the bracket terms of w_j from the anchor
-    term, which is zero over a point. Returns {(a, b): {exponents: matrix}}
-    where exponents is one tuple over t_1..t_n with total degree at most 2.
+    of w = sum_i t_i w_i, with t_0 = 1, w_0 = omega0 and w_i = eta_i (stacked
+    frame matrices), collected by monomial: the t_i t_j entry is one
+    _mat_dot of the products w_ia w_jb and -w_jb w_ia (and the same with i
+    and j swapped when i < j), plus, for i = 0, the bracket terms of w_j
+    from the anchor term. Returns {exponents: array} with one (q, q) slice
+    per pair a < b in order, exponents one tuple over t_1..t_n of total
+    degree at most 2. numeric (over a point: no anchor term) takes all pairs
+    at once, in blocks of _BLOCK entries, as stacked matmuls added in
+    _mat_dot's order, so each entry is bit-identical to the per-pair sum.
     """
     ws = [omega0] + list(etas)
-    neg = [[-x for x in w] for w in ws]
-    out = {}
-    for a, b in itertools.combinations(range(algebroid.rank), 2):
-        brackets = [(-c.evaluate(()) if numeric else -c, u)
-                    for u, c in enumerate(algebroid.bracket[a, b])
+    q = omega0.shape[-1]
+    pairs = list(itertools.combinations(range(algebroid.rank), 2))
+    monos = {(i, j): tuple((i == x) + (j == x) for x in range(1, len(ws)))
+             for i, j in itertools.combinations_with_replacement(
+                 range(len(ws)), 2)}
+    out = {e: np.empty((len(pairs), q, q), dtype=omega0.dtype)
+           for e in monos.values()}
+    if numeric:
+        w = np.array(ws)
+        ia, ib = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        negc = -_constant_terms(algebroid.bracket[ia, ib])
+        step = max(1, _BLOCK // (q * q))
+        for lo in range(0, len(pairs), step):
+            a, b, cab = (x[lo:lo + step] for x in (ia, ib, negc))
+            # zero constants add nothing (never 0 * inf), as in the field route
+            us = np.flatnonzero(cab.any(axis=0))
+            for (i, j), e in monos.items():
+                wia, wjb = w[i, a], w[j, b]
+                acc = wia @ wjb
+                acc += (-wjb) @ wia
+                if i < j:
+                    wja, wib = w[j, a], w[i, b]
+                    acc += wja @ wib
+                    acc += (-wib) @ wja
+                if i == 0:
+                    for u in us:
+                        nz = cab[:, u] != 0
+                        acc[nz] += cab[nz, u, None, None] * w[j, u]
+                out[e][lo:lo + step] = acc
+        return out
+    neg = [-x for x in ws]
+    for p, (a, b) in enumerate(pairs):
+        brackets = [(-c, u) for u, c in enumerate(algebroid.bracket[a, b])
                     if c.coeffs]
-        terms = {}
-        for i, j in itertools.combinations_with_replacement(range(len(ws)), 2):
-            pairs = [(ws[i][a], ws[j][b]), (neg[j][b], ws[i][a])]
+        for (i, j), e in monos.items():
+            prods = [(ws[i][a], ws[j][b]), (neg[j][b], ws[i][a])]
             if i < j:
-                pairs += [(ws[j][a], ws[i][b]), (neg[i][b], ws[j][a])]
+                prods += [(ws[j][a], ws[i][b]), (neg[i][b], ws[j][a])]
             lead = None
             if i == 0:
-                pairs += [(c, ws[j][u]) for c, u in brackets]
-                if not numeric:
-                    lead = (_apply_to_matrix(algebroid.anchor_row(a), ws[j][b])
-                            - _apply_to_matrix(algebroid.anchor_row(b),
-                                               ws[j][a]))
-            e = [0] * len(ws)
-            e[i] += 1
-            e[j] += 1
-            terms[tuple(e[1:])] = _mat_dot(pairs, lead)
-        out[(a, b)] = terms
+                prods += [(c, ws[j][u]) for c, u in brackets]
+                lead = (_apply_to_matrix(algebroid.anchor_row(a), ws[j][b])
+                        - _apply_to_matrix(algebroid.anchor_row(b), ws[j][a]))
+            out[e][p] = _mat_dot(prods, lead)
     return out
 
 

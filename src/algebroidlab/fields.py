@@ -289,11 +289,16 @@ class ScalarField:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if not float(n).is_integer():
+        # an int is read exactly: float() of a huge one would overflow
+        if (not isinstance(n, (int, np.integer))
+                and not float(n).is_integer()):
             raise ValueError("power must be an integer, got %r" % (n,))
         n = int(n)
         if n < 0:
             raise ValueError("negative powers are not polynomial")
+        if n > MAX_EXPONENT:   # the parser's bound, before any product
+            raise ExponentTooLargeError(
+                "power is above the limit %d" % MAX_EXPONENT)
         result = ScalarField.constant(self.chart, 1.0)
         for _ in range(n):
             result = result * self

@@ -8,6 +8,7 @@ import pytest
 
 import algebroidlab as al
 from algebroidlab import classes
+from algebroidlab.calculus import _mat_dot
 from algebroidlab.classes import (
     InvariantPolynomial,
     _simplex_moment,
@@ -345,6 +346,113 @@ def test_field_route_matches_numeric_route_pointwise():
                 got = field.coeff(key).evaluate((x,))
                 want = numeric.coeff(key).evaluate(())
                 assert abs(got - want) < 1e-12, (k, n, key)
+
+
+def per_pair_family_curvature(constants, ws):
+    """The t_i t_j curvature entries pair by pair, each one chained
+    _mat_dot of float products in the field route's order: the reference
+    the stacked kernel must match bit for bit."""
+    r = constants.shape[0]
+    out = {}
+    for a, b in itertools.combinations(range(r), 2):
+        brackets = [(-constants[a, b, u], u) for u in range(r)
+                    if constants[a, b, u] != 0]
+        for i, j in itertools.combinations_with_replacement(
+                range(len(ws)), 2):
+            prods = [(ws[i][a], ws[j][b]), (-ws[j][b], ws[i][a])]
+            if i < j:
+                prods += [(ws[j][a], ws[i][b]), (-ws[i][b], ws[j][a])]
+            if i == 0:
+                prods += [(c, ws[j][u]) for c, u in brackets]
+            e = [0] * len(ws)
+            e[i] += 1
+            e[j] += 1
+            out.setdefault(tuple(e[1:]), []).append(_mat_dot(prods))
+    return {e: np.array(mats) for e, mats in out.items()}
+
+
+def test_numeric_family_curvature_matches_per_pair_route(monkeypatch):
+    from algebroidlab import connections
+
+    # sl(2) + aff(1): most bracket constants are zero
+    constants = direct_sum(SL2_CONSTANTS, AFF1_CONSTANTS)
+    a = al.catalog_build("lie_algebra", {"constants": constants.tolist()})
+    rng = rng_for("stacked-family-curvature")
+    q = 3
+    ws = [rng.uniform(-1.0, 1.0, size=(a.rank, q, q)) for _ in range(3)]
+    for n in (0, 1, 2):
+        want = per_pair_family_curvature(constants, ws[:n + 1])
+        # 10 pairs: one block, one pair per block, then blocks of three
+        # with a short last one
+        for block in (classes._BLOCK, q * q, 3 * q * q):
+            monkeypatch.setattr(connections, "_BLOCK", block)
+            got = connections._family_curvature(a, ws[0], ws[1:n + 1], True)
+            assert list(got) == list(want)
+            for e in want:
+                assert np.array_equal(got[e], want[e]), (n, block, e)
+    # an inf in w_4 may reach only the pairs that hold 4 (the one bracket
+    # term with u = 4 is in [e_3, e_4]): a zero constant never multiplies it
+    ws[0][4, 0, 0] = np.inf
+    with np.errstate(invalid="ignore"):
+        got = connections._family_curvature(a, ws[0], [], True)[()]
+        want = per_pair_family_curvature(constants, ws[:1])[()]
+    assert np.array_equal(got, want, equal_nan=True)
+    pairs = list(itertools.combinations(range(a.rank), 2))
+    for p, (s, t) in enumerate(pairs):
+        assert np.isfinite(got[p]).all() == (4 not in (s, t)), (s, t)
+
+
+def test_float_wedge_does_not_depend_on_the_block(monkeypatch):
+    r, n, k, q = 6, 2, 3, 3
+    monos, tpairs = classes._monomials(n, 2 * (k - n))
+    rng = rng_for("wedge-blocks")
+
+    def form(j, tail):
+        size = len(classes._level(r, n, k, j))
+        x = rng.uniform(-1.0, 1.0, size=(size, len(monos)) + tail)
+        x[rng.random(x.shape[:2]) < 0.3] = 0.0   # zero blocks are skipped
+        return x
+
+    g1, g2 = form(1, (q, q)), form(2, (q, q))
+    s1, s2 = form(1, ()), form(2, ())
+    cases = [(g1, 1, g1, 1, "mat"), (g2, 2, g1, 1, "mat"),
+             (g1, 1, g1, 1, "trace"), (g2, 2, g1, 1, "trace"),
+             (s1, 1, s1, 1, "scalar"), (s2, 2, s1, 1, "scalar")]
+
+    def wedges():
+        return [classes._wedge(x, y, classes._wedge_table(r, n, k, ja, jb),
+                               tpairs, len(classes._level(r, n, k, ja + jb)),
+                               kind, None)
+                for x, ja, y, jb, kind in cases]
+
+    whole = wedges()
+    monkeypatch.setattr(classes, "_BLOCK", q * q)   # one matrix per block
+    for got, want in zip(wedges(), whole):
+        assert np.abs(want).max() > 0.0
+        assert np.array_equal(got, want)
+
+
+def test_engine_work_is_bounded_before_anything_is_built(sl3, sl3_conns,
+                                                         monkeypatch):
+    c0, c1, c2 = sl3_conns
+    # the level sizes are counted without building the masks
+    for r, n, k in ((8, 0, 3), (8, 1, 3), (8, 2, 3), (5, 1, 5), (3, 2, 2)):
+        for j in range(1, k + 1):
+            assert (classes._level_size(r, n, k, j)
+                    == len(classes._level(r, n, k, j)))
+    # chern_weil k = 1 on sl(3): 28 frame pairs of 8 by 8 matrices, no
+    # wedge tables; the triple at k = 3: G^2 has 140 masks, 6 t-monomials
+    cw = InvariantPolynomial(1, 8)
+    want = al.chern_weil(sl3, c1, cw)
+    monkeypatch.setattr(classes, "_MAX_WORK", 28 * 64)
+    assert al.chern_weil(sl3, c1, cw).coeffs == want.coeffs
+    monkeypatch.setattr(classes, "_level", None)   # refused before it runs
+    monkeypatch.setattr(classes, "_MAX_WORK", 28 * 64 - 1)
+    with pytest.raises(ShapeMismatchError, match="above the limit"):
+        al.chern_weil(sl3, c1, cw)
+    monkeypatch.setattr(classes, "_MAX_WORK", 140 * 6 * 64 - 1)
+    with pytest.raises(ShapeMismatchError, match="above the limit"):
+        al.secondary_triple(sl3, c2, c1, c0, InvariantPolynomial(3, 8))
 
 
 def test_transgression_quadrature_insensitive(sl3, sl3_conns, monkeypatch):

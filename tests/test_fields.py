@@ -508,6 +508,18 @@ def test_products_past_the_limit_raise_and_never_carry():
     assert dot(CHART2, [(x, x), (-x, x)]).is_zero()
 
 
+def test_powers_past_the_limit_raise_before_multiplying():
+    x = ScalarField.coordinate(CHART2, 0)
+    one = ScalarField.constant(CHART2, 1.0)
+    # the parser's bound holds for every field, a constant or zero one too
+    for f in (x, one, ScalarField(CHART2)):
+        for n in (10 ** 400, 40000, 32768, 1e300, np.int64(32768)):
+            with pytest.raises(ExponentTooLargeError):
+                f ** n
+    assert one ** 32767 == one
+    assert one ** np.int64(3) == one ** 3.0 == one
+
+
 # ----------------------------------------------- adversarial expression text
 
 TOKENS = ["x1", "x2", "x3", "x4", "y", "1", "2.5", ".5", "0", "1e3", "1e-320",
