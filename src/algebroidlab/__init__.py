@@ -32,8 +32,6 @@ from .calculus import (
     CoordForm,
     MatrixForm,
     anchor_pullback,
-    d_A,
-    de_rham,
     differential,
     wedge,
 )
@@ -41,7 +39,6 @@ from .classes import (
     CocycleSection,
     InvariantPolynomial,
     chern_weil,
-    invariant_polynomial,
     lie_algebra_secondary,
     modular_cocycle,
     modular_theorem_check,
@@ -75,7 +72,6 @@ from .specio import (
     algebroid_from_dict,
     algebroid_to_dict,
     load_algebroid,
-    load_path,
     path_from_dict,
     save_algebroid,
 )

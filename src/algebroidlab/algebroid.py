@@ -429,10 +429,20 @@ def _check_constants(c, anti_tol, jacobi_tol):
 def constants_jacobiator(c):
     """Cyclic Jacobi defect tensor of constant structure data."""
     c = np.asarray(c, dtype=float)
-    term = np.einsum("stw,wuv->stuv", c, c)
-    return (term
-            + np.einsum("tuw,wsv->stuv", c, c)
-            + np.einsum("usw,wtv->stuv", c, c))
+    r = c.shape[0]
+    # p[s, t, u, v] = sum_w c[s, t, w] c[w, u, v], one matrix product
+    p = (c.reshape(r * r, r) @ c.reshape(r, r * r)).reshape(r, r, r, r)
+    j = p + p.transpose(2, 0, 1, 3)
+    j += p.transpose(1, 2, 0, 3)
+    return j
+
+
+def _anchor_jacobian(algebroid, p):
+    """Anchor partials d_j rho_s^i at p, an (r, m, m) array [s, i, j]."""
+    m = algebroid.dimension
+    return np.array([[[f.partial(j).evaluate(p) for j in range(m)]
+                      for f in row] for row in algebroid.anchor],
+                    dtype=float).reshape(algebroid.rank, m, m)
 
 
 def linearize_at(algebroid, p, tol=1e-9):
@@ -468,15 +478,9 @@ def linearize_at(algebroid, p, tol=1e-9):
 
     n_dim = normal.shape[1]
     k = iso.basis.shape[1]
-    jac = np.zeros((k, m, m))
-    for a in range(k):
-        for i in range(m):
-            for j in range(m):
-                total = 0.0
-                for s in range(algebroid.rank):
-                    total += iso.basis[s, a] * \
-                        algebroid.anchor[s][i].partial(j).evaluate(p)
-                jac[a, i, j] = total
+    jac_s = _anchor_jacobian(algebroid, p)
+    jac = sum((iso.basis[s, :, None, None] * jac_s[s]
+               for s in range(algebroid.rank)), np.zeros((k, m, m)))
     normal_chart = Chart(n_dim)
     fields = []
     for a in range(k):

@@ -200,9 +200,6 @@ def differential(form):
     return d
 
 
-d_A = differential
-
-
 def wedge(p_form, q_form):
     """Wedge product, shuffle-sum convention with unit coefficients."""
     p_form._check_mate(q_form)
@@ -241,10 +238,6 @@ def CoordForm(chart, degree, entries=None):
     """A differential form on the chart: a form of its tangent algebroid,
     components on coordinate tuples."""
     return AForm(_tangent(chart), degree, entries)
-
-
-# on the tangent algebroid the Cartan differential is the de Rham one
-de_rham = differential
 
 
 def anchor_pullback(algebroid, form):

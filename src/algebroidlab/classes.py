@@ -125,10 +125,6 @@ class InvariantPolynomial:
         return (TWO_PI ** -self.k / math.factorial(self.k)) * total
 
 
-def invariant_polynomial(k, q):
-    return InvariantPolynomial(k, q)
-
-
 # ------------------------------------------------------------------ engine
 #
 # The engine works in the exterior algebra on N = r + n generators: the r

@@ -105,8 +105,3 @@ def path_from_dict(algebroid, data):
         coeffs = [parse_field(T_CHART, str(a)) for a in seg["coeffs"]]
         segments.append((float(seg["t0"]), float(seg["t1"]), gamma, coeffs))
     return APath(algebroid, segments)
-
-
-def load_path(algebroid, path):
-    with open(path) as fh:
-        return path_from_dict(algebroid, json.load(fh))

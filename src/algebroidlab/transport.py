@@ -17,10 +17,6 @@ the same way. Transport forms M(t) at all RK4 nodes of a segment (step
 starts and midpoints, in blocks) with one power sum, in the same order of
 operations as a sum formed one time at a time, so the RK4 recurrence and
 its results do not change by a bit.
-
-scipy is imported inside fixed_point_holonomy, its only user: importing
-scipy.linalg costs more than the rest of the package together, and no
-CLI command needs it.
 """
 
 from __future__ import annotations
@@ -30,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebroid import _anchor_jacobian
 from .errors import (
     AlgebroidMismatchError,
     NotAFixedPointError,
@@ -457,12 +454,36 @@ def holonomy_matrix(conn, path, n_steps=200, tol=None):
     return result.value
 
 
+def _expm(a):
+    """Matrix exponential: the [6/6] Pade approximant of a / 2^s, s the
+    least that brings the infinity norm to at most 1/2, squared s times
+    (Golub-Van Loan, Matrix Computations, Alg. 11.3.1); exp(0) = I exactly."""
+    eye = np.eye(len(a))
+    if not len(a):
+        return eye
+    norm = float(np.max(np.sum(np.abs(a), axis=1)))
+    s = math.frexp(norm)[1] + 1 if norm > 0.5 else 0
+    a = a / 2.0 ** s
+    num, den, x, c = eye.copy(), eye.copy(), eye, 1.0
+    for k in range(1, 7):
+        c *= (7 - k) / (k * (13 - k))
+        x = a @ x
+        num += c * x
+        den += -c * x if k % 2 else c * x
+    f = np.linalg.solve(den, num)
+    for _ in range(s):
+        f = f @ f
+    return f
+
+
 def fixed_point_holonomy(algebroid, v):
     """Holonomy of a constant algebra loop at a fixed point of the action.
 
-    Returns the pair (adjoint part, linearized base part), both as matrix
-    exponentials, matching the automorphism orientation rather than the
-    transport orientation; transport along the same loop inverts them.
+    Returns the pair (adjoint part, linearized base part), the matrix
+    exponentials of ad_v and of the anchor Jacobian contracted with v.
+    Along constant_path(algebroid, v, origin), the A-holonomy of the
+    bracket connection is the inverse of the adjoint part, and the
+    holonomy of compatible_connection's TM mate equals the base part.
     """
     data = algebroid.metadata.get("data")
     if algebroid.metadata.get("kind") != "transformation" or data is None:
@@ -480,13 +501,7 @@ def fixed_point_holonomy(algebroid, v):
     if not worst <= 1e-12:
         raise NotAFixedPointError(
             "the origin moves under the action (anchor value %.3e)" % worst)
-    c = algebroid.bracket_at(origin)
-    ad = np.einsum("s,stu->ut", v, c)
-    jac = np.zeros((m, m))
-    for i in range(m):
-        for j in range(m):
-            jac[i, j] = sum(v[s] * algebroid.anchor[s][i].partial(j).evaluate(origin)
-                            for s in range(r))
-    from scipy.linalg import expm
-
-    return expm(ad), expm(jac)
+    ad = np.einsum("s,stu->ut", v, algebroid.bracket_at(origin))
+    jac_s = _anchor_jacobian(algebroid, origin)
+    jac = sum((v[s] * jac_s[s] for s in range(r)), np.zeros((m, m)))
+    return _expm(ad), _expm(jac)

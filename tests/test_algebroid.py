@@ -18,7 +18,7 @@ from algebroidlab.errors import (
     NotClosedError,
     ShapeMismatchError,
 )
-from conftest import EPS3, SO3_ACTION_FIELDS
+from conftest import EPS3, SO3_ACTION_FIELDS, rng_for
 
 
 def test_validate_all_catalog(catalog):
@@ -326,3 +326,17 @@ def test_sl3_constants_are_a_lie_algebra(sl3):
     assert sl3.rank == 8
     jac = al.constants_jacobiator(sl3.bracket_at(()))
     assert np.max(np.abs(jac)) == 0.0
+
+
+def test_constants_jacobiator_matches_its_definition():
+    # the cyclic sum of c[s,t,w] c[w,u,v] over (s, t, u), term by term
+    rng = rng_for("jacobiator")
+    for r in (1, 3, 7):
+        c = rng.standard_normal((r, r, r))
+        c = c - c.transpose(1, 0, 2)
+        want = (np.einsum("stw,wuv->stuv", c, c)
+                + np.einsum("tuw,wsv->stuv", c, c)
+                + np.einsum("usw,wtv->stuv", c, c))
+        got = al.constants_jacobiator(c)
+        assert got.shape == (r, r, r, r)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), r

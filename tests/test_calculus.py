@@ -53,19 +53,19 @@ def test_d_squared_zero_all_catalog(catalog):
         rng = rng_for(name)
         for deg in (0, 1, 2):
             w = random_form(a, deg, rng)
-            assert form_coeff_max(al.d_A(al.d_A(w))) < 1e-10, (name, deg)
+            assert form_coeff_max(al.differential(al.differential(w))) < 1e-10, (name, deg)
 
 
 def test_d_squared_zero_sl3(sl3):
     rng = rng_for("sl3")
     w = random_form(sl3, 2, rng)
-    assert form_coeff_max(al.d_A(al.d_A(w))) < 1e-10
+    assert form_coeff_max(al.differential(al.differential(w))) < 1e-10
 
 
 def test_differential_of_function_is_anchor_derivative(catalog):
     a = catalog["so3_action"]
     f = parse_field(a.chart, "x1^2 - x2*x3")
-    df = al.d_A(al.AForm(a, 0, {(): f}))
+    df = al.differential(al.AForm(a, 0, {(): f}))
     for s in range(a.rank):
         want = a.anchor_row(s).apply(f)
         assert (df.coeff((s,)) - want).is_zero()
@@ -77,9 +77,9 @@ def test_graded_derivation_rule(catalog):
         for ku, kv in [(0, 1), (1, 1), (1, 2), (2, 1)]:
             u = random_form(a, ku, rng)
             v = random_form(a, kv, rng)
-            lhs = al.d_A(al.wedge(u, v))
-            rhs = al.wedge(al.d_A(u), v)
-            signed = al.wedge(u, al.d_A(v))
+            lhs = al.differential(al.wedge(u, v))
+            rhs = al.wedge(al.differential(u), v)
+            signed = al.wedge(u, al.differential(v))
             if ku % 2 == 0:
                 rhs = rhs + signed
             else:
@@ -115,8 +115,8 @@ def test_chain_map_with_de_rham(catalog):
                         if sum(exps) <= 2}
                 coeffs[key] = ScalarField(a.chart, poly)
             w = al.CoordForm(a.chart, deg, coeffs)
-            lhs = al.d_A(al.anchor_pullback(a, w))
-            rhs = al.anchor_pullback(a, al.de_rham(w))
+            lhs = al.differential(al.anchor_pullback(a, w))
+            rhs = al.anchor_pullback(a, al.differential(w))
             assert form_diff_max(lhs, rhs) < 1e-10, (name, deg)
 
 
@@ -130,7 +130,7 @@ def test_de_rham_squares_to_zero(catalog):
                 if sum(exps) <= 2}
         coeffs[key] = ScalarField(a.chart, poly)
     w = al.CoordForm(a.chart, 1, coeffs)
-    dd = al.de_rham(al.de_rham(w))
+    dd = al.differential(al.differential(w))
     assert max((f.max_abs_coeff() for f in dd.coeffs.values()), default=0.0) == 0.0
 
 
@@ -138,10 +138,10 @@ def test_chart_forms_on_a_point(catalog):
     # the tangent algebroid of a point has rank 0: functions only
     w = al.CoordForm(Chart(0), 0, {(): 2.0})
     assert w.algebroid.rank == 0
-    assert al.de_rham(w).is_zero()
+    assert al.differential(w).is_zero()
     pulled = al.anchor_pullback(catalog["so3"], w)
     assert pulled.coeff(()).constant_value() == 2.0
-    assert al.d_A(pulled).is_zero()
+    assert al.differential(pulled).is_zero()
 
 
 def test_chart_forms_pull_back_from_an_equal_chart(catalog):
@@ -180,7 +180,7 @@ def test_d_squared_zero_property(vals):
             i += 1
         coeffs[key] = ScalarField(a.chart, poly)
     w = al.AForm(a, 1, coeffs)
-    assert form_coeff_max(al.d_A(al.d_A(w))) < 1e-12
+    assert form_coeff_max(al.differential(al.differential(w))) < 1e-12
 
 
 test_d_squared_zero_property.algebroid = build_catalog()["so3_action"]

@@ -12,7 +12,6 @@ from algebroidlab.calculus import _mat_dot
 from algebroidlab.classes import (
     InvariantPolynomial,
     _simplex_moment,
-    invariant_polynomial,
 )
 from algebroidlab.connections import AConnection, bundle_rank
 from algebroidlab.errors import (
@@ -52,13 +51,13 @@ def test_polarization_diagonal_and_symmetry():
     c = rng.uniform(-1.0, 1.0, size=(4, 4))
     # the diagonal is sigma_k, a coefficient of det(mu I + a/2pi)
     coeffs = np.poly(-a / TWO_PI)
-    p2 = invariant_polynomial(2, 4)
+    p2 = InvariantPolynomial(2, 4)
     assert abs(p2(a, a) - coeffs[2]) < 1e-14
     assert abs(p2(a, b) - p2(b, a)) < 1e-14
     # linear in each slot
     assert abs(p2(a + b, c) - p2(a, c) - p2(b, c)) < 1e-13
     assert abs(p2(2.0 * a, b) - 2.0 * p2(a, b)) < 1e-13
-    p3 = invariant_polynomial(3, 4)
+    p3 = InvariantPolynomial(3, 4)
     assert abs(p3(a, a, a) - coeffs[3]) < 1e-13
     assert abs(p3(a, b, c) - p3(b, c, a)) < 1e-13
 
@@ -102,7 +101,7 @@ def test_chern_weil_k1_is_curvature_trace(catalog):
     conn = al.basic_connection(a)
     q = bundle_rank(a, "E")
     form = al.chern_weil(a, conn, InvariantPolynomial(1, q))
-    omega = al.local_curvature(conn)
+    omega = al.curvature(conn)
     for s in range(a.rank):
         for t in range(s + 1, a.rank):
             mat = omega.coeff((s, t))

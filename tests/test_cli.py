@@ -276,23 +276,30 @@ def test_modular_computes_each_class_once(monkeypatch):
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy.linalg costs more import time than the rest of the package;
-    # only fixed_point_holonomy needs it
+    # the package runs on numpy alone: with scipy unimportable, the CLI and
+    # fixed_point_holonomy still work, and no scipy module gets loaded
     code = (
-        "import sys, algebroidlab.cli\n"
-        "print(sorted(n for n in sys.modules if n.split('.')[0] == 'scipy'))\n"
-        "import algebroidlab as al\n"
+        "import io, sys, contextlib\n"
+        "sys.modules['scipy'] = None\n"
+        "import algebroidlab as al, algebroidlab.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    status = algebroidlab.cli.main(['validate', '--spec', %r])\n"
         "a = al.catalog_build('transformation', {'dimension': 1,"
         " 'constants': [[[0.0]]], 'fields': [['x1']]})\n"
-        "print(al.fixed_point_holonomy(a, [1.0])[1][0, 0])\n")
+        "jac = al.fixed_point_holonomy(a, [1.0])[1][0, 0]\n"
+        "print(sorted(n for n in sys.modules"
+        " if n.split('.')[0] == 'scipy' and sys.modules[n] is not None))\n"
+        "print(status)\n"
+        "print(jac)\n") % str(DATA / "so3_action.json")
     src = str(Path(__file__).parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, env.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout
-    loaded, jac = out.splitlines()
+    loaded, status, jac = out.splitlines()
     assert loaded == "[]"
+    assert status == "0"
     assert abs(float(jac) - np.e) < 1e-12
 
 

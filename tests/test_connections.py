@@ -284,7 +284,7 @@ def test_flat_metric_connection_is_zero(catalog):
     assert conn.bundle == "E"
     for g in conn.symbols.flat:
         assert g.is_zero()
-    R = al.local_curvature(conn)
+    R = al.curvature(conn)
     assert not R.coeffs
 
 

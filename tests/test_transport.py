@@ -14,7 +14,7 @@ from algebroidlab.errors import (
     ToleranceNotMetError,
 )
 from algebroidlab.fields import ScalarField
-from conftest import circle_pieces, random_symbols
+from conftest import EPS3, circle_pieces, random_symbols, rng_for
 
 V = np.array([0.4, -0.3, 0.7])
 
@@ -74,6 +74,45 @@ def test_fixed_point_holonomy_inverts_transport(catalog):
     assert np.max(np.abs(jacp @ jacp.T - np.eye(3))) < 1e-12
 
 
+def test_fixed_point_holonomy_base_part_is_tm_transport(catalog):
+    # the TM mate of compatible_connection transports by the base part
+    # itself, not by its inverse
+    for name, v in (("so3_action", V), ("scaling", [0.7])):
+        a = catalog[name]
+        _adp, jacp = al.fixed_point_holonomy(a, v)
+        origin = tuple(0.0 for _ in range(a.dimension))
+        hol = al.holonomy_matrix(al.compatible_connection(a)[1],
+                                 al.constant_path(a, v, origin), n_steps=200)
+        assert np.max(np.abs(jacp - hol)) < 1e-9, name
+        if name == "scaling":
+            assert abs(jacp[0, 0] - 2.01375271) < 1e-8
+
+
+def test_fixed_point_holonomy_matches_scipy_expm(catalog):
+    a = catalog["so3_action"]
+    rng = rng_for("fixed_point_expm")
+    for v in rng.uniform(-1.5, 1.5, (5, 3)):
+        adp, jacp = al.fixed_point_holonomy(a, v)
+        assert np.max(np.abs(adp - expm(adjoint_matrix(a, v)))) < 1e-13
+        # rho_s^i = sum_j EPS3[s, j, i] x_j on so3_action
+        jac = np.einsum("s,sji->ij", v, EPS3)
+        assert np.max(np.abs(jacp - expm(jac))) < 1e-13
+    # a non-diagonalizable action, (x1 + x2) d1 + x2 d2
+    jordan = al.catalog_build("transformation", {
+        "dimension": 2, "constants": [[[0.0]]], "fields": [["x1 + x2", "x2"]]})
+    adp, jacp = al.fixed_point_holonomy(jordan, [1.3])
+    assert adp[0, 0] == 1.0
+    assert np.max(np.abs(jacp - expm(np.array([[1.3, 1.3], [0.0, 1.3]])))) \
+        < 1e-13
+    # a point: the base part is 0 x 0
+    point = al.catalog_build("transformation", {
+        "dimension": 0, "constants": [[[0.0]]], "fields": [[]]})
+    adp, jacp = al.fixed_point_holonomy(point, [0.3])
+    assert adp[0, 0] == 1.0
+    assert jacp.shape == (0, 0)
+    assert np.array_equal(jacp, expm(np.zeros((0, 0))))
+
+
 def test_fixed_point_holonomy_scaling_values(catalog):
     a = catalog["scaling"]
     adp, jacp = al.fixed_point_holonomy(a, [1.0])
@@ -94,7 +133,8 @@ def test_fixed_point_holonomy_needs_transformation_kind(catalog):
 
 
 def test_fixed_point_holonomy_rejects_non_finite_element(catalog):
-    # expm of a non-finite matrix is all NaN, with no error of its own
+    # the Pade exponential of a non-finite matrix is all NaN, with no
+    # error of its own, so the element is checked first
     for bad in ([np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0]):
         with pytest.raises(ShapeMismatchError):
             al.fixed_point_holonomy(catalog["so3_action"], bad)
