@@ -45,7 +45,6 @@ from .classes import (
     modular_values,
     secondary_class,
     secondary_triple,
-    transformation_m1,
     transgression_form,
 )
 from .connections import (

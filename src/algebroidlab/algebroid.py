@@ -134,9 +134,6 @@ class LieAlgebroid:
     def dimension(self):
         return self.chart.dimension
 
-    def section(self, coeffs):
-        return Section(self, coeffs)
-
     def frame_section(self, s):
         coeffs = [0.0] * self.rank
         coeffs[s] = 1.0
@@ -416,11 +413,11 @@ def _check_constants(c, anti_tol, jacobi_tol):
     size is checked first: the Jacobi defect tensor has n**4 entries.
     """
     _bounded(c.shape[0], "rank")
-    anti = max_abs((c + np.swapaxes(c, 0, 1)).flat)
+    anti = max_abs(c + np.swapaxes(c, 0, 1))
     if not anti <= anti_tol:
         raise AntisymmetryViolationError(
             "constants not antisymmetric (defect %.3e)" % anti)
-    worst = max_abs(constants_jacobiator(c).flat)
+    worst = max_abs(constants_jacobiator(c))
     if not worst <= jacobi_tol:
         raise JacobiViolationError(
             "structure constants fail Jacobi (defect %.3e)" % worst)
@@ -614,8 +611,8 @@ def catalog_build(kind, params):
                                              for e in bracket):
             bracket = _bracket_from_entries(chart, r, bracket)
         a = build_algebroid(chart, r, [[0.0] * m for _ in range(r)], bracket)
-        worst = max_abs(x for p in seeded_points(20, m, 0)
-                        for x in constants_jacobiator(a.bracket_at(p)).flat)
+        worst = max_abs(max_abs(constants_jacobiator(a.bracket_at(p)))
+                        for p in seeded_points(20, m, 0))
         if not worst <= 1e-10:
             raise JacobiViolationError(
                 "bracket fails Jacobi pointwise (defect %.3e)" % worst)

@@ -516,15 +516,12 @@ def modular_values(algebroid, point, weight=None):
     return out
 
 
-def modular_theorem_check(algebroid, points=None, n_points=20, seed=0):
+def modular_theorem_check(algebroid, n_points=20, seed=0):
     """Max deviation between the order-1 secondary class and theta/(2*pi).
 
     The dict also carries the two compared cocycles, as "m1" and "theta".
     """
-    if points is None:
-        points = seeded_points(n_points, algebroid.dimension, seed)
-    pts = np.asarray(points, dtype=float).reshape(
-        len(points), algebroid.dimension)
+    pts = seeded_points(n_points, algebroid.dimension, seed)
     m1 = secondary_class(algebroid, 1)
     theta = modular_cocycle(algebroid)
     worst = max_abs(m1.form.coeff((s,)).evaluate(tuple(p))
@@ -570,18 +567,4 @@ def lie_algebra_secondary(constants, k):
         for perm in itertools.permutations(range(degree)):
             idx = tuple(key[j] for j in perm)
             out[idx] = perm_sign(idx) * value
-    return out
-
-
-def transformation_m1(data):
-    """Order-1 class of an action: bracket trace plus anchor divergence."""
-    n = data.algebra_dim
-    chart = data.chart
-    one = ScalarField.constant(chart, 1.0)
-    out = []
-    for s in range(n):
-        trace = ScalarField.constant(chart, float(np.trace(data.constants[s])))
-        total = dot(chart, ((data.fields[s].comps[i].partial(i), one)
-                            for i in range(chart.dimension)), start=trace)
-        out.append((1.0 / TWO_PI) * total)
     return out

@@ -255,18 +255,29 @@ def _cmd_modular(a, args):
     return results, residuals, {"modular_identity": 1e-8}, 0
 
 
+_FLAGS = {
+    "--point": dict(default=None, help="comma-separated chart coordinates"),
+    "--samples": dict(type=int, default=50),
+    "--tol": dict(type=float, default=None),
+    "--k": dict(type=int, default=None),
+    "--path": dict(default=None, help="path description file (JSON)"),
+    "--steps": dict(type=int, default=200),
+}
+
+# each subcommand: its handler and the flags it reads besides --spec and
+# --seed; any other flag is a usage error
 _COMMANDS = {
-    "validate": _cmd_validate,
-    "rank": _cmd_rank,
-    "isotropy": _cmd_isotropy,
-    "linearize": _cmd_linearize,
-    "differential": _cmd_differential,
-    "curvature": _cmd_curvature,
-    "torsion": _cmd_torsion,
-    "transport": _cmd_transport,
-    "holonomy": _cmd_transport,
-    "classes": _cmd_classes,
-    "modular": _cmd_modular,
+    "validate": (_cmd_validate, ("--samples", "--tol")),
+    "rank": (_cmd_rank, ("--point",)),
+    "isotropy": (_cmd_isotropy, ("--point", "--tol")),
+    "linearize": (_cmd_linearize, ("--point", "--tol")),
+    "differential": (_cmd_differential, ()),
+    "curvature": (_cmd_curvature, ()),
+    "torsion": (_cmd_torsion, ()),
+    "transport": (_cmd_transport, ("--path", "--steps", "--tol")),
+    "holonomy": (_cmd_transport, ("--path", "--steps", "--tol")),
+    "classes": (_cmd_classes, ("--k",)),
+    "modular": (_cmd_modular, ()),
 }
 
 
@@ -274,19 +285,13 @@ def _build_parser():
     parser = _Parser(prog="algebroidlab",
                      description="algebroid computations on chart data")
     sub = parser.add_subparsers(dest="command", metavar="command")
-    for name in _COMMANDS:
+    for name, (_, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--spec", required=True,
                        help="algebroid description file (JSON)")
-        p.add_argument("--point", default=None,
-                       help="comma-separated chart coordinates")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=50)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--k", type=int, default=None)
-        p.add_argument("--path", default=None,
-                       help="path description file (JSON)")
-        p.add_argument("--steps", type=int, default=200)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
@@ -296,12 +301,12 @@ def main(argv=None):
         args = parser.parse_args(argv)
         if not args.command:
             raise UsageError("no command given")
-        if args.tol is not None and not (math.isfinite(args.tol)
-                                         and args.tol >= 0.0):
+        tol = getattr(args, "tol", None)
+        if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
             raise UsageError("--tol must be a finite number >= 0")
         doc, digest = _read_json(args.spec)
         results, residuals, tolerances, code = \
-            _COMMANDS[args.command](algebroid_from_dict(doc), args)
+            _COMMANDS[args.command][0](algebroid_from_dict(doc), args)
     except UsageError as exc:
         _emit({"error": "usage: %s" % exc})
         return 1

@@ -14,14 +14,14 @@ import itertools
 import numpy as np
 
 from .algebroid import Section, anchor_apply, bracket_sections
-from .calculus import MatrixForm, _apply_to_matrix, _mat_dot, _poly_det
+from .calculus import MatrixForm, _apply_to_matrix, _mat_dot
 from .errors import (
     AlgebroidMismatchError,
     BundleMismatchError,
     NotInvertibleError,
     ShapeMismatchError,
 )
-from .fields import ScalarField, _field_array, dot
+from .fields import ScalarField, _field_array, as_field, dot
 from .sampling import max_abs
 
 BUNDLES = ("A", "TM", "T*M", "E")
@@ -89,10 +89,6 @@ class TensorSection:
         self.n_upper = int(n_upper)
         self.n_lower = int(n_lower)
         self.comps = out
-
-    @property
-    def tensor_type(self):
-        return (self.n_lower, self.n_upper)
 
     def evaluate(self, p):
         shape = self.comps.shape
@@ -308,9 +304,22 @@ class FrameChange:
         # a scalar has no length; its shape () then fails the check
         n = len(matrix) if np.iterable(matrix) else 0
         out = _field_array(chart, matrix, (n, n), "frame change")
-        det = _poly_det([[out[i, j] for j in range(n)] for i in range(n)])
-        if det is None:
+        if n == 0:
             raise ShapeMismatchError("empty frame change")
+        # Faddeev-LeVerrier, n matrix products: from b = I, m = A b,
+        # c = -tr(m) / k and b = m + c I; after step n, det A = (-1)^n c,
+        # and adj A = (-1)^(n-1) b from step n - 1
+        adj = np.eye(n)
+        m = out
+        for k in range(1, n + 1):
+            c = (-1.0 / k) * sum(m.diagonal(), ScalarField(chart))
+            if k == n:
+                break
+            adj = m.copy()
+            for i in range(n):
+                adj[i, i] = adj[i, i] + c
+            m = _mat_dot([(out, adj)])
+        det = c if n % 2 == 0 else -c
         if not det.is_constant():
             raise NotInvertibleError(
                 "determinant %s is not constant; inverse would not be "
@@ -318,18 +327,10 @@ class FrameChange:
         d = det.constant_value()
         if not abs(d) >= 1e-12:
             raise NotInvertibleError("determinant vanishes")
+        scale = (1.0 if n % 2 else -1.0) / d
         inv = np.empty((n, n), dtype=object)
-        for i in range(n):
-            for j in range(n):
-                minor = [[out[a, b] for b in range(n) if b != i]
-                         for a in range(n) if a != j]
-                if minor:
-                    cof = _poly_det(minor)
-                else:
-                    cof = ScalarField.constant(chart, 1.0)
-                if (i + j) % 2:
-                    cof = -cof
-                inv[i, j] = (1.0 / d) * cof
+        for i, j in np.ndindex(n, n):
+            inv[i, j] = scale * as_field(chart, adj[i, j])
         self.chart = chart
         self.size = n
         self.matrix = out

@@ -230,7 +230,7 @@ class ScalarField:
 
     @classmethod
     def constant(cls, chart, value):
-        return cls(chart, {(0,) * chart.dimension: value})
+        return cls._scalar(chart, _finite(value))
 
     @classmethod
     def coordinate(cls, chart, i):
@@ -369,9 +369,6 @@ class ScalarField:
 
     def max_abs_coeff(self):
         return max_abs(self.coeffs.values())
-
-    def total_degree(self):
-        return max((sum(e) for e in self.coeffs), default=0)
 
     # ------------------------------------------------------------- printing
 

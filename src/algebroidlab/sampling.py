@@ -16,19 +16,24 @@ def generator(seed):
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
-def seeded_points(n, dim, seed, low=-1.0, high=1.0):
-    """n points uniform in [low, high]^dim, reproducible across runs."""
+def seeded_points(n, dim, seed):
+    """n points uniform in [-1, 1]^dim, reproducible across runs."""
     n = int(n)
     if n > _MAX_SIZE ** 3:
         raise ValueError("%d sample points is above the limit of %d"
                          % (n, _MAX_SIZE ** 3))
-    return generator(seed).uniform(low, high, size=(n, int(dim)))
+    return generator(seed).uniform(-1.0, 1.0, size=(n, int(dim)))
 
 
 def max_abs(values):
     """Largest absolute value among numbers, 0.0 if none; NaN if any is NaN.
 
-    The builtin max keeps its first argument against NaN (max(0.0, nan) is
-    0.0), so a NaN residual would read as zero and pass its check.
+    values is an array, taken whole, or an iterable of numbers. The builtin
+    max keeps its first argument against NaN (max(0.0, nan) is 0.0), so a
+    NaN residual would read as zero and pass its check.
     """
-    return float(np.max(np.abs(np.fromiter(values, dtype=float)), initial=0.0))
+    if isinstance(values, np.ndarray):
+        values = np.asarray(values, dtype=float)
+    else:
+        values = np.fromiter(values, dtype=float)
+    return float(np.max(np.abs(values), initial=0.0))

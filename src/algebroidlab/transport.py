@@ -194,9 +194,6 @@ class APath:
         return max_abs(
             (np.einsum("ns,nsi->ni", val[:, m:], b) - der[:, :m]).ravel())
 
-    def endpoint(self, end=1.0):
-        return self.base_at(float(end))
-
 
 def constant_path(algebroid, coeffs, point):
     """Path sitting at one base point with constant frame coefficients."""
@@ -484,6 +481,7 @@ def fixed_point_holonomy(algebroid, v):
     Along constant_path(algebroid, v, origin), the A-holonomy of the
     bracket connection is the inverse of the adjoint part, and the
     holonomy of compatible_connection's TM mate equals the base part.
+    An element whose exponential overflows a double is refused.
     """
     data = algebroid.metadata.get("data")
     if algebroid.metadata.get("kind") != "transformation" or data is None:
@@ -501,7 +499,14 @@ def fixed_point_holonomy(algebroid, v):
     if not worst <= 1e-12:
         raise NotAFixedPointError(
             "the origin moves under the action (anchor value %.3e)" % worst)
-    ad = np.einsum("s,stu->ut", v, algebroid.bracket_at(origin))
+    bracket = algebroid.bracket_at(origin)
     jac_s = _anchor_jacobian(algebroid, origin)
-    jac = sum((v[s] * jac_s[s] for s in range(r)), np.zeros((m, m)))
-    return _expm(ad), _expm(jac)
+    # a large element overflows in the squarings; that is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        ad = np.einsum("s,stu->ut", v, bracket)
+        jac = sum((v[s] * jac_s[s] for s in range(r)), np.zeros((m, m)))
+        parts = _expm(ad), _expm(jac)
+    if not all(np.all(np.isfinite(x)) for x in parts):
+        raise ShapeMismatchError(
+            "holonomy of this algebra element overflows a double")
+    return parts

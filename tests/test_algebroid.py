@@ -71,6 +71,12 @@ def test_max_abs_keeps_nan():
     assert math.isnan(max_abs([1.0, math.nan, 2.0]))
 
 
+def test_max_abs_of_arrays():
+    assert max_abs(np.zeros((0, 3))) == 0.0
+    assert max_abs(np.array([[1.0, -3.0], [2.0, 0.5]])) == 3.0
+    assert math.isnan(max_abs(np.array([[1.0, math.nan], [-5.0, 2.0]])))
+
+
 def test_validate_fails_on_nan_residual():
     # the anchor commutator overflows to inf - inf, so its defect is NaN
     a = al.load_algebroid(Path(__file__).parent / "data" / "overflow.json")

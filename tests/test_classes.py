@@ -536,13 +536,14 @@ def test_modular_values_weight_rescale(catalog):
     assert np.allclose(shifted, [2.0])
 
 
-def test_transformation_m1_matches_modular(catalog):
-    data = catalog["so3_action"].metadata["data"]
-    fields = al.transformation_m1(data)
-    assert max(f.max_abs_coeff() for f in fields) < 1e-12
-    data = catalog["scaling"].metadata["data"]
-    fields = al.transformation_m1(data)
-    assert abs(fields[0].evaluate((0.7,)) - 1.0 / TWO_PI) < 1e-15
+def test_action_modular_cocycle_over_two_pi(catalog):
+    # theta of an action is the bracket trace plus the divergence of the
+    # generating fields: zero on so3_action, 1 on the scaling action
+    theta = al.modular_cocycle(catalog["so3_action"]).form
+    assert max(theta.coeff((s,)).max_abs_coeff() for s in range(3)) < 1e-12
+    theta = al.modular_cocycle(catalog["scaling"]).form
+    assert abs(theta.coeff((0,)).evaluate((0.7,)) / TWO_PI
+               - 1.0 / TWO_PI) < 1e-15
 
 
 def test_conformal_shift_changes_transgression_by_trace(catalog):

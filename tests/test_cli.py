@@ -11,6 +11,7 @@ import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from algebroidlab import classes
 from algebroidlab.cli import main
@@ -185,6 +186,44 @@ def test_error_documents(tmp_path):
         code, doc = run_doc(argv)
         assert code == 1
         assert set(doc) == {"error"}
+
+
+# the flags each subcommand reads besides --spec and --seed, with a value
+# each is given below
+FLAG_ROWS = {
+    "validate": ("--samples", "--tol"),
+    "rank": ("--point",),
+    "isotropy": ("--point", "--tol"),
+    "linearize": ("--point", "--tol"),
+    "differential": (),
+    "curvature": (),
+    "torsion": (),
+    "transport": ("--path", "--steps", "--tol"),
+    "holonomy": ("--path", "--steps", "--tol"),
+    "classes": ("--k",),
+    "modular": (),
+}
+FLAG_VALUES = {"--point": "0,0,1", "--samples": "5", "--tol": "1e-9",
+               "--k": "1", "--path": DATA / "loop_x.json", "--steps": "50"}
+
+
+@pytest.mark.parametrize("command", sorted(FLAG_ROWS))
+def test_each_command_accepts_only_the_flags_it_reads(command):
+    base = [command, "--spec", DATA / "so3_action.json"]
+    if command in ("transport", "holonomy"):
+        base += ["--path", DATA / "loop_x.json"]
+    row = FLAG_ROWS[command]
+    for flag, value in FLAG_VALUES.items():
+        code, doc = run_doc(base + [flag, value])
+        if flag in row:
+            assert code == 0, (flag, doc)
+            assert doc["command"] == command
+        else:
+            assert code == 1
+            assert doc == {"error": "usage: unrecognized arguments: %s %s"
+                           % (flag, value)}
+    code, doc = run_doc(base + ["--seed", "7"])
+    assert code == 0 and doc["seed"] == 7
 
 
 def test_numbers_too_large_for_a_double_are_error_documents(tmp_path):

@@ -307,6 +307,67 @@ def test_frame_change_unipotent_inverse():
             assert (total - ScalarField.constant(chart, want)).is_zero()
 
 
+def field_matmul(chart, x, y):
+    n = x.shape[0]
+    out = np.empty((n, n), dtype=object)
+    for i, j in np.ndindex(n, n):
+        total = ScalarField(chart)
+        for k in range(n):
+            total = total + x[i, k] * y[k, j]
+        out[i, j] = total
+    return out
+
+
+def test_frame_change_inverse_of_size_ten():
+    # unipotent with x1 + (j - i) x2 above the diagonal; a permutation sum
+    # over 10! terms per cofactor would take minutes
+    chart = Chart(2)
+    n = 10
+    mat = [["1" if i == j else "x1 + %d*x2" % (j - i) if j > i else "0"
+            for j in range(n)] for i in range(n)]
+    change = FrameChange(chart, mat)
+    assert change.det == 1.0
+    prod = field_matmul(chart, change.matrix, change.inverse)
+    for i, j in np.ndindex(n, n):
+        want = ScalarField.constant(chart, 1.0 if i == j else 0.0)
+        assert (prod[i, j] - want).is_zero()
+
+
+def cofactor_det(chart, rows):
+    if not rows:
+        return ScalarField.constant(chart, 1.0)
+    total = ScalarField(chart)
+    for j, head in enumerate(rows[0]):
+        minor = [row[:j] + row[j + 1:] for row in rows[1:]]
+        term = head * cofactor_det(chart, minor)
+        total = total - term if j % 2 else total + term
+    return total
+
+
+def test_frame_change_inverse_matches_cofactors():
+    # L D U with integer L, D = diag(2, -1, 1, 2) and polynomial unipotent U
+    chart = Chart(2)
+    parse = lambda t: parse_field(chart, t)
+    lower = [["1", "0", "0", "0"], ["2", "1", "0", "0"],
+             ["-1", "3", "1", "0"], ["0", "1", "-2", "1"]]
+    upper = [["2", "2*x1", "x2", "x1*x2"], ["0", "-1", "x1 + x2", "3"],
+             ["0", "0", "1", "x1*x1"], ["0", "0", "0", "2"]]
+    mat = field_matmul(chart, np.array([[parse(t) for t in row]
+                                        for row in lower], dtype=object),
+                       np.array([[parse(t) for t in row]
+                                 for row in upper], dtype=object))
+    change = FrameChange(chart, mat)
+    rows = [list(row) for row in change.matrix]
+    det = cofactor_det(chart, rows)
+    assert det.is_constant() and det.constant_value() == change.det == -4.0
+    for i, j in np.ndindex(4, 4):
+        minor = [row[:i] + row[i + 1:] for a, row in enumerate(rows) if a != j]
+        want = (-1.0) ** (i + j) / change.det * cofactor_det(chart, minor)
+        assert (change.inverse[i, j] - want).is_zero()
+    with pytest.raises(NotInvertibleError, match="vanishes"):
+        FrameChange(chart, [["1", "2"], ["2", "4"]])
+
+
 def test_transform_symbols_identity(catalog):
     a = catalog["so3_action"]
     conn = al.build_connection(a, "A", random_symbols(a, "A", 13, degree=1))

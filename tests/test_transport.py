@@ -1,5 +1,7 @@
 """A-paths, lifting, parallel transport, holonomy."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -140,6 +142,19 @@ def test_fixed_point_holonomy_rejects_non_finite_element(catalog):
             al.fixed_point_holonomy(catalog["so3_action"], bad)
 
 
+def test_fixed_point_holonomy_refuses_overflow_without_warnings(catalog):
+    # exp(ad_v) at |v| = 1e200 overflows a double in the squarings
+    a = catalog["so3_action"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for big in ([1e200, 0.0, 0.0], [1e308, 1e308, 0.0]):
+            with pytest.raises(ShapeMismatchError, match="overflows"):
+                al.fixed_point_holonomy(a, big)
+    assert caught == []
+    adp, jacp = al.fixed_point_holonomy(a, [1e17, 0.0, 0.0])
+    assert np.all(np.isfinite(adp)) and np.all(np.isfinite(jacp))
+
+
 def test_lift_equator_circle(catalog):
     a = catalog["so3_action"]
     lift = al.lift_base_path(a, circle_pieces())
@@ -149,7 +164,7 @@ def test_lift_equator_circle(catalog):
               for t in np.linspace(0.0, 1.0, 101))
     assert dev < 1e-8
     assert np.max(np.abs(lift.base_at(0.25) - np.array([0.0, 1.0, 0.0]))) < 1e-9
-    assert np.max(np.abs(lift.endpoint() - np.array([1.0, 0.0, 0.0]))) < 1e-9
+    assert np.max(np.abs(lift.base_at(1.0) - np.array([1.0, 0.0, 0.0]))) < 1e-9
 
 
 def test_lift_latitude_circle(catalog):
@@ -172,7 +187,7 @@ def test_lift_tangent_algebroid_is_velocity(catalog):
     assert lift.residual == 0.0
     assert np.max(np.abs(lift.coeff_at(0.5) - np.array([1.0, 1.0]))) < 1e-12
     assert np.array_equal(lift.velocity_at(0.5), lift.coeff_at(0.5))
-    assert np.max(np.abs(lift.endpoint() - np.array([1.0, 1.0]))) < 1e-12
+    assert np.max(np.abs(lift.base_at(1.0) - np.array([1.0, 1.0]))) < 1e-12
 
 
 def test_equator_holonomy_is_identity(catalog):
