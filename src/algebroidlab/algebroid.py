@@ -26,6 +26,8 @@ from .fields import (
     Chart,
     ScalarField,
     _field_array,
+    _partials,
+    _values,
     as_field,
     dot,
     parse_field,
@@ -55,7 +57,7 @@ class VectorField:
                                 for i, x in enumerate(self.comps)))
 
     def evaluate(self, p):
-        return np.array([c.evaluate(p) for c in self.comps])
+        return _values(self.comps, p)
 
     def __repr__(self):
         return "VectorField(%s)" % ", ".join(str(c) for c in self.comps)
@@ -65,14 +67,12 @@ def vector_field_bracket(x, y):
     """Commutator [x, y] of two vector fields on the same chart."""
     if x.chart != y.chart:
         raise DimensionMismatchError("vector fields on different charts")
-    comps = []
-    for i in range(x.chart.dimension):
-        term = ScalarField(x.chart)
-        for j in range(x.chart.dimension):
-            term = term + x.comps[j] * y.comps[i].partial(j)
-            term = term - y.comps[j] * x.comps[i].partial(j)
-        comps.append(term)
-    return VectorField(x.chart, comps)
+    # component i sums x_j d_j y_i - y_j d_j x_i over j, in that order
+    factors = list(zip(x.comps, [-c for c in y.comps]))
+    return VectorField(x.chart, [
+        dot(x.chart, (pair for j, (xj, nyj) in enumerate(factors)
+                      for pair in ((xj, yi.partial(j)), (nyj, xi.partial(j)))))
+        for xi, yi in zip(x.comps, y.comps)])
 
 
 class Section:
@@ -109,7 +109,7 @@ class Section:
         return self + (-other)
 
     def evaluate(self, p):
-        return np.array([a.evaluate(p) for a in self.coeffs])
+        return _values(self.coeffs, p)
 
     def __repr__(self):
         return "Section(%s)" % ", ".join(str(a) for a in self.coeffs)
@@ -126,7 +126,7 @@ class LieAlgebroid:
     def __init__(self, chart, rank, anchor, bracket, metadata=None):
         self.chart = chart
         self.rank = rank
-        self.anchor = anchor      # list of rank rows, each a list of m fields
+        self.anchor = anchor      # (r, m) object ndarray of fields
         self.bracket = bracket    # (r, r, r) object ndarray of fields
         self.metadata = dict(metadata or {})
 
@@ -134,34 +134,19 @@ class LieAlgebroid:
     def dimension(self):
         return self.chart.dimension
 
-    def frame_section(self, s):
-        coeffs = [0.0] * self.rank
-        coeffs[s] = 1.0
-        return Section(self, coeffs)
-
     def frame_sections(self):
-        return [self.frame_section(s) for s in range(self.rank)]
+        return [Section(self, row) for row in np.eye(self.rank).tolist()]
 
     def anchor_row(self, s):
         return VectorField(self.chart, self.anchor[s])
 
+    # check_point first: over a point the anchor has no entries to refuse
+    # a point of the wrong length
     def anchor_matrix_at(self, p):
-        p = self.chart.check_point(p)
-        out = np.zeros((self.rank, self.dimension))
-        for s in range(self.rank):
-            for i in range(self.dimension):
-                out[s, i] = self.anchor[s][i].evaluate(p)
-        return out
+        return _values(self.anchor, self.chart.check_point(p))
 
     def bracket_at(self, p):
-        p = self.chart.check_point(p)
-        r = self.rank
-        out = np.zeros((r, r, r))
-        for s in range(r):
-            for t in range(r):
-                for u in range(r):
-                    out[s, t, u] = self.bracket[s, t, u].evaluate(p)
-        return out
+        return _values(self.bracket, self.chart.check_point(p))
 
     def __repr__(self):
         return "LieAlgebroid(m=%d, r=%d)" % (self.dimension, self.rank)
@@ -192,23 +177,25 @@ def build_algebroid(chart, rank, anchor, bracket, metadata=None):
     rank = _positive_rank(rank)
     rows = _field_array(chart, anchor, (rank, chart.dimension), "anchor")
     tensor = _field_array(chart, bracket, (rank,) * 3, "bracket tensor")
+    # c[s,t,u] + c[t,s,u] is zero when both have the same monomials and
+    # each pair of coefficients sums to exactly 0 (inf + -inf does not)
     for s in range(rank):
         for t in range(s, rank):
             for u in range(rank):
-                total = tensor[s, t, u] + tensor[t, s, u]
-                if not total.is_zero():
+                a, b = tensor[s, t, u].coeffs, tensor[t, s, u].coeffs
+                if (a or b) and (a.keys() != b.keys()
+                                 or any(a[e] + c for e, c in b.items())):
                     raise AntisymmetryViolationError(
                         "c[%d,%d,%d] + c[%d,%d,%d] is not zero"
                         % (s, t, u, t, s, u))
-    return LieAlgebroid(chart, rank, rows.tolist(), tensor, metadata)
+    return LieAlgebroid(chart, rank, rows, tensor, metadata)
 
 
 def anchor_apply(algebroid, section):
     """Image of a section under the anchor, as a vector field."""
     if section.algebroid is not algebroid:
         raise AlgebroidMismatchError("section of a different algebroid")
-    comps = [dot(algebroid.chart,
-                 zip(section.coeffs, (row[i] for row in algebroid.anchor)))
+    comps = [dot(algebroid.chart, zip(section.coeffs, algebroid.anchor[:, i]))
              for i in range(algebroid.dimension)]
     return VectorField(algebroid.chart, comps)
 
@@ -436,10 +423,7 @@ def constants_jacobiator(c):
 
 def _anchor_jacobian(algebroid, p):
     """Anchor partials d_j rho_s^i at p, an (r, m, m) array [s, i, j]."""
-    m = algebroid.dimension
-    return np.array([[[f.partial(j).evaluate(p) for j in range(m)]
-                      for f in row] for row in algebroid.anchor],
-                    dtype=float).reshape(algebroid.rank, m, m)
+    return _values(_partials(algebroid.anchor, algebroid.dimension), p)
 
 
 def linearize_at(algebroid, p, tol=1e-9):
@@ -479,16 +463,13 @@ def linearize_at(algebroid, p, tol=1e-9):
     jac = sum((iso.basis[s, :, None, None] * jac_s[s]
                for s in range(algebroid.rank)), np.zeros((k, m, m)))
     normal_chart = Chart(n_dim)
+    # act[i, j] is the coefficient of normal coordinate j in component i
+    units = [tuple(e) for e in np.eye(n_dim, dtype=int).tolist()]
     fields = []
     for a in range(k):
         act = normal.T @ jac[a] @ normal if n_dim else np.zeros((0, 0))
-        comps = []
-        for i in range(n_dim):
-            entry = ScalarField(normal_chart)
-            for j in range(n_dim):
-                entry = entry + act[i, j] * ScalarField.coordinate(normal_chart, j)
-            comps.append(entry)
-        fields.append(VectorField(normal_chart, comps))
+        fields.append(VectorField(normal_chart, [
+            ScalarField(normal_chart, dict(zip(units, row))) for row in act]))
     return TransformationData(iso.constants, fields, chart=normal_chart,
                               kernel_basis=iso.basis, normal_basis=normal,
                               jacobi_tol=max(1e-12, 10 * iso.residual))
@@ -572,11 +553,7 @@ def catalog_build(kind, params):
                 if not (rows[i, j] + rows[j, i]).is_zero():
                     raise NotABivectorError(
                         "bivector entry (%d,%d) breaks antisymmetry" % (i, j))
-        bracket = np.empty((m, m, m), dtype=object)
-        for i in range(m):
-            for j in range(m):
-                for k in range(m):
-                    bracket[i, j, k] = rows[i, j].partial(k)
+        bracket = _partials(rows, m)
         meta = {"kind": kind, "params": {
             "dimension": m,
             "bivector": [[f.to_string() for f in row] for row in rows]}}

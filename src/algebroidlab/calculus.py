@@ -229,7 +229,7 @@ def _tangent(chart):
     m = chart.dimension
     one = ScalarField.constant(chart, 1.0)
     zero = ScalarField(chart)
-    anchor = [[one if i == s else zero for i in range(m)] for s in range(m)]
+    anchor = np.where(np.eye(m, dtype=bool), one, zero)
     return LieAlgebroid(chart, m, anchor,
                         np.full((m, m, m), zero, dtype=object))
 
@@ -275,9 +275,8 @@ class MatrixForm:
                        if not _matrix_is_zero(v)}
 
     def zero_matrix(self):
-        out = np.empty((self.size, self.size), dtype=object)
-        out[...] = ScalarField(self.algebroid.chart)
-        return out.copy()
+        zero = ScalarField(self.algebroid.chart)
+        return np.full((self.size, self.size), zero, dtype=object)
 
     def coeff(self, key):
         skey, sign = _normalize_key(tuple(key), self.algebroid.rank)

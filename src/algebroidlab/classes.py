@@ -454,11 +454,11 @@ class CocycleSection:
     overflow: bool = False
 
 
-def _closedness_residual(form, n_points=20, seed=0):
+def _closedness_residual(form):
     d = differential(form)
     if not d.coeffs:
         return 0.0
-    pts = seeded_points(n_points, form.algebroid.dimension, seed)
+    pts = seeded_points(20, form.algebroid.dimension, 0)
     return max_abs(f.evaluate(tuple(p))
                       for f in d.coeffs.values() for p in pts)
 

@@ -161,50 +161,37 @@ def _cmd_linearize(a, args):
     return results, {}, {"jacobi": data.jacobi_tol}, 0
 
 
+def _entries(names, items):
+    """Report entries of the nonzero fields among (index tuple, field)
+    items: the 1-based indices under names, and the field's text."""
+    return [dict(zip(names, (i + 1 for i in idx)), value=f.to_string())
+            for idx, f in items if not f.is_zero()]
+
+
 def _cmd_differential(a, args):
     coords = []
     for i in range(a.dimension):
         f = AForm(a, 0, {(): ScalarField.coordinate(a.chart, i)})
         d = differential(f)
         coords.append([d.coeff((s,)).to_string() for s in range(a.rank)])
-    duals = []
-    for u in range(a.rank):
-        d = differential(AForm(a, 1, {(u,): 1.0}))
-        for key in sorted(d.coeffs):
-            duals.append({"u": u + 1, "s": key[0] + 1, "t": key[1] + 1,
-                          "value": d.coeffs[key].to_string()})
+    duals = _entries(("u", "s", "t"), (
+        ((u,) + key, f) for u in range(a.rank)
+        for key, f in sorted(differential(AForm(a, 1, {(u,): 1.0}))
+                             .coeffs.items())))
     return ({"coordinates": coords, "frame_duals": duals}, {}, {}, 0)
 
 
 def _cmd_torsion(a, args):
-    conn = compatible_connection(a)[0]
-    tens = torsion(conn)
-    entries = []
-    q = conn.q
-    for u in range(q):
-        for s in range(q):
-            for t in range(q):
-                f = tens.comps[u, s, t]
-                if not f.is_zero():
-                    entries.append({"u": u + 1, "s": s + 1, "t": t + 1,
-                                    "value": f.to_string()})
+    tens = torsion(compatible_connection(a)[0])
+    entries = _entries(("u", "s", "t"), np.ndenumerate(tens.comps))
     return ({"bundle": "A", "entries": entries}, {}, {}, 0)
 
 
 def _cmd_curvature(a, args):
-    conn = compatible_connection(a)[0]
-    form = curvature(conn)
-    entries = []
-    for key in sorted(form.coeffs):
-        mat = form.coeffs[key]
-        for row in range(conn.q):
-            for col in range(conn.q):
-                f = mat[row, col]
-                if not f.is_zero():
-                    entries.append({
-                        "alpha": key[0] + 1, "beta": key[1] + 1,
-                        "row": row + 1, "col": col + 1,
-                        "value": f.to_string()})
+    form = curvature(compatible_connection(a)[0])
+    entries = _entries(("alpha", "beta", "row", "col"), (
+        (key + idx, f) for key in sorted(form.coeffs)
+        for idx, f in np.ndenumerate(form.coeffs[key])))
     return ({"bundle": "A", "entries": entries}, {}, {}, 0)
 
 

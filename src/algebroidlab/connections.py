@@ -21,7 +21,14 @@ from .errors import (
     NotInvertibleError,
     ShapeMismatchError,
 )
-from .fields import ScalarField, _field_array, as_field, dot
+from .fields import (
+    ScalarField,
+    _field_array,
+    _partials,
+    _values,
+    as_field,
+    dot,
+)
 from .sampling import max_abs
 
 BUNDLES = ("A", "TM", "T*M", "E")
@@ -91,11 +98,7 @@ class TensorSection:
         self.comps = out
 
     def evaluate(self, p):
-        shape = self.comps.shape
-        out = np.zeros(shape)
-        for idx in np.ndindex(*shape):
-            out[idx] = self.comps[idx].evaluate(p)
-        return out
+        return _values(self.comps, p)
 
     def max_abs_coeff(self):
         return max_abs(f.max_abs_coeff() for f in self.comps.flat)
@@ -140,26 +143,16 @@ def a_derivative(conn, alpha, target):
             % (target.bundle, conn.bundle))
     direction = anchor_apply(conn.algebroid, alpha)
     omega = connection_matrix(conn, alpha)
-    q = conn.q
-    shape = target.comps.shape
-    out = np.empty(shape, dtype=object)
-    for idx in np.ndindex(*shape):
-        total = direction.apply(target.comps[idx])
-        for pos in range(target.n_upper):
-            for dummy in range(q):
-                w = omega[idx[pos], dummy]
-                if w.is_zero():
-                    continue
-                jdx = idx[:pos] + (dummy,) + idx[pos + 1:]
-                total = total + w * target.comps[jdx]
-        for pos in range(target.n_upper, target.n_upper + target.n_lower):
-            for dummy in range(q):
-                w = omega[dummy, idx[pos]]
-                if w.is_zero():
-                    continue
-                jdx = idx[:pos] + (dummy,) + idx[pos + 1:]
-                total = total - w * target.comps[jdx]
-        out[idx] = total
+    # slot pos of entry idx contracts row idx[pos] of its slot matrix
+    slots = [omega] * target.n_upper + [-omega.T] * target.n_lower
+    comps = target.comps
+    out = np.empty(comps.shape, dtype=object)
+    for idx in np.ndindex(*comps.shape):
+        out[idx] = dot(conn.algebroid.chart, (
+            (w, comps[idx[:pos] + (dummy,) + idx[pos + 1:]])
+            for pos, mat in enumerate(slots)
+            for dummy, w in enumerate(mat[idx[pos]])),
+            start=direction.apply(comps[idx]))
     return TensorSection(conn.algebroid, conn.bundle,
                          target.n_upper, target.n_lower, out)
 
@@ -169,14 +162,9 @@ def torsion(conn):
     if conn.bundle != "A":
         raise BundleMismatchError("torsion needs a connection on bundle A")
     a = conn.algebroid
-    r = a.rank
-    comps = np.empty((r, r, r), dtype=object)
-    for u in range(r):
-        for s in range(r):
-            for t in range(r):
-                comps[u, s, t] = (conn.symbols[s, t, u]
-                                  - conn.symbols[t, s, u]
-                                  - a.bracket[s, t, u])
+    gamma = conn.symbols
+    # comps[u, s, t] = Gamma[s, t, u] - Gamma[t, s, u] - c[s, t, u]
+    comps = (gamma - gamma.transpose(1, 0, 2) - a.bracket).transpose(2, 0, 1)
     return TensorSection(a, "A", 1, 2, comps)
 
 
@@ -381,8 +369,7 @@ def transform_algebroid(algebroid, change):
     r = a.rank
     mat = change.matrix
     inv = change.inverse
-    anchor = _mat_dot([(mat, np.array(a.anchor, dtype=object)
-                              .reshape(r, a.dimension))])
+    anchor = _mat_dot([(mat, a.anchor)])
     frames = [Section(a, list(mat[sp, :])) for sp in range(r)]
     pairs = list(itertools.combinations(range(r), 2))
     bracket = np.full((r, r, r), ScalarField(a.chart), dtype=object)
@@ -395,7 +382,7 @@ def transform_algebroid(algebroid, change):
     meta = dict(a.metadata)
     meta.pop("kind", None)
     meta.pop("params", None)
-    return build_algebroid(a.chart, r, anchor.tolist(), bracket, meta or None)
+    return build_algebroid(a.chart, r, anchor, bracket, meta or None)
 
 
 def compatible_connection(algebroid):
@@ -406,34 +393,21 @@ def compatible_connection(algebroid):
     makes #(nabla beta) equal nabla-check(#beta) identically.
     """
     a = algebroid
-    r = a.rank
-    m = a.dimension
     conn_a = AConnection(a, "A", a.bracket.copy())
-    symbols = np.empty((r, m, m), dtype=object)
-    for s in range(r):
-        for i in range(m):
-            for j in range(m):
-                symbols[s, i, j] = -a.anchor[s][j].partial(i)
-    conn_tm = AConnection(a, "TM", symbols)
-    return conn_a, conn_tm
+    # symbols[s, i, j] = -d_i rho_s^j
+    symbols = -_partials(a.anchor, a.dimension).transpose(0, 2, 1)
+    return conn_a, AConnection(a, "TM", symbols)
 
 
 def basic_connection(algebroid):
     """Block connection on E = A + T*M: bracket block plus dual block."""
     a = algebroid
     r = a.rank
-    m = a.dimension
-    q = r + m
-    zero = ScalarField(a.chart)
-    symbols = np.empty((r, q, q), dtype=object)
-    symbols[...] = zero
-    for s in range(r):
-        for t in range(r):
-            for u in range(r):
-                symbols[s, t, u] = a.bracket[s, t, u]
-        for i in range(m):
-            for j in range(m):
-                symbols[s, r + i, r + j] = a.anchor[s][i].partial(j)
+    q = r + a.dimension
+    symbols = np.full((r, q, q), ScalarField(a.chart), dtype=object)
+    symbols[:, :r, :r] = a.bracket
+    # symbols[s, r + i, r + j] = d_j rho_s^i
+    symbols[:, r:, r:] = _partials(a.anchor, a.dimension)
     return AConnection(a, "E", symbols)
 
 
@@ -441,7 +415,5 @@ def flat_metric_connection(algebroid):
     """Zero symbols on E; the chart frame is treated as orthonormal."""
     a = algebroid
     q = a.rank + a.dimension
-    zero = ScalarField(a.chart)
-    symbols = np.empty((a.rank, q, q), dtype=object)
-    symbols[...] = zero
-    return AConnection(a, "E", symbols)
+    return AConnection(a, "E", np.full((a.rank, q, q), ScalarField(a.chart),
+                                       dtype=object))

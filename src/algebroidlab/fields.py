@@ -581,6 +581,20 @@ def _field_array(chart, data, shape, what):
     return out
 
 
+def _values(fields, p):
+    """Float array of f.evaluate(p) over an array (or list) of fields."""
+    fields = np.asarray(fields, dtype=object)
+    return np.fromiter((f.evaluate(p) for f in fields.flat), float,
+                       fields.size).reshape(fields.shape)
+
+
+def _partials(fields, m):
+    """Object array of the partials of each field of an array, on a new
+    last axis: out[..., j] is fields[...].partial(j), j < m."""
+    return np.fromiter((f.partial(j) for f in fields.flat for j in range(m)),
+                       object, fields.size * m).reshape(fields.shape + (m,))
+
+
 def perm_sign(seq):
     """Sign of the permutation that sorts seq (entries distinct)."""
     sign = 1

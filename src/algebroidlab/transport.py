@@ -48,10 +48,10 @@ _BLOCK_ENTRIES = 2 ** 16
 
 
 def _table(rows):
-    """Dense coefficient table of equal-length lists of 1-variable
-    polynomials: index [list, polynomial, power of t]."""
+    """Dense coefficient table of equal-length lists (or array rows) of
+    1-variable polynomials: index [list, polynomial, power of t]."""
     deg = max((e[0] for fs in rows for f in fs for e in f.coeffs), default=0)
-    out = np.zeros((len(rows), len(rows[0]), deg + 1))
+    out = np.zeros((len(rows), len(rows[0]) if len(rows) else 0, deg + 1))
     for i, fs in enumerate(rows):
         for j, f in enumerate(fs):
             for e, c in f.coeffs.items():
@@ -334,13 +334,12 @@ class TransportResult:
 
 
 def _segment_matrices(conn, path):
-    """Per segment, dense t-coefficient arrays of the transport matrix."""
+    """Per segment, dense t-coefficient arrays of the transport matrix,
+    index [power of t, u, w]."""
     q = conn.q
     out = []
     for _t0, _t1, gamma, coeffs in path.segments:
-        entries = np.empty((q, q), dtype=object)
-        zero = ScalarField(T_CHART)
-        entries[...] = zero
+        entries = np.full((q, q), ScalarField(T_CHART), dtype=object)
         for s in range(conn.algebroid.rank):
             a_s = coeffs[s]
             if a_s.is_zero():
@@ -351,15 +350,7 @@ def _segment_matrices(conn, path):
                     if g.is_zero():
                         continue
                     entries[u, w] = entries[u, w] + a_s * _substitute(g, gamma)
-        deg = 0
-        for f in entries.flat:
-            deg = max(deg, max((e[0] for e in f.coeffs), default=0))
-        c = np.zeros((deg + 1, q, q))
-        for u in range(q):
-            for w in range(q):
-                for e, v in entries[u, w].coeffs.items():
-                    c[e[0], u, w] = v
-        out.append(c)
+        out.append(np.moveaxis(_table(entries), 2, 0))
     return out
 
 

@@ -13,6 +13,7 @@ from algebroidlab.sampling import _MAX_SIZE, max_abs, seeded_points
 from algebroidlab.errors import (
     AlgebroidError,
     AntisymmetryViolationError,
+    DimensionMismatchError,
     JacobiViolationError,
     NotABivectorError,
     NotClosedError,
@@ -120,6 +121,58 @@ def test_build_rejects_symmetric_bracket():
     c[1, 0, 0] = 1.0
     with pytest.raises(AntisymmetryViolationError):
         al.build_algebroid(chart, 2, [[], []], c)
+
+
+def test_build_compares_bracket_coefficients():
+    # c[1,0,1] = -c[0,1,1] with its monomials stored in the other order
+    # passes; one extra monomial, or a nonzero c[1,1,0], is refused
+    chart = Chart(1)
+    f = ScalarField(chart, {(1,): 2.0, (0,): 1.0})
+    reordered = ScalarField(chart, {(0,): -1.0, (1,): -2.0})
+    extra = ScalarField(chart, {(0,): -1.0, (1,): -2.0, (2,): 1.0})
+    assert list(reordered.coeffs) == list(f.coeffs)[::-1]
+
+    def bracket(entries):
+        c = np.full((2, 2, 2), ScalarField(chart), dtype=object)
+        for key, g in entries.items():
+            c[key] = g
+        return c
+
+    anchor = [["0"], ["0"]]
+    a = al.build_algebroid(chart, 2, anchor,
+                           bracket({(0, 1, 1): f, (1, 0, 1): reordered}))
+    assert a.bracket[1, 0, 1] is reordered
+    with pytest.raises(AntisymmetryViolationError,
+                       match=r"c\[0,1,1\] \+ c\[1,0,1\]"):
+        al.build_algebroid(chart, 2, anchor,
+                           bracket({(0, 1, 1): f, (1, 0, 1): extra}))
+    with pytest.raises(AntisymmetryViolationError,
+                       match=r"c\[1,1,0\] \+ c\[1,1,0\]"):
+        al.build_algebroid(chart, 2, anchor, bracket({(1, 1, 0): f}))
+
+
+def test_anchor_is_a_field_array_on_every_build_route(catalog):
+    chart = Chart(3)
+    routes = dict(catalog)
+    routes["explicit"] = al.algebroid_from_dict(json.loads(
+        (Path(__file__).parent / "data" / "so3_action.json").read_text()))
+    routes["transformed"] = al.transform_algebroid(
+        catalog["so3_action"],
+        al.FrameChange(chart, [["1", "x1", "0"], ["0", "1", "0"],
+                               ["0", "0", "1"]]))
+    routes["tangent"] = al.CoordForm(chart, 1, {(0,): 1.0}).algebroid
+    for name, a in routes.items():
+        assert isinstance(a.anchor, np.ndarray), name
+        assert a.anchor.dtype == object, name
+        assert a.anchor.shape == (a.rank, a.dimension), name
+        assert all(isinstance(f, ScalarField) and f.chart == a.chart
+                   for f in a.anchor.flat), name
+    assert catalog["sl2"].anchor.shape == (3, 0)
+    # over a point there is no anchor entry to evaluate, so only the
+    # length check refuses the point
+    for at in (catalog["sl2"].anchor_matrix_at, catalog["sl2"].bracket_at):
+        with pytest.raises(DimensionMismatchError):
+            at((1.0,))
 
 
 def test_build_rejects_wrong_anchor_shape():

@@ -430,6 +430,17 @@ def test_golden_reports_byte_identical():
           "--path", str(DATA / "loop_plane.json"), "--steps", "100"],
          "holonomy_tangent2_loop_plane.json", 0),
     ]
+    # a quadratic Poisson structure that is not unimodular
+    quad = str(DATA / "poisson_quad.json")
+    cases += [
+        (["differential", "--spec", quad], "differential_poisson_quad.json", 0),
+        (["curvature", "--spec", quad], "curvature_poisson_quad.json", 0),
+        (["torsion", "--spec", quad], "torsion_poisson_quad.json", 0),
+        (["classes", "--spec", quad, "--k", "1"],
+         "classes_poisson_quad.json", 0),
+        (["linearize", "--spec", quad, "--point", "1,0,0"],
+         "linearize_poisson_quad.json", 0),
+    ]
     for argv, golden, want_code in cases:
         cmd = [sys.executable, "-m", "algebroidlab.cli"] + argv
         first = subprocess.run(cmd, capture_output=True)
