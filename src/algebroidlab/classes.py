@@ -32,6 +32,7 @@ from .connections import (
     _BLOCK,
     _family_curvature,
     _frame_matrices,
+    _join,
     basic_connection,
     bundle_rank,
     flat_metric_connection,
@@ -333,8 +334,10 @@ def _transgress(algebroid, conn0, conns, poly):
     _check_work(r, n, k, poly.q)
     numeric = algebroid.dimension == 0
     chart = None if numeric else algebroid.chart
-    omega0 = _frame_matrices(conn0, numeric)
-    etas = [_frame_matrices(c, numeric) - omega0 for c in conns]
+    omega0 = _frame_matrices(conn0)
+    etas = [{e: w.get(e, 0.0) - omega0.get(e, 0.0)
+             for e in sorted(w.keys() | omega0.keys())}
+            for w in map(_frame_matrices, conns)]
     monos, tpairs = _monomials(n, 2 * (k - n))
     index = {e: i for i, e in enumerate(monos)}
     masks = _level(r, n, k, 1)
@@ -342,14 +345,14 @@ def _transgress(algebroid, conn0, conns, poly):
     if k > n:
         # the masks below 1 << r are the frame pairs a < b, in order
         frame = [b for b, mask in enumerate(masks) if mask < 1 << r]
-        for e, mats in _family_curvature(algebroid, omega0, etas,
-                                         numeric).items():
+        for e, mats in _family_curvature(algebroid, omega0, etas).items():
             g[frame, index[e]] = mats
+    eta_mats = [_join(algebroid.chart, eta) for eta in etas]
     for b, mask in enumerate(masks):
         s, t = (x for x in range(r + n) if mask >> x & 1)
         if t >= r:
             # eps_i ^ eta_i = -sum_s eta_i[s] e^s ^ eps_i
-            g[b, 0] = -etas[t - r][s]
+            g[b, 0] = -eta_mats[t - r][s]
 
     def wedge(x, ja, y, jb, kind):
         return _wedge(x, y, _wedge_table(r, n, k, ja, jb), tpairs,

@@ -10,6 +10,7 @@ bundles: the algebroid itself ("A"), the chart tangent ("TM"), its dual
 from __future__ import annotations
 
 import itertools
+import operator
 
 import numpy as np
 
@@ -200,82 +201,120 @@ def curvature_applied(conn, alpha, beta, target):
     return out - a_derivative(conn, br, target)
 
 
-def _constant_terms(fields):
-    """Constant terms of an array of fields as floats: over a point, their
-    values, since evaluate(()) adds the (never zero) stored term to 0.0."""
-    return np.fromiter((f.coeffs.get((), 0.0) for f in fields.flat), float,
-                       fields.size).reshape(fields.shape)
+def _split(chart, fields):
+    """{chart exponents: float array of the fields' shape}: the coefficients
+    of an array of fields by monomial, so that fields = sum_e out[e] x^e.
+    Keys are sorted, so the constant monomial is always the first, a zero
+    array when no field has it; over a point it is the only one."""
+    keys = [(0,) * chart.dimension]
+    if chart.dimension:
+        keys = sorted(set().union(keys, *(f.coeffs for f in fields.flat)))
+    return {e: np.fromiter((f.coeffs.get(e, 0.0) for f in fields.flat), float,
+                           fields.size).reshape(fields.shape) for e in keys}
 
 
-def _frame_matrices(conn, numeric=False):
-    """Frame matrices of nabla, stacked: out[s, u, t] = Gamma[s, t, u].
+def _join(chart, parts):
+    """Inverse of _split: the fields sum_e parts[e] x^e, each built once with
+    its exact zeros dropped; over a point the float array parts[()]."""
+    if not chart.dimension:
+        return parts[()]
+    keys = list(parts)
+    shape = parts[keys[0]].shape
+    flat = np.stack([parts[e].reshape(-1) for e in keys], axis=1)
+    coeffs = [{} for _ in range(len(flat))]
+    rows, cols = np.nonzero(flat)
+    for i, k, c in zip(rows.tolist(), cols.tolist(),
+                       flat[rows, cols].tolist()):
+        coeffs[i][keys[k]] = c
+    return np.fromiter((ScalarField._of(chart, c) for c in coeffs), object,
+                       len(coeffs)).reshape(shape)
 
-    out[s] is connection_matrix(conn, e_s), read off the symbols; numeric
-    reads the float values of a zero-dimensional chart in one pass.
-    """
-    symbols = _constant_terms(conn.symbols) if numeric else conn.symbols
-    return symbols.transpose(0, 2, 1).copy()
+
+def _frame_matrices(conn):
+    """Frame matrices of nabla split by chart monomial (see _split):
+    out[e][s, u, t] is the x^e coefficient of Gamma[s, t, u], so that
+    sum_e out[e][s] x^e is connection_matrix(conn, e_s)."""
+    return _split(conn.algebroid.chart, conn.symbols.transpose(0, 2, 1))
 
 
-def _family_curvature(algebroid, omega0, etas, numeric=False):
+def _add_into(acc, e, term):
+    """acc[e] += term; a first term is stored, not added to zeros, so that
+    over a point each sum is the float route's, signed zeros included."""
+    if e in acc:
+        acc[e] += term
+    else:
+        acc[e] = term
+
+
+def _family_curvature(algebroid, omega0, etas):
     """Curvature of omega0 + sum_i t_i eta_i per frame pair, by monomial.
 
     The Cartan formula F_ab = #a(w_b) - #b(w_a) + [w_a, w_b] - c_ab^u w_u
-    of w = sum_i t_i w_i, with t_0 = 1, w_0 = omega0 and w_i = eta_i (stacked
-    frame matrices), collected by monomial: the t_i t_j entry is one
-    _mat_dot of the products w_ia w_jb and -w_jb w_ia (and the same with i
-    and j swapped when i < j), plus, for i = 0, the bracket terms of w_j
-    from the anchor term. Returns {exponents: array} with one (q, q) slice
-    per pair a < b in order, exponents one tuple over t_1..t_n of total
-    degree at most 2. numeric (over a point: no anchor term) takes all pairs
-    at once, in blocks of _BLOCK entries, as stacked matmuls added in
-    _mat_dot's order, so each entry is bit-identical to the per-pair sum.
+    of w = sum_i t_i w_i, with t_0 = 1, w_0 = omega0 and w_i = eta_i given
+    split by chart monomial (_frame_matrices). Each t_i t_j entry takes all
+    pairs a < b at once, in blocks of _BLOCK entries: per pair of chart
+    monomials, stacked matmuls of w_ia w_jb - w_jb w_ia (and the same with
+    i and j swapped when i < j) land on the sum of the exponents; for
+    i = 0 the bracket terms are added only where the constant is nonzero
+    (never 0 * inf), and the anchor terms lower the exponent of w by one in
+    x_k and scale it by the power. Returns {t exponents: array} with one
+    (q, q) slice per pair a < b in order, t exponents of total degree at
+    most 2: fields on a chart, floats over a point. Over a point the one
+    chart monomial is () and there is no anchor term, so each entry is
+    bit-identical to the per-pair float sum.
     """
     ws = [omega0] + list(etas)
-    q = omega0.shape[-1]
+    chart = algebroid.chart
+    m = chart.dimension
+    q = next(iter(omega0.values())).shape[-1]
     pairs = list(itertools.combinations(range(algebroid.rank), 2))
+    ia, ib = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    negc = {e: -c for e, c in
+            _split(chart, algebroid.bracket[ia, ib]).items()}
+    anchor = _split(chart, algebroid.anchor)
     monos = {(i, j): tuple((i == x) + (j == x) for x in range(1, len(ws)))
              for i, j in itertools.combinations_with_replacement(
                  range(len(ws)), 2)}
-    out = {e: np.empty((len(pairs), q, q), dtype=omega0.dtype)
+    out = {e: np.empty((len(pairs), q, q), dtype=object if m else float)
            for e in monos.values()}
-    if numeric:
-        w = np.array(ws)
-        ia, ib = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-        negc = -_constant_terms(algebroid.bracket[ia, ib])
-        step = max(1, _BLOCK // (q * q))
-        for lo in range(0, len(pairs), step):
-            a, b, cab = (x[lo:lo + step] for x in (ia, ib, negc))
-            # zero constants add nothing (never 0 * inf), as in the field route
-            us = np.flatnonzero(cab.any(axis=0))
-            for (i, j), e in monos.items():
-                wia, wjb = w[i, a], w[j, b]
-                acc = wia @ wjb
-                acc += (-wjb) @ wia
-                if i < j:
-                    wja, wib = w[j, a], w[i, b]
-                    acc += wja @ wib
-                    acc += (-wib) @ wja
-                if i == 0:
-                    for u in us:
-                        nz = cab[:, u] != 0
-                        acc[nz] += cab[nz, u, None, None] * w[j, u]
-                out[e][lo:lo + step] = acc
-        return out
-    neg = [-x for x in ws]
-    for p, (a, b) in enumerate(pairs):
-        brackets = [(-c, u) for u, c in enumerate(algebroid.bracket[a, b])
-                    if c.coeffs]
-        for (i, j), e in monos.items():
-            prods = [(ws[i][a], ws[j][b]), (neg[j][b], ws[i][a])]
-            if i < j:
-                prods += [(ws[j][a], ws[i][b]), (neg[i][b], ws[j][a])]
-            lead = None
+    step = max(1, _BLOCK // (q * q))
+    for lo in range(0, len(pairs), step):
+        a, b = ia[lo:lo + step], ib[lo:lo + step]
+        gathered = [{e: (x[a], x[b]) for e, x in w.items()} for w in ws]
+        brackets = []
+        for d, c in negc.items():
+            cab = c[lo:lo + step]
+            brackets += [(d, u, cab[:, u] != 0, cab[:, u, None, None])
+                         for u in np.flatnonzero(cab.any(axis=0))]
+        # rho_a^k d_k w_jb - rho_b^k d_k w_ja: the x^g term of rho^k times
+        # the x^e term of w lands on g + e - 1_k, scaled by e_k
+        rho = [(g, k, x[a, k, None, None], x[b, k, None, None])
+               for g, x in anchor.items() for k in range(m)
+               if x[a, k].any() or x[b, k].any()]
+        for (i, j), t in monos.items():
+            acc = {}
+            for e1, (xa, xb) in gathered[i].items():
+                for e2, (ya, yb) in gathered[j].items():
+                    term = xa @ yb
+                    term -= yb @ xa
+                    if i < j:
+                        term += ya @ xb
+                        term -= xb @ ya
+                    _add_into(acc, tuple(map(operator.add, e1, e2)), term)
             if i == 0:
-                prods += [(c, ws[j][u]) for c, u in brackets]
-                lead = (_apply_to_matrix(algebroid.anchor_row(a), ws[j][b])
-                        - _apply_to_matrix(algebroid.anchor_row(b), ws[j][a]))
-            out[e][p] = _mat_dot(prods, lead)
+                for d, u, nz, c in brackets:
+                    for e, y in ws[j].items():
+                        e = tuple(map(operator.add, d, e))
+                        if e not in acc:
+                            acc[e] = np.zeros((len(a), q, q))
+                        acc[e][nz] += c[nz] * y[u]
+                for g, k, ra, rb in rho:
+                    for e, (ya, yb) in gathered[j].items():
+                        if e[k]:
+                            d = tuple(map(operator.add, g, e))
+                            _add_into(acc, d[:k] + (d[k] - 1,) + d[k + 1:],
+                                      (e[k] * ra) * yb - (e[k] * rb) * ya)
+            out[t][lo:lo + step] = _join(chart, acc)
     return out
 
 

@@ -563,8 +563,25 @@ def as_field(chart, v):
 
 def _field_array(chart, data, shape, what):
     """Object array of the given shape holding as_field of each entry of
-    nested data (lists, arrays, fields, expressions or numbers)."""
+    nested data (lists, arrays, fields, expressions or numbers).
+
+    Finite integer or float data of the right shape become constant fields
+    in one pass; anything else goes entry by entry through as_field, which
+    raises the errors.
+    """
     shape = tuple(shape)
+    try:
+        arr = np.asarray(data)
+    except (ValueError, OverflowError):   # ragged, or an int past a double
+        arr = None
+    if (arr is not None and arr.dtype.kind in "iuf" and arr.shape == shape
+            and np.isfinite(arr).all()):
+        key = (0,) * chart.dimension
+        zero = ScalarField._of(chart, {})
+        return np.fromiter(
+            (ScalarField._of(chart, {key: v}) if v else zero
+             for v in arr.astype(float).ravel().tolist()),
+            object, arr.size).reshape(shape)
     try:
         arr = np.asarray(data, dtype=object)
     except ValueError:   # ragged nesting that numpy refuses outright

@@ -17,8 +17,12 @@ def generator(seed):
 
 
 def seeded_points(n, dim, seed):
-    """n points uniform in [-1, 1]^dim, reproducible across runs."""
+    """n points uniform in [-1, 1]^dim, reproducible across runs; n is
+    between 1 and _MAX_SIZE**3, since a residual over no points would
+    read 0 and pass."""
     n = int(n)
+    if n < 1:
+        raise ValueError("at least one sample point is required")
     if n > _MAX_SIZE ** 3:
         raise ValueError("%d sample points is above the limit of %d"
                          % (n, _MAX_SIZE ** 3))

@@ -114,6 +114,21 @@ def test_validate_at_explicit_points(catalog):
     assert report.seed is None
 
 
+def test_empty_or_negative_samples_are_refused(catalog):
+    # a maximum over no points reads 0 and would pass any check
+    a = catalog["so3_action"]
+    for n in (0, -3):
+        for call in (lambda: seeded_points(n, 3, 0),
+                     lambda: al.validate(a, n_samples=n),
+                     lambda: al.modular_theorem_check(a, n_points=n)):
+            with pytest.raises(ValueError,
+                               match="at least one sample point is required"):
+                call()
+    with pytest.raises(ValueError, match="at least one sample point"):
+        al.validate(a, points=[])
+    assert seeded_points(1, 3, 0).shape == (1, 3)
+
+
 def test_build_rejects_symmetric_bracket():
     chart = Chart(0)
     c = np.zeros((2, 2, 2))

@@ -8,7 +8,7 @@ import pytest
 
 import algebroidlab as al
 from algebroidlab import classes
-from algebroidlab.calculus import _mat_dot
+from algebroidlab.calculus import _apply_to_matrix, _mat_dot
 from algebroidlab.classes import (
     InvariantPolynomial,
     _simplex_moment,
@@ -385,7 +385,8 @@ def test_numeric_family_curvature_matches_per_pair_route(monkeypatch):
         # with a short last one
         for block in (classes._BLOCK, q * q, 3 * q * q):
             monkeypatch.setattr(connections, "_BLOCK", block)
-            got = connections._family_curvature(a, ws[0], ws[1:n + 1], True)
+            got = connections._family_curvature(
+                a, {(): ws[0]}, [{(): w} for w in ws[1:n + 1]])
             assert list(got) == list(want)
             for e in want:
                 assert np.array_equal(got[e], want[e]), (n, block, e)
@@ -393,12 +394,117 @@ def test_numeric_family_curvature_matches_per_pair_route(monkeypatch):
     # term with u = 4 is in [e_3, e_4]): a zero constant never multiplies it
     ws[0][4, 0, 0] = np.inf
     with np.errstate(invalid="ignore"):
-        got = connections._family_curvature(a, ws[0], [], True)[()]
+        got = connections._family_curvature(a, {(): ws[0]}, [])[()]
         want = per_pair_family_curvature(constants, ws[:1])[()]
     assert np.array_equal(got, want, equal_nan=True)
     pairs = list(itertools.combinations(range(a.rank), 2))
     for p, (s, t) in enumerate(pairs):
         assert np.isfinite(got[p]).all() == (4 not in (s, t)), (s, t)
+
+
+def per_pair_field_family_curvature(algebroid, ws):
+    """The t_i t_j curvature entries pair by pair on field matrices, each
+    one _mat_dot of the products and bracket terms started from the anchor
+    term: the reference for the kernel on a chart."""
+    out = {}
+    for a, b in itertools.combinations(range(algebroid.rank), 2):
+        brackets = [(-c, u) for u, c in enumerate(algebroid.bracket[a, b])
+                    if c.coeffs]
+        for i, j in itertools.combinations_with_replacement(
+                range(len(ws)), 2):
+            prods = [(ws[i][a], ws[j][b]), (-ws[j][b], ws[i][a])]
+            if i < j:
+                prods += [(ws[j][a], ws[i][b]), (-ws[i][b], ws[j][a])]
+            lead = None
+            if i == 0:
+                prods += [(c, ws[j][u]) for c, u in brackets]
+                lead = (_apply_to_matrix(algebroid.anchor_row(a), ws[j][b])
+                        - _apply_to_matrix(algebroid.anchor_row(b),
+                                           ws[j][a]))
+            e = [0] * len(ws)
+            e[i] += 1
+            e[j] += 1
+            out.setdefault(tuple(e[1:]), []).append(_mat_dot(prods, lead))
+    return {e: np.array(mats) for e, mats in out.items()}
+
+
+def chart_family(a, n):
+    """Field frame matrices w_0, eta_1.., eta_n of three random degree-1
+    E-connections on a, and the same split by chart monomial."""
+    from algebroidlab import connections
+
+    ws = [al.build_connection(a, "E", random_symbols(a, "E", key, degree=1))
+          .symbols.transpose(0, 2, 1) for key in (11, 12, 13)[:n + 1]]
+    ws = ws[:1] + [w - ws[0] for w in ws[1:]]
+    return ws, [connections._split(a.chart, w) for w in ws]
+
+
+def field_family_cases(catalog):
+    # a linear Poisson structure (nonzero anchor), a Lie algebra bundle
+    # with a degree-2 bracket, and a transformation algebroid
+    return [catalog["dual_so3"], heisenberg_r4(), catalog["so3_action"]]
+
+
+def test_chart_family_curvature_matches_per_pair_field_route(catalog):
+    from algebroidlab import connections
+
+    for a in field_family_cases(catalog):
+        m = a.dimension
+        for n in (0, 1, 2):
+            ws, parts = chart_family(a, n)
+            want = per_pair_field_family_curvature(a, ws)
+            got = connections._family_curvature(a, parts[0], parts[1:])
+            assert list(got) == list(want)
+            for e in want:
+                assert got[e].shape == want[e].shape
+                scale = max(f.max_abs_coeff() for f in want[e].flat)
+                assert scale > 1e-3, (a, n, e)
+                for f, g in zip(got[e].flat, want[e].flat):
+                    # canonical: int exponents of chart length, nonzero
+                    # float coefficients
+                    for key, c in f.coeffs.items():
+                        assert type(c) is float and c != 0.0
+                        assert len(key) == m
+                        assert all(type(x) is int for x in key)
+                    for key in set(f.coeffs) | set(g.coeffs):
+                        gap = abs(f.coeffs.get(key, 0.0)
+                                  - g.coeffs.get(key, 0.0))
+                        assert gap <= 1e-13 * scale, (a, n, e, key)
+
+
+def test_chart_family_curvature_does_not_depend_on_the_block(
+        catalog, monkeypatch):
+    from algebroidlab import connections
+
+    for a in field_family_cases(catalog):
+        _ws, parts = chart_family(a, 2)
+        want = connections._family_curvature(a, parts[0], parts[1:])
+        q = parts[0][(0,) * a.dimension].shape[-1]
+        # one pair per block, then blocks of two with a short last one
+        for block in (q * q, 2 * q * q):
+            monkeypatch.setattr(connections, "_BLOCK", block)
+            got = connections._family_curvature(a, parts[0], parts[1:])
+            for e in want:
+                assert all(f == g for f, g in zip(got[e].flat,
+                                                   want[e].flat)), (a, e)
+
+
+def test_chart_family_curvature_keeps_inf_to_its_pairs():
+    from algebroidlab import connections
+
+    # [e1, e4] = g e4 is the one bracket onto e4, and it holds e4
+    a = heisenberg_r4()
+    _ws, parts = chart_family(a, 1)
+    parts[0][(0,)][3, 0, 0] = np.inf
+    with np.errstate(invalid="ignore"):
+        got = connections._family_curvature(a, parts[0], parts[1:])
+    pairs = list(itertools.combinations(range(a.rank), 2))
+    for e, mats in got.items():
+        for p, (s, t) in enumerate(pairs):
+            finite = all(math.isfinite(c) for f in mats[p].flat
+                         for c in f.coeffs.values())
+            # w_0 enters every monomial but t_1^2
+            assert finite == (3 not in (s, t) or e == (2,)), (e, s, t)
 
 
 def test_float_wedge_does_not_depend_on_the_block(monkeypatch):

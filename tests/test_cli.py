@@ -288,6 +288,15 @@ def test_oversized_input_is_refused_before_allocation(tmp_path):
     assert peak < 10 ** 6
 
 
+def test_empty_or_negative_samples_are_error_documents():
+    for samples in (0, -5):
+        code, doc = run_doc(["validate", "--spec", DATA / "aff1.json",
+                             "--samples", samples])
+        assert code == 1
+        assert doc == {"error": "ValueError: at least one sample point is "
+                       "required"}
+
+
 def test_out_of_range_seed_is_an_error_document():
     for command in ("validate", "modular"):
         for seed in (-1, 2 ** 64):

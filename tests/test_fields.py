@@ -583,3 +583,46 @@ def test_field_array_callers_refuse_bad_shapes(caller, bad):
     # a shape error, never a TypeError or IndexError from the coercion loop
     with pytest.raises(ShapeMismatchError):
         _coercer_callers()[caller](bad)
+
+
+def test_numeric_arrays_coerce_like_the_per_entry_route():
+    from algebroidlab.fields import _field_array
+
+    # R x_D R^7 on a plane chart with a constant anchor: float, int and
+    # object arrays of the same numbers give equal coefficient dicts
+    r = 8
+    rng = np.random.default_rng(np.random.Philox(21))
+    c = np.zeros((r, r, r))
+    for i in range(1, r):
+        c[0, i, i], c[i, 0, i] = i, -i
+    anchor = rng.integers(-3, 4, size=(r, 2)) * 0.5
+    anchor[0, 0] = -0.0
+    chart = Chart(2)
+    builds = [al.build_algebroid(chart, r, x, y) for x, y in (
+        (anchor, c), (anchor.tolist(), c.astype(np.int64)),
+        (anchor.astype(object), c.astype(object)))]
+    for a in builds[1:]:
+        for name in ("anchor", "bracket"):
+            got, want = getattr(a, name), getattr(builds[0], name)
+            assert [f.coeffs for f in got.flat] == \
+                [f.coeffs for f in want.flat]
+    for f in builds[0].bracket.flat:
+        for key, v in f.coeffs.items():
+            assert type(v) is float and v != 0.0
+            assert key == (0, 0) and all(type(x) is int for x in key)
+    # ints past 2^53 round as float() rounds them
+    big = np.array([2 ** 53 + 1, -(2 ** 62) - 1], dtype=np.int64)
+    assert [f.coeffs for f in _field_array(chart, big, (2,), "x")] == \
+        [{(0, 0): float(int(v))} for v in big]
+    # non-finite or oversized numbers raise what the per-entry route raises
+    for bad in (np.inf, -np.inf, np.nan):
+        data = np.array([[1.0, bad]])
+        msgs = set()
+        for d in (data, data.astype(object), data.tolist()):
+            with pytest.raises(ExpressionSyntaxError) as exc:
+                _field_array(chart, d, (1, 2), "x")
+            msgs.add(str(exc.value))
+        assert msgs == {"%r is not a finite number" % bad}
+    with pytest.raises(ExpressionSyntaxError,
+                       match="number too large for a double"):
+        _field_array(chart, [1, 10 ** 400], (2,), "x")
