@@ -411,13 +411,15 @@ def _check_constants(c, anti_tol, jacobi_tol):
 
 
 def constants_jacobiator(c):
-    """Cyclic Jacobi defect tensor of constant structure data."""
+    """Cyclic Jacobi defect tensor of constant structure data; products
+    that overflow give inf or NaN entries, without numpy warnings."""
     c = np.asarray(c, dtype=float)
     r = c.shape[0]
-    # p[s, t, u, v] = sum_w c[s, t, w] c[w, u, v], one matrix product
-    p = (c.reshape(r * r, r) @ c.reshape(r, r * r)).reshape(r, r, r, r)
-    j = p + p.transpose(2, 0, 1, 3)
-    j += p.transpose(1, 2, 0, 3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # p[s, t, u, v] = sum_w c[s, t, w] c[w, u, v], one matrix product
+        p = (c.reshape(r * r, r) @ c.reshape(r, r * r)).reshape(r, r, r, r)
+        j = p + p.transpose(2, 0, 1, 3)
+        j += p.transpose(1, 2, 0, 3)
     return j
 
 

@@ -6,15 +6,16 @@ on E = A + T*M. All three are one integral over the n-simplex, n = 0, 1, 2,
 of P(eta_1, ..., eta_n, F, ..., F), where eta_i is the difference of
 connection i and the base connection and F is the curvature of the family
 base + sum_i t_i eta_i. The engine computes it with Quillen's
-superconnection trick in the exterior algebra on the frame covectors and
-one odd parameter eps_i per eta_i. A matrix-valued form is one array over
-bitmasks of those generators and monomials in t; G = F + sum_i eps_i eta_i
-is even, so sigma_k(G) follows from the power sums tr(G^j) by Newton's
-identities, and its eps_1...eps_n component gives the integrand, normalized
-so that the boundary identities d(transgression) = primary difference hold
-without stray factors. The simplex moments of the t-monomials are exact.
-InvariantPolynomial, the cycle-trace polarization of sigma_k, stays public
-and serves as an independent oracle.
+superconnection trick in the exterior algebra on the frame covectors and one
+odd parameter eps_i per eta_i. A matrix-valued form is one float array over
+bitmasks of those generators and monomials in t and the chart coordinates,
+on a chart as over a point; G = F + sum_i eps_i eta_i is even, so sigma_k(G)
+follows from the power sums tr(G^j) by Newton's identities, and its
+eps_1...eps_n component gives the integrand, normalized so that the boundary
+identities d(transgression) = primary difference hold without stray factors.
+The simplex moments of the t-monomials are exact. InvariantPolynomial, the
+cycle-trace polarization of sigma_k, stays public and serves as an
+independent oracle.
 """
 
 from __future__ import annotations
@@ -130,11 +131,12 @@ class InvariantPolynomial:
 #
 # The engine works in the exterior algebra on N = r + n generators: the r
 # frame covectors, then one odd parameter eps_i per eta_i. A form of grade
-# 2j is an array X[mask, mono, ...] over the masks that _level keeps and the
-# t-monomials of _monomials; the trailing axes are (q, q) for a
-# matrix-valued form and empty for a scalar one.
+# 2j is a float array X[mask, mono, ...] over the masks that _level keeps
+# and the monomials mono = c * n_t + t: c indexes the chart monomials of
+# level j (_check_work), t the n_t monomials in t (_monomials). The
+# trailing axes are (q, q) for a matrix-valued form, none for a scalar one.
 
-_MAX_WORK = 1 << 26   # entries of one engine array, or wedge-table steps
+_MAX_WORK = 1 << 26   # entries of one engine array, or table steps
 
 
 @functools.lru_cache(maxsize=None)
@@ -169,25 +171,39 @@ def _level_size(r, n, k, j):
                for e in range(max(0, n - k + j), min(j, n) + 1))
 
 
-def _check_work(r, n, k, q):
-    """Refuse an engine run above _MAX_WORK before anything is built.
-
-    Two sizes are bounded: the largest array in entries, which is a power
-    G^j (j <= ceil(k/2), (q, q) per mask and t-monomial) or a scalar form
-    of grade up to 2k, and the loop steps of the wedge tables, one per pair
-    of masks of grades ja + jb <= k; Newton's identities build all of them.
+def _check_work(r, n, k, q, keys):
+    """Refuse an engine run above _MAX_WORK and return the sorted chart
+    monomials of each level j <= k: keys, those of G, then the exponent
+    sums of j of them. Bounded are the largest array in entries, a power
+    G^j (j <= ceil(k/2), (q, q) per mask and monomial) or a scalar form of
+    grade up to 2k, and the table steps: per pair of levels ja + jb <= k,
+    all of which Newton's identities wedge, the candidates of _wedge (mask
+    pairs by chart-monomial pairs by t-monomial pairs), and one per sum
+    that builds a level. A level counts one chart monomial until it is
+    built, and it is built only while the steps allow.
     """
     sizes = [_level_size(r, n, k, j) for j in range(k + 1)]
-    n_t = math.comb(2 * (k - n) + n, n)
-    entries = n_t * max(max(sizes[1:(k + 1) // 2 + 1]) * q * q,
-                        max(sizes[1:]))
-    steps = sum(sizes[a] * sizes[b] for a in range(1, k)
-                for b in range(1, k - a + 1))
+    masks = [(sizes[a] * sizes[b], a, b)
+             for a in range(1, k) for b in range(1, k - a + 1)]
+    t_pairs = math.comb(2 * k, 2 * n)   # degree <= 2(k - n) in 2n variables
+    steps = t_pairs * sum(s for s, _, _ in masks)
+    charts = [None, sorted(keys)]
+    while len(charts) <= k and steps <= _MAX_WORK and (
+            steps := steps + len(charts[-1]) * len(keys)) <= _MAX_WORK:
+        charts.append(sorted({tuple(map(operator.add, e, f))
+                              for e in charts[-1] for f in keys}))
+    if len(charts) > k:
+        steps += t_pairs * sum(s * (len(charts[a]) * len(charts[b]) - 1)
+                               for s, a, b in masks)
+    entries = math.comb(2 * k - n, n) * max(
+        sizes[j] * (len(charts[j]) if j < len(charts) else 1)
+        * (q * q if 2 * j <= k + 1 else 1) for j in range(1, k + 1))
     if max(entries, steps) > _MAX_WORK:
         raise ShapeMismatchError(
             "order %d on rank %d with %d connection(s) needs arrays of %d "
             "entries and %d table steps, above the limit of %d"
             % (k, r, n + 1, entries, steps, _MAX_WORK))
+    return charts
 
 
 @functools.lru_cache(maxsize=None)
@@ -212,100 +228,75 @@ def _wedge_table(r, n, k, ja, jb):
     return tuple(table)
 
 
+def _sum_pairs(xs, ys, zs):
+    """(i, j, l) over the pairs xs[i], ys[j] whose exponent sum is zs[l]."""
+    where = {e: i for i, e in enumerate(zs)}
+    rows = [(i, j, where[g]) for i, e in enumerate(xs)
+            for j, f in enumerate(ys)
+            if (g := tuple(map(operator.add, e, f))) in where]
+    return np.array(rows, dtype=np.int64).reshape(-1, 3).T
+
+
 @functools.lru_cache(maxsize=None)
 def _monomials(n, top):
     """Monomials in t_1..t_n of degree <= top, the constant first, and the
     pairs (ta, tb, to) of them whose product stays within the degree."""
     monos = tuple(e for e in itertools.product(range(top + 1), repeat=n)
                   if sum(e) <= top)
-    index = {e: i for i, e in enumerate(monos)}
-    pairs = [(a, b, index[g]) for a, e in enumerate(monos)
-             for b, f in enumerate(monos)
-             if (g := tuple(map(operator.add, e, f))) in index]
-    table = np.array(pairs, dtype=np.int64).T
+    table = _sum_pairs(monos, monos, monos)
     table.flags.writeable = False   # shared by every caller of the cache
     return monos, tuple(table)
 
 
-def _zeros(chart, shape):
-    """Zero floats, or zero fields on chart."""
-    if chart is None:
-        return np.zeros(shape)
-    return np.full(shape, ScalarField(chart), dtype=object)
+def _pairs(tpairs, n_t, xa, xb, xo):
+    """(pa, pb, po): the t pairs (ta, tb, to) by the pairs of chart
+    monomials of xa and xb, landing on their sum in xo, as monomial indices
+    c * n_t + t; with one chart monomial, as over a point, the t pairs."""
+    if len(xo) == 1:
+        return tpairs
+    return tuple((c[:, None] * n_t + t).ravel()
+                 for c, t in zip(_sum_pairs(xa, xb, xo), tpairs))
 
 
-def _nonzero_blocks(x):
-    """Which blocks x[mask, mono] hold a nonzero entry."""
-    if x.dtype == object:
-        nz = np.fromiter((bool(f.coeffs) for f in x.flat), bool, x.size)
-    else:
-        nz = x != 0
-    return nz.reshape(x.shape[0], x.shape[1], -1).any(axis=2)
-
-
-def _field_sum(chart, kind, terms):
-    """Sum of sign * (a kind b) over the terms (a, b, sign) of field blocks,
-    one fields.dot per output entry (through _mat_dot for matrices)."""
-    terms = [(a if s > 0 else -a, b) for a, b, s in terms]
-    if kind == "scalar":
-        return dot(chart, terms)
-    if kind == "trace":
-        return dot(chart, (p for a, b in terms
-                           for p in zip(a.flat, b.T.flat)))
-    return _mat_dot(terms)
-
-
-def _wedge(x, y, table, tpairs, size, kind, chart):
-    """Wedge of two forms through a _wedge_table and the t-pairs.
+def _wedge(x, y, table, pairs, shape, kind):
+    """Wedge of two forms through a _wedge_table and the monomial pairs of
+    _pairs, into a new form of the given (masks, monomials) shape.
 
     Adds sign * (x[A, u] kind y[B, v]) at (A | B, uv), where kind is "mat"
     (the matrix product), "trace" (its trace) or "scalar". A trace or
     scalar wedge of a form with itself is summed over A < B and doubled:
     even forms commute, so (A, B) and (B, A) give the same term. Products
-    with a zero block are skipped. Floats are multiplied in blocks of
-    _BLOCK entries; fields take one fields.dot per output entry.
+    with a zero block are skipped, the rest taken in blocks of _BLOCK.
     """
-    ia, ib, io, sign = table
     fold = kind != "mat" and x is y
-    if fold:
-        half = ia < ib
-        ia, ib, io, sign = ia[half], ib[half], io[half], sign[half]
-    ta, tb, to = tpairs
-    n_t = x.shape[1]
-    row, pair = np.nonzero(_nonzero_blocks(x)[ia[:, None], ta]
-                           & _nonzero_blocks(y)[ib[:, None], tb])
-    dest = io[row] * n_t + to[pair]
-    xs = ia[row] * n_t + ta[pair]
-    ys = ib[row] * n_t + tb[pair]
+    half = table[0] < table[1] if fold else slice(None)
+    ia, ib, io, sign = (z[half] for z in table)
+    pa, pb, po = pairs
+    nzx, nzy = ((z != 0).reshape(z.shape[:2] + (-1,)).any(axis=2)
+                for z in (x, y))
+    row, pair = np.nonzero(nzx[ia[:, None], pa] & nzy[ib[:, None], pb])
+    dest = io[row] * shape[1] + po[pair]
+    xs = ia[row] * x.shape[1] + pa[pair]
+    ys = ib[row] * y.shape[1] + pb[pair]
     sign = sign[row]
-    xf = x.reshape((-1,) + x.shape[2:])
-    yf = y.reshape((-1,) + y.shape[2:])
+    xf, yf = (z.reshape((-1,) + z.shape[2:]) for z in (x, y))
     tail = x.shape[2:] if kind == "mat" else ()
-    out = _zeros(chart, (size * n_t,) + tail)
-    if chart is None:
-        step = max(1, _BLOCK // xf[0].size)
-        flat, width = out.reshape(-1), math.prod(tail)
-        cols = np.arange(width)
-        for lo in range(0, len(dest), step):
-            cut = slice(lo, lo + step)
-            a, b = xf[xs[cut]], yf[ys[cut]]
-            if kind == "mat":
-                v = a @ b
-            elif kind == "trace":
-                v = (a * b.transpose(0, 2, 1)).sum(axis=(1, 2))
-            else:
-                v = a * b
-            v *= sign[cut].reshape((-1,) + (1,) * (v.ndim - 1))
-            # numpy's fast 1-D add.at; each entry adds its terms in row order
-            np.add.at(flat, (dest[cut, None] * width + cols).ravel(),
-                      v.ravel())
-    else:
-        groups = {}
-        for d, i, j, s in zip(dest.tolist(), xs, ys, sign):
-            groups.setdefault(d, []).append((xf[i], yf[j], s))
-        for d, terms in groups.items():
-            out[d] = _field_sum(chart, kind, terms)
-    out = out.reshape((size, n_t) + tail)
+    out = np.zeros(shape + tail)
+    step = max(1, _BLOCK // xf[0].size)
+    flat, width = out.reshape(-1), math.prod(tail)
+    cols = np.arange(width)
+    for lo in range(0, len(dest), step):
+        cut = slice(lo, lo + step)
+        a, b = xf[xs[cut]], yf[ys[cut]]
+        if kind == "mat":
+            v = a @ b
+        elif kind == "trace":
+            v = (a * b.transpose(0, 2, 1)).sum(axis=(1, 2))
+        else:
+            v = a * b
+        v *= sign[cut].reshape((-1,) + (1,) * (v.ndim - 1))
+        # numpy's fast 1-D add.at; each entry adds its terms in row order
+        np.add.at(flat, (dest[cut, None] * width + cols).ravel(), v.ravel())
     return 2.0 * out if fold else out
 
 
@@ -320,43 +311,53 @@ def _transgress(algebroid, conn0, conns, poly):
     frame tuple is k! (-1)^(n(n+1)/2) times the coefficient of the form.
     Only masks that can reach that component are kept, t is carried up to
     degree 2(k - n), and each t-monomial is integrated by its exact simplex
-    moment. The form has degree 2k - n; degree above the rank gives the
-    zero form with its overflow flag set.
+    moment. The chart monomials of F and the etas ride on the monomial
+    axis, and only the integrated values are joined into fields. The form
+    has degree 2k - n; degree above the rank gives the zero form with its
+    overflow flag set.
     """
-    n = len(conns)
-    k = poly.k
-    r = algebroid.rank
+    n, k, r = len(conns), poly.k, algebroid.rank
     degree = 2 * k - n
     if degree > r or k < n:
         out = AForm(algebroid, degree)
         out.overflow = degree > r
         return out
-    _check_work(r, n, k, poly.q)
-    numeric = algebroid.dimension == 0
-    chart = None if numeric else algebroid.chart
+    # the bound without the chart (over a point, all of it) comes first
+    charts = _check_work(r, n, k, poly.q, [(0,) * algebroid.dimension])
     omega0 = _frame_matrices(conn0)
     etas = [{e: w.get(e, 0.0) - omega0.get(e, 0.0)
              for e in sorted(w.keys() | omega0.keys())}
             for w in map(_frame_matrices, conns)]
+    fam = _family_curvature(algebroid, omega0, etas) if k > n else {}
+    if algebroid.dimension:
+        charts = _check_work(r, n, k, poly.q,
+                             set().union(*fam.values(), *etas))
     monos, tpairs = _monomials(n, 2 * (k - n))
-    index = {e: i for i, e in enumerate(monos)}
+    n_t = len(monos)
+    # the block of chart monomial e starts at its index times n_t
+    at = {e: i * n_t for i, e in enumerate(charts[1])}
     masks = _level(r, n, k, 1)
-    g = _zeros(chart, (len(masks), len(monos), poly.q, poly.q))
-    if k > n:
-        # the masks below 1 << r are the frame pairs a < b, in order
-        frame = [b for b, mask in enumerate(masks) if mask < 1 << r]
-        for e, mats in _family_curvature(algebroid, omega0, etas).items():
-            g[frame, index[e]] = mats
-    eta_mats = [_join(algebroid.chart, eta) for eta in etas]
+    g = np.zeros((len(masks), len(at) * n_t, poly.q, poly.q))
+    # the masks below 1 << r are the frame pairs a < b, in order
+    frame = [b for b, mask in enumerate(masks) if mask < 1 << r]
+    for t, parts in fam.items():
+        for e, mats in parts.items():
+            g[frame, at[e] + monos.index(t)] = mats
     for b, mask in enumerate(masks):
         s, t = (x for x in range(r + n) if mask >> x & 1)
         if t >= r:
             # eps_i ^ eta_i = -sum_s eta_i[s] e^s ^ eps_i
-            g[b, 0] = -eta_mats[t - r][s]
+            for e, w in etas[t - r].items():
+                g[b, at[e]] = -w[s]
+    tables = {}
 
     def wedge(x, ja, y, jb, kind):
-        return _wedge(x, y, _wedge_table(r, n, k, ja, jb), tpairs,
-                      len(_level(r, n, k, ja + jb)), kind, chart)
+        if (ja, jb) not in tables:
+            tables[ja, jb] = (
+                _wedge_table(r, n, k, ja, jb),
+                _pairs(tpairs, n_t, charts[ja], charts[jb], charts[ja + jb]),
+                (len(_level(r, n, k, ja + jb)), len(charts[ja + jb]) * n_t))
+        return _wedge(x, y, *tables[ja, jb], kind)
 
     # G^j up to j = ceil(k/2), then p_j = tr(G^(j - j//2) ^ G^(j//2))
     powers = [None, g]
@@ -377,18 +378,13 @@ def _transgress(algebroid, conn0, conns, poly):
             term = wedge(elem[m - j], m - j, sums[j], j, "scalar")
             acc = acc + term if j % 2 else acc - term
         elem.append(acc if m == 1 else acc * (1.0 / m))
-    values = elem[k] @ np.array([_simplex_moment(e) for e in monos])
-    scale = TWO_PI ** -k / math.factorial(k)
-    if n % 4 in (1, 2):
-        scale = -scale
-    entries = {}
-    for mask, v in zip(_level(r, n, k, k), values):
-        key = tuple(x for x in range(r) if mask >> x & 1)
-        entries[key] = ScalarField._scalar(algebroid.chart, scale * v) \
-            if numeric else scale * v
-    form = AForm(algebroid, degree, entries)
-    form.overflow = False
-    return form
+    values = elem[k].reshape(-1, n_t) @ [_simplex_moment(e) for e in monos]
+    scale = TWO_PI ** -k / math.factorial(k) * (-1 if n % 4 in (1, 2) else 1)
+    values = (scale * values).reshape(-1, len(charts[k]))
+    fields = _join(algebroid.chart, dict(zip(charts[k], values.T)))
+    return AForm(algebroid, degree, {
+        tuple(x for x in range(r) if mask >> x & 1): f
+        for mask, f in zip(_level(r, n, k, k), fields)})
 
 
 def chern_weil(algebroid, conn, poly):

@@ -184,7 +184,7 @@ def curvature(conn):
     a = conn.algebroid
     fam = _family_curvature(a, _frame_matrices(conn), [])
     return MatrixForm(a, 2, conn.q, dict(zip(
-        itertools.combinations(range(a.rank), 2), fam[()])))
+        itertools.combinations(range(a.rank), 2), _join(a.chart, fam[()]))))
 
 
 local_curvature = curvature   # kept: perfbench/workloads.py calls it
@@ -215,19 +215,16 @@ def _split(chart, fields):
 
 def _join(chart, parts):
     """Inverse of _split: the fields sum_e parts[e] x^e, each built once with
-    its exact zeros dropped; over a point the float array parts[()]."""
-    if not chart.dimension:
-        return parts[()]
-    keys = list(parts)
-    shape = parts[keys[0]].shape
-    flat = np.stack([parts[e].reshape(-1) for e in keys], axis=1)
-    coeffs = [{} for _ in range(len(flat))]
-    rows, cols = np.nonzero(flat)
-    for i, k, c in zip(rows.tolist(), cols.tolist(),
-                       flat[rows, cols].tolist()):
-        coeffs[i][keys[k]] = c
+    its exact zeros dropped."""
+    first = next(iter(parts.values()))
+    coeffs = [{} for _ in range(first.size)]
+    for e, v in parts.items():
+        v = v.reshape(-1)
+        nz = v.nonzero()[0]
+        for i, c in zip(nz.tolist(), v[nz].tolist()):
+            coeffs[i][e] = c
     return np.fromiter((ScalarField._of(chart, c) for c in coeffs), object,
-                       len(coeffs)).reshape(shape)
+                       len(coeffs)).reshape(first.shape)
 
 
 def _frame_matrices(conn):
@@ -257,11 +254,12 @@ def _family_curvature(algebroid, omega0, etas):
     i and j swapped when i < j) land on the sum of the exponents; for
     i = 0 the bracket terms are added only where the constant is nonzero
     (never 0 * inf), and the anchor terms lower the exponent of w by one in
-    x_k and scale it by the power. Returns {t exponents: array} with one
-    (q, q) slice per pair a < b in order, t exponents of total degree at
-    most 2: fields on a chart, floats over a point. Over a point the one
-    chart monomial is () and there is no anchor term, so each entry is
-    bit-identical to the per-pair float sum.
+    x_k and scale it by the power. Returns {t exponents: {chart exponents:
+    float array}}, t exponents of total degree at most 2, each array one
+    (q, q) slice per pair a < b in order, the constant monomial first (a
+    (0, q, q) array when the rank is below 2); _join makes fields of a
+    split. Over a point the one chart monomial is () and there is no anchor
+    term, so each entry is bit-identical to the per-pair float sum.
     """
     ws = [omega0] + list(etas)
     chart = algebroid.chart
@@ -275,8 +273,7 @@ def _family_curvature(algebroid, omega0, etas):
     monos = {(i, j): tuple((i == x) + (j == x) for x in range(1, len(ws)))
              for i, j in itertools.combinations_with_replacement(
                  range(len(ws)), 2)}
-    out = {e: np.empty((len(pairs), q, q), dtype=object if m else float)
-           for e in monos.values()}
+    out = {t: {(0,) * m: np.zeros((len(pairs), q, q))} for t in monos.values()}
     step = max(1, _BLOCK // (q * q))
     for lo in range(0, len(pairs), step):
         a, b = ia[lo:lo + step], ib[lo:lo + step]
@@ -314,7 +311,10 @@ def _family_curvature(algebroid, omega0, etas):
                             d = tuple(map(operator.add, g, e))
                             _add_into(acc, d[:k] + (d[k] - 1,) + d[k + 1:],
                                       (e[k] * ra) * yb - (e[k] * rb) * ya)
-            out[t][lo:lo + step] = _join(chart, acc)
+            for e, term in acc.items():
+                if e not in out[t]:
+                    out[t][e] = np.zeros((len(pairs), q, q))
+                out[t][e][lo:lo + step] = term
     return out
 
 

@@ -86,6 +86,13 @@ def test_validate_fails_on_nan_residual():
     assert not report.anchor_pass and not report.passed
 
 
+def test_overflowing_constants_fail_jacobi_without_warnings():
+    # so(3) scaled by 1e200: the Jacobi products overflow to a NaN defect,
+    # which is refused; a numpy RuntimeWarning would fail this test
+    with pytest.raises(JacobiViolationError, match="defect nan"):
+        al.catalog_build("lie_algebra", {"constants": (1e200 * EPS3).tolist()})
+
+
 def test_catalog_rejects_non_finite_constants():
     for text in ("[[[NaN]]]", "[[[Infinity]]]", "[[[0, 0], [0, NaN]], "
                  "[[0, 0], [0, 0]]]"):

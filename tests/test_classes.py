@@ -189,6 +189,43 @@ def test_transgression_boundary_identity_on_field_matrices():
     assert form_diff_max(al.differential(lam), rhs) < 1e-7
 
 
+def gl2_dual():
+    """The linear Poisson structure on gl(2)*, pi_st = sum_u c_st^u x_u, in
+    the basis E11, E12, E21, E22: [E_ij, E_kl] = d_jk E_il - d_li E_kj."""
+    units = [(i, j) for i in range(2) for j in range(2)]
+    biv = []
+    for i, j in units:
+        row = []
+        for k, l in units:
+            terms = {}
+            if j == k:
+                terms[2 * i + l] = terms.get(2 * i + l, 0) + 1
+            if l == i:
+                terms[2 * k + j] = terms.get(2 * k + j, 0) - 1
+            row.append(" ".join("%+d*x%d" % (c, u + 1)
+                                for u, c in terms.items() if c) or "0")
+        biv.append(row)
+    return al.catalog_build("poisson", {"dimension": 4, "bivector": biv})
+
+
+def test_transgression_boundary_identity_on_a_chart_in_four_variables():
+    # rank 4 on a chart of dimension 4: chart monomials in several
+    # variables meet in every wedge of the engine
+    a = gl2_dual()
+    c0, c1 = (al.build_connection(a, "E", random_symbols(a, "E", key,
+                                                         degree=1))
+              for key in (11, 12))
+    poly = InvariantPolynomial(2, bundle_rank(a, "E"))
+    lam = al.transgression_form(c1, c0, poly)
+    assert lam.degree == 3 and lam.coeffs
+    rhs = al.chern_weil(a, c1, poly) + (-1.0) * al.chern_weil(a, c0, poly)
+    assert form_coeff_max(rhs) > 1e-3
+    assert form_diff_max(al.differential(lam), rhs) < 1e-7
+    # the same segment run backwards
+    back = al.transgression_form(c0, c1, poly)
+    assert form_diff_max(lam, (-1.0) * back) < 1e-12 * form_coeff_max(lam)
+
+
 def test_polynomial_on_field_matrices_evaluates_pointwise():
     chart = Chart(2)
     rng = rng_for("field-matrices")
@@ -389,12 +426,14 @@ def test_numeric_family_curvature_matches_per_pair_route(monkeypatch):
                 a, {(): ws[0]}, [{(): w} for w in ws[1:n + 1]])
             assert list(got) == list(want)
             for e in want:
-                assert np.array_equal(got[e], want[e]), (n, block, e)
+                # over a point the one chart monomial is ()
+                assert list(got[e]) == [()]
+                assert np.array_equal(got[e][()], want[e]), (n, block, e)
     # an inf in w_4 may reach only the pairs that hold 4 (the one bracket
     # term with u = 4 is in [e_3, e_4]): a zero constant never multiplies it
     ws[0][4, 0, 0] = np.inf
     with np.errstate(invalid="ignore"):
-        got = connections._family_curvature(a, {(): ws[0]}, [])[()]
+        got = connections._family_curvature(a, {(): ws[0]}, [])[()][()]
         want = per_pair_family_curvature(constants, ws[:1])[()]
     assert np.array_equal(got, want, equal_nan=True)
     pairs = list(itertools.combinations(range(a.rank), 2))
@@ -439,6 +478,15 @@ def chart_family(a, n):
     return ws, [connections._split(a.chart, w) for w in ws]
 
 
+def joined_family_curvature(a, parts):
+    """_family_curvature of the split w_0, eta_1.., each entry joined into
+    fields."""
+    from algebroidlab import connections
+
+    return {e: connections._join(a.chart, split) for e, split in
+            connections._family_curvature(a, parts[0], parts[1:]).items()}
+
+
 def field_family_cases(catalog):
     # a linear Poisson structure (nonzero anchor), a Lie algebra bundle
     # with a degree-2 bracket, and a transformation algebroid
@@ -446,14 +494,12 @@ def field_family_cases(catalog):
 
 
 def test_chart_family_curvature_matches_per_pair_field_route(catalog):
-    from algebroidlab import connections
-
     for a in field_family_cases(catalog):
         m = a.dimension
         for n in (0, 1, 2):
             ws, parts = chart_family(a, n)
             want = per_pair_field_family_curvature(a, ws)
-            got = connections._family_curvature(a, parts[0], parts[1:])
+            got = joined_family_curvature(a, parts)
             assert list(got) == list(want)
             for e in want:
                 assert got[e].shape == want[e].shape
@@ -478,26 +524,24 @@ def test_chart_family_curvature_does_not_depend_on_the_block(
 
     for a in field_family_cases(catalog):
         _ws, parts = chart_family(a, 2)
-        want = connections._family_curvature(a, parts[0], parts[1:])
+        want = joined_family_curvature(a, parts)
         q = parts[0][(0,) * a.dimension].shape[-1]
         # one pair per block, then blocks of two with a short last one
         for block in (q * q, 2 * q * q):
             monkeypatch.setattr(connections, "_BLOCK", block)
-            got = connections._family_curvature(a, parts[0], parts[1:])
+            got = joined_family_curvature(a, parts)
             for e in want:
                 assert all(f == g for f, g in zip(got[e].flat,
                                                    want[e].flat)), (a, e)
 
 
 def test_chart_family_curvature_keeps_inf_to_its_pairs():
-    from algebroidlab import connections
-
     # [e1, e4] = g e4 is the one bracket onto e4, and it holds e4
     a = heisenberg_r4()
     _ws, parts = chart_family(a, 1)
     parts[0][(0,)][3, 0, 0] = np.inf
     with np.errstate(invalid="ignore"):
-        got = connections._family_curvature(a, parts[0], parts[1:])
+        got = joined_family_curvature(a, parts)
     pairs = list(itertools.combinations(range(a.rank), 2))
     for e, mats in got.items():
         for p, (s, t) in enumerate(pairs):
@@ -508,27 +552,44 @@ def test_chart_family_curvature_keeps_inf_to_its_pairs():
 
 
 def test_float_wedge_does_not_depend_on_the_block(monkeypatch):
-    r, n, k, q = 6, 2, 3, 3
-    monos, tpairs = classes._monomials(n, 2 * (k - n))
+    q = 3
     rng = rng_for("wedge-blocks")
+    cases = []
+    # over a point at order 3 with two parameters, and on a chart in two
+    # variables at order 2 with one, where level j holds the exponent sums
+    # of j of 1, x1 and x2
+    plane = [(0, 0), (1, 0), (0, 1)]
+    for r, n, k, keys, counts in ((6, 2, 3, [()], [1, 1, 1]),
+                                  (4, 1, 2, plane, [3, 6])):
+        charts = classes._check_work(r, n, k, q, keys)
+        assert [len(c) for c in charts[1:]] == counts
+        monos, tpairs = classes._monomials(n, 2 * (k - n))
+        n_t = len(monos)
 
-    def form(j, tail):
-        size = len(classes._level(r, n, k, j))
-        x = rng.uniform(-1.0, 1.0, size=(size, len(monos)) + tail)
-        x[rng.random(x.shape[:2]) < 0.3] = 0.0   # zero blocks are skipped
-        return x
+        def form(j, tail):
+            size = len(classes._level(r, n, k, j))
+            x = rng.uniform(-1.0, 1.0,
+                            size=(size, len(charts[j]) * n_t) + tail)
+            x[rng.random(x.shape[:2]) < 0.3] = 0.0   # zero blocks are skipped
+            return x
 
-    g1, g2 = form(1, (q, q)), form(2, (q, q))
-    s1, s2 = form(1, ()), form(2, ())
-    cases = [(g1, 1, g1, 1, "mat"), (g2, 2, g1, 1, "mat"),
-             (g1, 1, g1, 1, "trace"), (g2, 2, g1, 1, "trace"),
-             (s1, 1, s1, 1, "scalar"), (s2, 2, s1, 1, "scalar")]
+        g1, g2 = form(1, (q, q)), form(2, (q, q))
+        s1, s2 = form(1, ()), form(2, ())
+        for x, ja, y, jb, kind in (
+                (g1, 1, g1, 1, "mat"), (g2, 2, g1, 1, "mat"),
+                (g1, 1, g1, 1, "trace"), (g2, 2, g1, 1, "trace"),
+                (s1, 1, s1, 1, "scalar"), (s2, 2, s1, 1, "scalar")):
+            if ja + jb <= k:
+                jo = ja + jb
+                cases.append((x, y, classes._wedge_table(r, n, k, ja, jb),
+                              classes._pairs(tpairs, n_t, charts[ja],
+                                             charts[jb], charts[jo]),
+                              (len(classes._level(r, n, k, jo)),
+                               len(charts[jo]) * n_t), kind))
+    assert len(cases) == 9
 
     def wedges():
-        return [classes._wedge(x, y, classes._wedge_table(r, n, k, ja, jb),
-                               tpairs, len(classes._level(r, n, k, ja + jb)),
-                               kind, None)
-                for x, ja, y, jb, kind in cases]
+        return [classes._wedge(*case) for case in cases]
 
     whole = wedges()
     monkeypatch.setattr(classes, "_BLOCK", q * q)   # one matrix per block
@@ -537,8 +598,8 @@ def test_float_wedge_does_not_depend_on_the_block(monkeypatch):
         assert np.array_equal(got, want)
 
 
-def test_engine_work_is_bounded_before_anything_is_built(sl3, sl3_conns,
-                                                         monkeypatch):
+def test_engine_work_is_bounded_before_anything_is_built(
+        sl3, sl3_conns, catalog, monkeypatch):
     c0, c1, c2 = sl3_conns
     # the level sizes are counted without building the masks
     for r, n, k in ((8, 0, 3), (8, 1, 3), (8, 2, 3), (5, 1, 5), (3, 2, 2)):
@@ -549,14 +610,40 @@ def test_engine_work_is_bounded_before_anything_is_built(sl3, sl3_conns,
     # wedge tables; the triple at k = 3: G^2 has 140 masks, 6 t-monomials
     cw = InvariantPolynomial(1, 8)
     want = al.chern_weil(sl3, c1, cw)
+    # on a chart: degree-1 symbols on so3_action give G the 10 chart
+    # monomials of degree <= 2 in 3 variables, so level 1 is 6 masks by 10
+    # chart monomials by 3 t-monomials of 6 by 6 matrices (6,480 entries).
+    # The wedge of levels 1 and 1 builds 6 * 6 mask pairs by 10 * 10 chart
+    # pairs by 6 t pairs as candidates, and level 2 takes 10 * 10 sums:
+    # 21,700 steps, above the entries, where mask pairs plus chart pairs
+    # would not be
+    a = catalog["so3_action"]
+    d0, d1 = (al.build_connection(a, "E", random_symbols(a, "E", key,
+                                                         degree=1))
+              for key in (11, 12))
+    p2 = InvariantPolynomial(2, 6)
+    chart_want = al.transgression_form(d1, d0, p2)
+    chart_steps = 6 * 6 * 10 * 10 * 6 + 10 * 10
+    assert 6 * 6 + 10 * 10 + 10 * 10 < 6 * 10 * 3 * 36 < chart_steps
     monkeypatch.setattr(classes, "_MAX_WORK", 28 * 64)
     assert al.chern_weil(sl3, c1, cw).coeffs == want.coeffs
+    monkeypatch.setattr(classes, "_MAX_WORK", chart_steps)
+    assert al.transgression_form(d1, d0, p2).coeffs == chart_want.coeffs
     monkeypatch.setattr(classes, "_level", None)   # refused before it runs
+    monkeypatch.setattr(classes, "_MAX_WORK", chart_steps - 1)
+    with pytest.raises(ShapeMismatchError, match="21700 table steps"):
+        al.transgression_form(d1, d0, p2)
+    # over a point the bound comes before the family curvature too
+    monkeypatch.setattr(classes, "_family_curvature", None)
     monkeypatch.setattr(classes, "_MAX_WORK", 28 * 64 - 1)
     with pytest.raises(ShapeMismatchError, match="above the limit"):
         al.chern_weil(sl3, c1, cw)
+    # the triple: levels 1 and 2 hold 44 and 140 masks, and each of the
+    # 44 * 44 + 2 * 44 * 140 mask pairs meets the 15 pairs of t-monomials
+    # of degree <= 2 in (t_1, t_2)
     monkeypatch.setattr(classes, "_MAX_WORK", 140 * 6 * 64 - 1)
-    with pytest.raises(ShapeMismatchError, match="above the limit"):
+    with pytest.raises(ShapeMismatchError,
+                       match="53760 entries and 213840 table steps"):
         al.secondary_triple(sl3, c2, c1, c0, InvariantPolynomial(3, 8))
 
 

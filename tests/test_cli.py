@@ -113,6 +113,14 @@ def test_curvature_of_bracket_connection_is_flat():
     assert doc["results"]["entries"] == []
 
 
+def test_curvature_of_rank_one_has_no_entries(tmp_path):
+    spec = tmp_path / "line.json"
+    spec.write_text('{"dimension": 1, "rank": 1, "anchor": [["x1"]]}')
+    code, doc = run_doc(["curvature", "--spec", spec])
+    assert code == 0
+    assert doc["results"] == {"bundle": "A", "entries": []}
+
+
 def test_transport_report_around_isotropy_loop():
     code, doc = run_doc(["transport", "--spec", DATA / "so3_action.json",
                          "--path", DATA / "loop_x.json"])
@@ -321,6 +329,28 @@ def test_modular_computes_each_class_once(monkeypatch):
     assert code == 0
     assert calls == {"transgression_form": 1, "modular_cocycle": 1}
     assert text == (GOLDEN / "modular_aff1.json").read_text()
+
+
+def test_overflowing_constants_are_an_error_document_without_warnings(
+        tmp_path):
+    # so(3) scaled by 1e200 in a fresh process, where numpy would print its
+    # RuntimeWarnings on stderr
+    eps = np.zeros((3, 3, 3))
+    for s, t, u in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        eps[s, t, u], eps[t, s, u] = 1e200, -1e200
+    spec = tmp_path / "big.json"
+    spec.write_text(json.dumps({"kind": "lie_algebra",
+                                "params": {"constants": eps.tolist()}}))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(__file__).parent.parent / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "algebroidlab.cli", "curvature", "--spec",
+         str(spec)], env=env, capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout) == {
+        "error": "structure constants fail Jacobi (defect nan)"}
 
 
 def test_cli_import_loads_no_scipy():

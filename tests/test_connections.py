@@ -158,6 +158,14 @@ def test_curvature_of_ad_vanishes(catalog):
                 assert f.is_zero(), name
 
 
+def test_curvature_of_rank_one_is_the_empty_form(catalog):
+    # rank 1 has no frame pairs, so the curvature has no components
+    a = catalog["scaling"]
+    for conn in (al.basic_connection(a), al.compatible_connection(a)[0]):
+        R = al.curvature(conn)
+        assert R.degree == 2 and R.coeffs == {}
+
+
 def test_curvature_zero_anchor_bundle(catalog):
     # anchor = 0: curvature of the bracket connection is the Jacobi defect
     a = catalog["heisenberg"]
