@@ -33,7 +33,6 @@ from .connections import (
     _BLOCK,
     _family_curvature,
     _frame_matrices,
-    _join,
     basic_connection,
     bundle_rank,
     flat_metric_connection,
@@ -44,7 +43,7 @@ from .errors import (
     ClosednessFailureError,
     ShapeMismatchError,
 )
-from .fields import ScalarField, dot, perm_sign
+from .fields import ScalarField, _join, dot, perm_sign
 from .sampling import max_abs, seeded_points
 
 TWO_PI = 2.0 * math.pi
@@ -523,9 +522,10 @@ def modular_theorem_check(algebroid, n_points=20, seed=0):
     pts = seeded_points(n_points, algebroid.dimension, seed)
     m1 = secondary_class(algebroid, 1)
     theta = modular_cocycle(algebroid)
-    worst = max_abs(m1.form.coeff((s,)).evaluate(tuple(p))
-                       - theta.form.coeff((s,)).evaluate(tuple(p)) / TWO_PI
-                       for p in pts for s in range(algebroid.rank))
+    pairs = [(m1.form.coeff((s,)), theta.form.coeff((s,)))
+             for s in range(algebroid.rank)]
+    worst = max_abs(f.evaluate(p) - g.evaluate(p) / TWO_PI
+                    for p in map(tuple, pts) for f, g in pairs)
     return {"max_deviation": worst,
             "n_points": int(pts.shape[0]),
             "closedness_residual": m1.closedness_residual,

@@ -25,7 +25,9 @@ from .errors import (
 from .fields import (
     ScalarField,
     _field_array,
+    _join,
     _partials,
+    _split,
     _values,
     as_field,
     dot,
@@ -199,32 +201,6 @@ def curvature_applied(conn, alpha, beta, target):
     out = out - a_derivative(conn, beta, second)
     br = bracket_sections(a, alpha, beta)
     return out - a_derivative(conn, br, target)
-
-
-def _split(chart, fields):
-    """{chart exponents: float array of the fields' shape}: the coefficients
-    of an array of fields by monomial, so that fields = sum_e out[e] x^e.
-    Keys are sorted, so the constant monomial is always the first, a zero
-    array when no field has it; over a point it is the only one."""
-    keys = [(0,) * chart.dimension]
-    if chart.dimension:
-        keys = sorted(set().union(keys, *(f.coeffs for f in fields.flat)))
-    return {e: np.fromiter((f.coeffs.get(e, 0.0) for f in fields.flat), float,
-                           fields.size).reshape(fields.shape) for e in keys}
-
-
-def _join(chart, parts):
-    """Inverse of _split: the fields sum_e parts[e] x^e, each built once with
-    its exact zeros dropped."""
-    first = next(iter(parts.values()))
-    coeffs = [{} for _ in range(first.size)]
-    for e, v in parts.items():
-        v = v.reshape(-1)
-        nz = v.nonzero()[0]
-        for i, c in zip(nz.tolist(), v[nz].tolist()):
-            coeffs[i][e] = c
-    return np.fromiter((ScalarField._of(chart, c) for c in coeffs), object,
-                       len(coeffs)).reshape(first.shape)
 
 
 def _frame_matrices(conn):

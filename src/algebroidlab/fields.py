@@ -612,6 +612,32 @@ def _partials(fields, m):
                        object, fields.size * m).reshape(fields.shape + (m,))
 
 
+def _split(chart, fields):
+    """{chart exponents: float array of the fields' shape}: the coefficients
+    of an array of fields by monomial, so that fields = sum_e out[e] x^e.
+    Keys are sorted, so the constant monomial is always the first, a zero
+    array when no field has it; over a point it is the only one."""
+    keys = [(0,) * chart.dimension]
+    if chart.dimension:
+        keys = sorted(set().union(keys, *(f.coeffs for f in fields.flat)))
+    return {e: np.fromiter((f.coeffs.get(e, 0.0) for f in fields.flat), float,
+                           fields.size).reshape(fields.shape) for e in keys}
+
+
+def _join(chart, parts):
+    """Inverse of _split: the fields sum_e parts[e] x^e, each built once with
+    its exact zeros dropped."""
+    first = next(iter(parts.values()))
+    coeffs = [{} for _ in range(first.size)]
+    for e, v in parts.items():
+        v = v.reshape(-1)
+        nz = v.nonzero()[0]
+        for i, c in zip(nz.tolist(), v[nz].tolist()):
+            coeffs[i][e] = c
+    return np.fromiter((ScalarField._of(chart, c) for c in coeffs), object,
+                       len(coeffs)).reshape(first.shape)
+
+
 def perm_sign(seq):
     """Sign of the permutation that sorts seq (entries distinct)."""
     sign = 1

@@ -1,14 +1,18 @@
 """Axioms, catalog families, isotropy, and linearization."""
 
+import importlib.util
+import itertools
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import algebroidlab as al
-from algebroidlab.fields import Chart, ScalarField, parse_field
+from algebroidlab.algebroid import _axiom_defects, _certificate
+from algebroidlab.fields import Chart, ScalarField, _join, _split, parse_field
 from algebroidlab.sampling import _MAX_SIZE, max_abs, seeded_points
 from algebroidlab.errors import (
     AlgebroidError,
@@ -421,3 +425,266 @@ def test_constants_jacobiator_matches_its_definition():
         got = al.constants_jacobiator(c)
         assert got.shape == (r, r, r, r)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), r
+
+
+def test_constants_jacobiator_is_bit_for_bit_one_matmul_and_cyclic_sum():
+    rng = rng_for("jacobiator bits")
+    for r in (1, 2, 5, 8):
+        c = rng.standard_normal((r, r, r))
+        c = c - c.transpose(1, 0, 2)
+        p = (c.reshape(r * r, r) @ c.reshape(r, r * r)).reshape((r,) * 4)
+        want = p + p.transpose(2, 0, 1, 3)
+        want += p.transpose(1, 2, 0, 3)
+        assert np.array_equal(al.constants_jacobiator(c), want), r
+
+
+# ------------------------------------------------ split axiom defect kernel
+
+DATA = Path(__file__).parent / "data"
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def field_defects(a):
+    """{(defect, index...): field} of every anchor, Jacobi and antisymmetry
+    defect entry, built through bracket_sections, anchor_apply and
+    vector_field_bracket: an oracle that shares no code with the kernel."""
+    r = a.rank
+    frames = a.frame_sections()
+    br = [[al.bracket_sections(a, frames[s], frames[t]) for t in range(r)]
+          for s in range(r)]
+    out = {}
+    for s, t in itertools.product(range(r), repeat=2):
+        lhs = al.anchor_apply(a, br[s][t])
+        rhs = al.vector_field_bracket(a.anchor_row(s), a.anchor_row(t))
+        for i, (x, y) in enumerate(zip(lhs.comps, rhs.comps)):
+            out["anchor", s, t, i] = x - y
+        for u in range(r):
+            out["anti", s, t, u] = a.bracket[s, t, u] + a.bracket[t, s, u]
+    for s, t, u in itertools.product(range(r), repeat=3):
+        j = (al.bracket_sections(a, br[s][t], frames[u])
+             + al.bracket_sections(a, br[t][u], frames[s])
+             + al.bracket_sections(a, br[u][s], frames[t]))
+        for w, f in enumerate(j.coeffs):
+            out["jacobi", s, t, u, w] = f
+    return out
+
+
+def kernel_defects(a):
+    """The same entries from _axiom_defects, as {key: {monomial: coeff}}."""
+    out = {}
+    for g, *defects in _axiom_defects(_split(a.chart, a.bracket),
+                                      _split(a.chart, a.anchor)):
+        for name, d in zip(("anchor", "jacobi", "anti"), defects):
+            if d is not None:
+                for idx in zip(*np.nonzero(d)):
+                    out.setdefault((name,) + idx, {})[g] = float(d[idx])
+    return out
+
+
+def assert_kernel_matches_fields(a, rel=1e-13):
+    """Coefficient by coefficient, to rel times the largest oracle
+    coefficient (exact on integer data); NaN and inf in the same places.
+    Returns the names of the defects that are not identically zero."""
+    want = field_defects(a)
+    got = kernel_defects(a)
+    assert set(got) <= set(want)
+    scale = max([1.0] + [abs(v) for f in want.values()
+                         for v in f.coeffs.values() if math.isfinite(v)])
+    nonzero = set()
+    for key, field in want.items():
+        coeffs = got.get(key, {})
+        monos = sorted(set(coeffs) | set(field.coeffs))
+        np.testing.assert_allclose(
+            [coeffs.get(e, 0.0) for e in monos],
+            [field.coeffs.get(e, 0.0) for e in monos],
+            rtol=0, atol=rel * scale, equal_nan=True, err_msg=str(key))
+        if field.coeffs:
+            nonzero.add(key[0])
+    return nonzero
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_axiom_kernel_matches_fields_on_test_data():
+    built = []
+    for path in sorted(DATA.glob("*.json")):
+        if "segments" in json.loads(path.read_text()):
+            continue   # an A-path, not an algebroid
+        assert_kernel_matches_fields(al.load_algebroid(path))
+        built.append(path.name)
+    assert len(built) >= 6, built
+
+
+def test_axiom_kernel_matches_fields_on_workload_families():
+    wl = load_workloads()
+    gen = wl.philox(7, "poly_symbolic")
+    specs = [wl.so3_action_spec(gen), wl.poisson_spec(gen, "aff1"),
+             wl.poisson_spec(gen, "sl2"), wl.poisson_spec(gen, "gl2"),
+             wl.heisenberg_spec(gen, 1), wl.heisenberg_spec(gen, 2, rank=4),
+             wl.heisenberg_spec(gen, 1, rank=4)]
+    for spec in specs:
+        assert assert_kernel_matches_fields(al.algebroid_from_dict(spec)) \
+            <= set(), spec
+
+
+def test_axiom_kernel_matches_fields_on_each_defect():
+    # charts of dimension 2 and 3, each defect nonzero in turn, float data
+    chart3 = Chart(3)
+    anchor = [list(row) for row in SO3_ACTION_FIELDS]
+    anchor[2][0] = "-x2 + 0.3*x1^2"
+    bent = al.build_algebroid(chart3, 3, anchor, -EPS3)
+    assert assert_kernel_matches_fields(bent) == {"anchor"}
+
+    chart2 = Chart(2)
+    bracket = al.algebroid._bracket_from_entries(chart2, 4, [
+        {"s": 1, "t": 2, "u": 4, "value": "0.7*x1*x2 - x2^2"},
+        {"s": 4, "t": 3, "u": 4, "value": "1.5 + x1"}])
+    zero_anchor = np.zeros((4, 2))
+    off_jacobi = al.build_algebroid(chart2, 4, zero_anchor, bracket)
+    assert assert_kernel_matches_fields(off_jacobi) == {"jacobi"}
+
+    skew = bracket.copy()
+    skew[1, 0, 3] = parse_field(chart2, "0.25*x2")
+    not_anti = al.LieAlgebroid(chart2, 4, off_jacobi.anchor, skew)
+    assert "anti" in assert_kernel_matches_fields(not_anti)
+
+    # a bivector that is not Poisson: the anchor terms of Jacobi count too
+    not_poisson = al.catalog_build("poisson", {"dimension": 3, "bivector": [
+        ["0", "0.5*x1", "x3^2"], ["-0.5*x1", "0", "x2 - 0.1"],
+        ["-x3^2", "0.1 - x2", "0"]]})
+    assert assert_kernel_matches_fields(not_poisson) == {"anchor", "jacobi"}
+
+    # linear Poisson structure of so(3) in a random real basis: every
+    # defect is roundoff, matched to the oracle's roundoff
+    rng = rng_for("axiom kernel float data")
+    p = rng.standard_normal((3, 3))
+    c = np.einsum("as,bt,stu,uv->abv", p, p, EPS3, np.linalg.inv(p))
+    c = 0.5 * (c - c.transpose(1, 0, 2))
+    units = [tuple(e) for e in np.eye(3, dtype=int).tolist()]
+    biv = [[ScalarField(chart3, dict(zip(units, c[i, j]))) for j in range(3)]
+           for i in range(3)]
+    assert_kernel_matches_fields(
+        al.catalog_build("poisson", {"dimension": 3, "bivector": biv}))
+
+
+def test_validate_samples_the_field_defects():
+    # validate's residuals are the parent route's: the oracle's defect
+    # fields on its entries, evaluated at the same points, to roundoff
+    chart2, chart3 = Chart(2), Chart(3)
+    anchor = [list(row) for row in SO3_ACTION_FIELDS]
+    anchor[2][0] = "-x2 + 0.3*x1^2"
+    bracket = al.algebroid._bracket_from_entries(chart2, 4, [
+        {"s": 1, "t": 2, "u": 4, "value": "0.7*x1*x2 - x2^2"},
+        {"s": 4, "t": 3, "u": 4, "value": "1.5 + x1"}])
+    skew = bracket.copy()
+    skew[1, 0, 3] = parse_field(chart2, "0.25*x2^3")
+    cases = [
+        al.build_algebroid(chart3, 3, anchor, -EPS3),
+        al.LieAlgebroid(chart2, 4, al.build_algebroid(
+            chart2, 4, np.zeros((4, 2)), bracket).anchor, skew),
+        al.catalog_build("poisson", {"dimension": 3, "bivector": [
+            ["0", "0.5*x1", "x3^2"], ["-0.5*x1", "0", "x2 - 0.1"],
+            ["-x3^2", "0.1 - x2", "0"]]})]
+    for a in cases:
+        r = a.rank
+        fields = field_defects(a)
+        pts = seeded_points(50, a.dimension, 0)
+        keys = {
+            "anchor": [("anchor", s, t, i) for s, t in
+                       itertools.combinations(range(r), 2)
+                       for i in range(a.dimension)],
+            "jacobi": [("jacobi",) + st + (w,) for st in
+                       itertools.combinations(range(r), 3)
+                       for w in range(r)],
+            "anti": [("anti", s, t, u) for s in range(r)
+                     for t in range(s, r) for u in range(r)]}
+        want = {name: max_abs(fields[k].evaluate(tuple(p))
+                              for k in ks for p in pts)
+                for name, ks in keys.items()}
+        report = al.validate(a, n_samples=50, seed=0)
+        got = {"anchor": report.anchor_residual,
+               "jacobi": report.jacobi_residual,
+               "anti": report.antisymmetry_residual}
+        assert any(want.values())
+        for name in want:
+            assert got[name] == pytest.approx(want[name], rel=1e-12,
+                                              abs=1e-15), name
+
+
+def bundle(m, entries, rank=4):
+    return al.catalog_build("lie_algebra_bundle", {
+        "dimension": m, "rank": rank, "bracket": entries})
+
+
+def test_bundle_certificate_refuses_a_small_jacobi_defect():
+    # J(e1, e2, e3) = eps x1 x2 [e4, e3] = eps x1 x2 e4, eps = 1e-6
+    with pytest.raises(JacobiViolationError, match="defect 1.000e-06"):
+        bundle(2, [{"s": 1, "t": 2, "u": 4, "value": "1e-6*x1*x2"},
+                   {"s": 4, "t": 3, "u": 4, "value": "1"}])
+    # x1^200 x2^200 is below 1e-12 at all 20 points the build once sampled,
+    # so that check passed this bracket; its certificate is 1e-6
+    chart = Chart(2)
+    entries = [{"s": 1, "t": 2, "u": 4, "value": "1e-6*x1^200*x2^200"},
+               {"s": 4, "t": 3, "u": 4, "value": "1"}]
+    a = al.build_algebroid(chart, 4, np.zeros((4, 2)),
+                           al.algebroid._bracket_from_entries(chart, 4,
+                                                              entries))
+    sampled = max_abs(max_abs(al.constants_jacobiator(a.bracket_at(p)))
+                      for p in seeded_points(20, 2, 0))
+    assert 0.0 < sampled <= 1e-10
+    with pytest.raises(JacobiViolationError, match="defect 1.000e-06"):
+        bundle(2, entries)
+
+
+def test_bundle_certificate_refuses_overflow_without_warnings():
+    # so(3) times 1e200*x1: the x1^2 Jacobi products overflow
+    entries = [{"s": s, "t": t, "u": u, "value": "1e200*x1"}
+               for s, t, u in ((1, 2, 3), (2, 3, 1), (3, 1, 2))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(JacobiViolationError,
+                           match="defect (nan|inf)"):
+            bundle(1, entries, rank=3)
+
+
+def test_certificate_bounds_every_sampled_value():
+    rng = rng_for("certificate")
+    for m in (1, 2, 3):
+        chart = Chart(m)
+        monos = [e for e in itertools.product(range(4), repeat=m)
+                 if sum(e) <= 3]
+        for trial in range(5):
+            keys = [monos[i] for i in sorted(rng.choice(
+                len(monos), size=min(len(monos), 6), replace=False))]
+            parts = {e: rng.standard_normal((2, 3))
+                     * (rng.random((2, 3)) < 0.7) for e in keys}
+            cert = _certificate(parts.values())
+            fields = _join(chart, parts)
+            pts = seeded_points(200, m, trial)
+            sampled = max_abs(f.evaluate(tuple(p)) for f in fields.flat
+                              for p in pts)
+            assert sampled <= cert * (1 + 1e-12), (m, trial)
+            # at (1, ..., 1) the entry of largest certificate reaches it
+            # when its coefficients share a sign
+            same = {e: np.abs(x) for e, x in parts.items()}
+            ones = (1.0,) * m
+            top = max_abs(f.evaluate(ones) for f in _join(chart, same).flat)
+            assert top == pytest.approx(_certificate(same.values()),
+                                        rel=1e-12)
+    assert _certificate([None]) == 0.0
+    assert math.isnan(_certificate([np.array([1.0, math.nan])]))
+
+
+def test_workload_bundles_still_build():
+    wl = load_workloads()
+    for seed in range(1, 11):
+        gen = wl.philox(seed, "poly_symbolic")
+        for m, rank in ((1, 3), (2, 4), (1, 4), (2, 3)):
+            a = al.algebroid_from_dict(wl.heisenberg_spec(gen, m, rank=rank))
+            assert a.rank == rank and a.dimension == m

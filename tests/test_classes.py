@@ -19,7 +19,14 @@ from algebroidlab.errors import (
     BadOrderError,
     ShapeMismatchError,
 )
-from algebroidlab.fields import Chart, ScalarField, parse_field, perm_sign
+from algebroidlab.fields import (
+    Chart,
+    ScalarField,
+    _join,
+    _split,
+    parse_field,
+    perm_sign,
+)
 from conftest import (
     AFF1_CONSTANTS,
     EPS3,
@@ -470,12 +477,10 @@ def per_pair_field_family_curvature(algebroid, ws):
 def chart_family(a, n):
     """Field frame matrices w_0, eta_1.., eta_n of three random degree-1
     E-connections on a, and the same split by chart monomial."""
-    from algebroidlab import connections
-
     ws = [al.build_connection(a, "E", random_symbols(a, "E", key, degree=1))
           .symbols.transpose(0, 2, 1) for key in (11, 12, 13)[:n + 1]]
     ws = ws[:1] + [w - ws[0] for w in ws[1:]]
-    return ws, [connections._split(a.chart, w) for w in ws]
+    return ws, [_split(a.chart, w) for w in ws]
 
 
 def joined_family_curvature(a, parts):
@@ -483,7 +488,7 @@ def joined_family_curvature(a, parts):
     fields."""
     from algebroidlab import connections
 
-    return {e: connections._join(a.chart, split) for e, split in
+    return {e: _join(a.chart, split) for e, split in
             connections._family_curvature(a, parts[0], parts[1:]).items()}
 
 
