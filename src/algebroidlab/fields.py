@@ -65,11 +65,13 @@ class Chart:
         return "Chart(%d)" % self.dimension
 
     def check_point(self, p):
-        p = tuple(float(v) for v in p)
+        p = tuple(map(float, p))
         if len(p) != self.dimension:
             raise DimensionMismatchError(
                 "point has length %d, chart dimension is %d"
                 % (len(p), self.dimension))
+        if not all(map(math.isfinite, p)):
+            raise DimensionMismatchError("point coordinates must be finite")
         return p
 
 

@@ -13,10 +13,19 @@ t-derivatives at an array of times by Horner's rule, the segment of each
 time found by np.searchsorted; the tangency check evaluates the anchor at
 all of its sample points in one ScalarField.evaluate_many call per anchor
 entry, and lift_base_path evaluates its nodes and builds its cubic cells
-the same way. Transport forms M(t) at all RK4 nodes of a segment (step
-starts and midpoints, in blocks) with one power sum, in the same order of
-operations as a sum formed one time at a time, so the RK4 recurrence and
-its results do not change by a bit.
+the same way.
+
+Transport does not step v in Python. The equation is linear, so one RK4
+step is a matrix, the stability polynomial of the method at -h M(t)
+(Hairer, Norsett & Wanner, Solving ODEs I, IV.2). Per block of steps,
+M(t) is formed at all RK4 nodes (step starts and midpoints) with one power
+sum, and every step map I + D_k by the RK4 stages applied to v = I in
+stacked matmuls. The maps are multiplied together in fixed chunks of
+_CHUNK steps, counted from the start of the segment, and the chunk
+products are applied to v in order. This reorders the per-vector RK4
+arithmetic, so results move by roundoff against stepping v itself, but
+not with the block size. The transport matrix's t-coefficients come from
+the symbols split by chart monomial, with no field arithmetic.
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ from .errors import (
     ShapeMismatchError,
     ToleranceNotMetError,
 )
-from .fields import Chart, ScalarField, as_field
+from .fields import Chart, ScalarField, _split, as_field
 from .sampling import max_abs
 
 T_CHART = Chart(1, ("t",))
@@ -43,8 +52,10 @@ T_CHART = Chart(1, ("t",))
 PATH_TOL = 1e-6
 JOINT_TOL = 1e-9
 RESIDUAL_GRID = 256
-# transport matrices formed at once, at most about this many entries
+# step maps formed at once, at most about this many entries
 _BLOCK_ENTRIES = 2 ** 16
+# step maps composed into one product before it is applied
+_CHUNK = 16
 
 
 def _table(rows):
@@ -100,18 +111,6 @@ def _compose1(f, g):
         if c:
             out = out + c * power
         power = power * g
-    return out
-
-
-def _substitute(field, curves):
-    """Evaluate a chart polynomial along 1-parameter polynomial curves."""
-    out = ScalarField(T_CHART)
-    for exps, c in field.coeffs.items():
-        term = ScalarField._scalar(T_CHART, c)
-        for i, e in enumerate(exps):
-            for _ in range(e):
-                term = term * curves[i]
-        out = out + term
     return out
 
 
@@ -335,22 +334,32 @@ class TransportResult:
 
 def _segment_matrices(conn, path):
     """Per segment, dense t-coefficient arrays of the transport matrix,
-    index [power of t, u, w]."""
-    q = conn.q
+    index [power of t, u, w]: the symbols split by chart monomial, each
+    monomial's coefficients times that monomial's power of the base curve,
+    then times the frame coefficients."""
+    algebroid = conn.algebroid
+    m = algebroid.dimension
+    parts = _split(algebroid.chart, conn.symbols)
+    symbols = np.array(list(parts.values()))
     out = []
-    for _t0, _t1, gamma, coeffs in path.segments:
-        entries = np.full((q, q), ScalarField(T_CHART), dtype=object)
-        for s in range(conn.algebroid.rank):
-            a_s = coeffs[s]
-            if a_s.is_zero():
-                continue
-            for w in range(q):
-                for u in range(q):
-                    g = conn.symbols[s, w, u]
-                    if g.is_zero():
-                        continue
-                    entries[u, w] = entries[u, w] + a_s * _substitute(g, gamma)
-        out.append(np.moveaxis(_table(entries), 2, 0))
+    for row in path._table:
+        gamma, coeffs = row[:m], row[m:]
+        powers = []
+        for exps in parts:
+            p = np.ones(1)
+            for g, e in zip(gamma, exps):
+                for _ in range(e):
+                    p = np.convolve(p, g)
+            powers.append(p)
+        width = max(len(p) for p in powers)
+        powers = np.array([np.pad(p, (0, width - len(p))) for p in powers])
+        # the symbols along the path, [power of t, s, u, w]
+        along = np.einsum("ed,eswu->dsuw", powers, symbols)
+        mats = np.zeros((width + coeffs.shape[1] - 1, conn.q, conn.q))
+        for j in range(coeffs.shape[1]):
+            mats[j:j + width] += np.einsum("s,dsuw->duw", coeffs[:, j], along)
+        degree = max(np.flatnonzero(mats.any(axis=(1, 2))), default=0)
+        out.append(mats[:degree + 1])
     return out
 
 
@@ -365,31 +374,59 @@ def _neg_matrices(c, ts):
     return -total
 
 
+def _step_maps(ends, mids, h):
+    """D_k with I + D_k the RK4 step of dv/dt = -M(t) v from the k-th time:
+    ends holds -M at the step starts and the last end, mids -M at the
+    midpoints. Each stage is the per-vector stage applied to v = I, so
+    I + D_k is bit for bit one step from the identity."""
+    eye = np.eye(ends.shape[1])
+    half = 0.5 * h
+    k1 = ends[:-1]
+    k2 = mids @ (eye + half * k1)
+    k3 = mids @ (eye + half * k2)
+    k4 = ends[1:] @ (eye + h * k3)
+    return (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _chunk_products(d):
+    """E_j with I + E_j the product of the step maps I + d_k over each run
+    of _CHUNK steps, later steps on the left; a short last run is padded
+    with zero increments, which leave a product exactly as it is. Pairs
+    combine as x + y + y @ x, so the identity is never added in. _CHUNK is
+    a power of two."""
+    q = d.shape[1]
+    pad = -len(d) % _CHUNK
+    if pad:
+        d = np.concatenate((d, np.zeros((pad, q, q))))
+    for _ in range(_CHUNK.bit_length() - 1):
+        pairs = d.reshape((len(d) // 2, 2, q, q))
+        x, y = pairs[:, 0], pairs[:, 1]
+        d = x + y + y @ x
+    return d
+
+
 def _integrate(conn, path, v0, n_steps, seg_mats):
     v = np.array(v0, dtype=float)
     total = 0
-    block = max(1, _BLOCK_ENTRIES // max(1, conn.q ** 2))
-    for seg, c in zip(path.segments, seg_mats):
-        t0, t1 = seg[0], seg[1]
-        n = max(1, math.ceil(n_steps * (t1 - t0)))
-        h = (t1 - t0) / n
-        half = 0.5 * h
-        sixth = h / 6.0
-        # step starts by a running sum from t0, each t + h rounded once
-        ts = np.full(n + 1, h)
-        ts[0] = t0
-        ts = np.cumsum(ts)
-        for lo in range(0, n, block):
-            hi = min(lo + block, n)
-            ends = _neg_matrices(c, ts[lo:hi + 1])
-            mids = _neg_matrices(c, ts[lo:hi] + half)
-            for k in range(hi - lo):
-                k1 = ends[k] @ v
-                k2 = mids[k] @ (v + half * k1)
-                k3 = mids[k] @ (v + half * k2)
-                k4 = ends[k + 1] @ (v + h * k3)
-                v = v + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        total += n
+    # whole chunks per block, so that blocks do not change the result
+    block = _CHUNK * max(1, _BLOCK_ENTRIES // (_CHUNK * max(1, conn.q ** 2)))
+    # a non-finite result is refused by the caller
+    with np.errstate(over="ignore", invalid="ignore"):
+        for seg, c in zip(path.segments, seg_mats):
+            t0, t1 = seg[0], seg[1]
+            n = max(1, math.ceil(n_steps * (t1 - t0)))
+            h = (t1 - t0) / n
+            # step starts by a running sum from t0, each t + h rounded once
+            ts = np.full(n + 1, h)
+            ts[0] = t0
+            ts = np.cumsum(ts)
+            for lo in range(0, n, block):
+                hi = min(lo + block, n)
+                d = _step_maps(_neg_matrices(c, ts[lo:hi + 1]),
+                               _neg_matrices(c, ts[lo:hi] + 0.5 * h), h)
+                for e in _chunk_products(d):
+                    v = v + e @ v
+            total += n
     return v, total
 
 
@@ -399,7 +436,11 @@ def parallel_transport(conn, path, v0, n_steps=200, tol=None,
 
     n_steps is the coarse step count over [0, 1]; ValueError unless
     1 <= n_steps and 2 * n_steps <= max_steps, or when tol is given and is
-    not a finite number >= 0.
+    not a finite number >= 0. A non-finite v0 is refused; a result that
+    overflows raises ToleranceNotMetError.
+
+    Every RK4 step is formed as a q x q matrix, so a run costs O(q^3) per
+    step whatever v0 is: one vector costs as much as a frame of q columns.
     """
     if path.algebroid is not conn.algebroid:
         raise AlgebroidMismatchError("path over a different algebroid")
@@ -408,6 +449,8 @@ def parallel_transport(conn, path, v0, n_steps=200, tol=None,
         raise ShapeMismatchError(
             "initial vector has length %d, bundle rank is %d"
             % (v0.shape[0], conn.q))
+    if not np.all(np.isfinite(v0)):
+        raise ShapeMismatchError("initial vector must be finite")
     n = int(n_steps)
     if not (1 <= n and 2 * n <= max_steps):
         raise ValueError("n_steps must be at least 1 and at most %d, got %d"
@@ -418,6 +461,9 @@ def parallel_transport(conn, path, v0, n_steps=200, tol=None,
     coarse, _ = _integrate(conn, path, v0, n, seg_mats)
     while True:
         fine, fine_count = _integrate(conn, path, v0, 2 * n, seg_mats)
+        if not np.all(np.isfinite(fine)):
+            raise ToleranceNotMetError(
+                "transport overflows a double at %d steps" % fine_count)
         err = float(np.max(np.abs(fine - coarse), initial=0.0)) / 15.0
         if tol is None or err <= tol:
             return TransportResult(fine, fine_count, err, tol)

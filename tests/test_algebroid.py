@@ -125,6 +125,15 @@ def test_validate_at_explicit_points(catalog):
     assert report.seed is None
 
 
+def test_validate_refuses_non_finite_points(catalog):
+    # the defects of so3_action vanish exactly, so a NaN point used to pass
+    # with residual 0
+    a = catalog["so3_action"]
+    for bad in ((np.nan, 0.0, 0.0), (0.0, np.inf, 0.0), (0.0, 0.0, -np.inf)):
+        with pytest.raises(DimensionMismatchError, match="finite"):
+            al.validate(a, points=[(1.0, 0.0, 0.0), bad])
+
+
 def test_empty_or_negative_samples_are_refused(catalog):
     # a maximum over no points reads 0 and would pass any check
     a = catalog["so3_action"]
@@ -278,6 +287,14 @@ def test_anchor_rank_values(catalog):
     assert al.anchor_rank_at(catalog["scaling"], (2.0,)) == 1
     assert al.anchor_rank_at(catalog["sl2"], ()) == 0
     assert al.anchor_rank_at(catalog["dual_so3"], (0.0, 0.0, 0.5)) == 2
+
+
+def test_anchor_rank_refuses_non_finite_points(catalog):
+    # a NaN point used to reach the SVD and raise numpy's LinAlgError
+    a = catalog["so3_action"]
+    for bad in ((np.nan, 0.0, 0.0), (0.0, np.inf, 0.0), (0.0, 0.0, -np.inf)):
+        with pytest.raises(DimensionMismatchError, match="finite"):
+            al.anchor_rank_at(a, bad)
 
 
 def test_isotropy_axis_point(catalog):

@@ -62,6 +62,8 @@ def test_trace_hooks_fire_and_restore(catalog):
             al.chern_weil(a, conn, poly)
             poly.sigma(np.eye(conn.q))
             path = al.path_from_dict(a, doc)
+            # transport multiplies no fields; reversing a path does
+            al.reverse_path(path)
             al.parallel_transport(al.compatible_connection(a)[0], path,
                                   np.eye(a.rank), n_steps=8)
     finally:
@@ -77,7 +79,8 @@ def test_trace_hooks_fire_and_restore(catalog):
     assert counts["fields.mul_calls"] > 0 and counts["fields.new_calls"] > 0
     metrics = spans.summarize(tracer, 1, 1.0)
     assert metrics["classes.invpoly_calls"] > 0
-    assert metrics["transport.apath_calls"] == 1
+    # path_from_dict and reverse_path build one path each
+    assert metrics["transport.apath_calls"] == 2
 
     # restore puts every original back
     assert all(getattr(mod, name) is originals[(mod.__name__, name)]

@@ -1,6 +1,8 @@
 """A-paths, lifting, parallel transport, holonomy."""
 
+import time
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from scipy.linalg import expm
 import algebroidlab as al
 from algebroidlab.errors import (
     AlgebroidMismatchError,
+    DimensionMismatchError,
     NotAFixedPointError,
     NotALoopError,
     NotTangentError,
@@ -202,6 +205,8 @@ def test_constant_path_needs_isotropy_coefficients(catalog):
     a = catalog["so3_action"]
     with pytest.raises(NotTangentError):
         al.constant_path(a, (0.0, 0.0, 2.0 * np.pi), (1.0, 0.0, 0.0))
+    with pytest.raises(DimensionMismatchError):
+        al.constant_path(a, (2.0 * np.pi, 0.0, 0.0), (np.nan, 0.0, 0.0))
     path = al.constant_path(a, (2.0 * np.pi, 0.0, 0.0), (1.0, 0.0, 0.0))
     assert path.residual == 0.0
     hol = al.holonomy_matrix(bracket_conn(a), path, n_steps=500)
@@ -357,6 +362,46 @@ def test_transport_rejects_bad_tolerances(catalog):
                               max_steps=16)
 
 
+def test_transport_refuses_non_finite_vectors(catalog):
+    # a NaN vector used to refine to max_steps with tol, taking seconds,
+    # and to come back as the result, with error nan, without tol
+    a = catalog["so3_action"]
+    conn = al.compatible_connection(a)[0]
+    path = al.constant_path(a, (2.0 * np.pi, 0.0, 0.0), (1.0, 0.0, 0.0))
+    start = time.perf_counter()
+    for bad in ([np.nan, 0.0, 0.0], [0.0, np.inf, 0.0], [[-np.inf] * 3] * 3):
+        for tol in (None, 1e-10):
+            with pytest.raises(ShapeMismatchError, match="finite"):
+                al.parallel_transport(conn, path, bad, tol=tol)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_transport_of_huge_vectors_fails_quietly_and_fast(catalog):
+    # e^0.7 times 1e308 overflows: refinement stops at the first finer
+    # result, with or without tol
+    a = catalog["scaling"]
+    conn = al.compatible_connection(a)[1]
+    path = al.constant_path(a, [0.7], (0.0,))
+    start = time.perf_counter()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for tol in (None, 1e-10):
+            with pytest.raises(ToleranceNotMetError,
+                               match="overflows a double at 400 steps"):
+                al.parallel_transport(conn, path, [1e308], tol=tol)
+        # a rotation keeps 1e308 entries finite, but the roundoff of such
+        # entries is far above an absolute tol of 1e-10: refinement runs to
+        # max_steps and gives up (the per-vector recurrence overflowed in
+        # its stages, warned, and took seconds)
+        so3 = catalog["so3_action"]
+        loop = al.constant_path(so3, (2.0 * np.pi, 0.0, 0.0), (1.0, 0.0, 0.0))
+        with pytest.raises(ToleranceNotMetError, match="at 204800 steps"):
+            al.parallel_transport(al.compatible_connection(so3)[0], loop,
+                                  np.full(3, 1e308), tol=1e-10)
+    assert caught == []
+    assert time.perf_counter() - start < 2.0
+
+
 def test_transport_on_a_rank_zero_bundle(catalog):
     # TM over the point of a Lie algebra: the fiber is {0}
     a = catalog["so3"]
@@ -388,8 +433,8 @@ def test_tangency_check_samples_every_segment(catalog):
 
 
 def per_stage_integrate(path, v0, n_steps, seg_mats):
-    """RK4 with M(t) summed afresh at each stage, t advanced by t += h: the
-    reference the node-array kernel must match bit for bit."""
+    """RK4 with M(t) summed afresh at each stage, t advanced by t += h,
+    stepping v itself: the reference for the step-map kernel."""
 
     def matrix_at(c, t):
         total = np.zeros(c.shape[1:])
@@ -446,7 +491,53 @@ def test_integrate_matches_per_stage_rk4(catalog):
                 got, steps = _integrate(conn, path, v0, n, mats)
                 want, want_steps = per_stage_integrate(path, v0, n, mats)
                 assert steps == want_steps
-                assert np.array_equal(got, want)
+                # the same RK4 arithmetic, reordered into step maps
+                assert (np.max(np.abs(got - want))
+                        <= 1e-14 * max(1.0, np.max(np.abs(want))))
+
+
+def test_step_maps_are_one_rk4_step_from_the_identity():
+    # one step from I is I + D_0, its chunk padded by zero increments, so
+    # the step map itself must match the per-stage step bit for bit
+    from algebroidlab.transport import _integrate
+
+    rng = rng_for("step_maps")
+    for q in (1, 2, 3, 6):
+        conn = SimpleNamespace(q=q)
+        for _ in range(40):
+            t0 = rng.uniform(0.0, 0.9)
+            t1 = rng.uniform(t0 + 1e-3, 1.0)
+            path = SimpleNamespace(segments=[(t0, t1)])
+            mats = [rng.normal(scale=2.0, size=(3, q, q))]
+            got, steps = _integrate(conn, path, np.eye(q), 1, mats)
+            want, want_steps = per_stage_integrate(path, np.eye(q), 1, mats)
+            assert steps == want_steps == 1
+            assert np.array_equal(got, want)
+
+
+def test_constant_generator_transport_is_a_taylor_power(catalog):
+    # with M constant every RK4 step is T4(-hM), the degree-4 Taylor
+    # polynomial of the exponential
+    from algebroidlab.transport import _integrate, _segment_matrices
+
+    a = catalog["so3_action"]
+    conn = bracket_conn(a)
+    path = al.constant_path(a, V, (0.0, 0.0, 0.0))
+    mats = _segment_matrices(conn, path)
+    assert mats[0].shape == (1, 3, 3)
+    for n in (1, 7, 16, 100, 1000):
+        x = -mats[0][0] / n
+        taylor = np.eye(3) + x @ (np.eye(3) + x @ (np.eye(3) / 2 + x @ (
+            np.eye(3) / 6 + x / 24)))
+        want = np.linalg.matrix_power(taylor, n)
+        got, steps = _integrate(conn, path, np.eye(3), n, mats)
+        assert steps == n
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    # the refined holonomy is as close to the exponential as its estimate
+    res = al.parallel_transport(conn, path, np.eye(3), n_steps=10, tol=1e-12)
+    exact = expm(-adjoint_matrix(a, V))
+    assert 0.0 < res.error <= 1e-12
+    assert np.max(np.abs(res.value - exact)) <= 10.0 * res.error
 
 
 def test_integrate_blocks_do_not_change_the_result(catalog, monkeypatch):
