@@ -31,6 +31,7 @@ from .fields import (
     ScalarField,
     _field_array,
     _partials,
+    _power_overflow,
     _split,
     _values,
     as_field,
@@ -309,7 +310,11 @@ def validate(algebroid, points=None, tol=1e-10, n_samples=50, seed=0):
                 for i, e in enumerate(g):
                     if e:
                         if (i, e) not in powers:
-                            powers[i, e] = np.array([p[i] ** e for p in block])
+                            try:
+                                powers[i, e] = np.array(
+                                    [p[i] ** e for p in block])
+                            except OverflowError:
+                                raise _power_overflow() from None
                         mono = mono * powers[i, e]
                 for v, x in terms:
                     v += np.multiply.outer(mono, x)

@@ -327,12 +327,15 @@ class ScalarField:
     def evaluate(self, p):
         p = self.chart.check_point(p)
         total = 0.0
-        for e, c in self.coeffs.items():
-            term = c
-            for xi, ei in zip(p, e):
-                if ei:
-                    term *= xi ** ei
-            total += term
+        try:
+            for e, c in self.coeffs.items():
+                term = c
+                for xi, ei in zip(p, e):
+                    if ei:
+                        term *= xi ** ei
+                total += term
+        except OverflowError:
+            raise _power_overflow() from None
         return total
 
     def evaluate_many(self, points):
@@ -537,6 +540,13 @@ def parse_field(chart, text):
     if not all(math.isfinite(c) for c in result.values()):
         raise ExpressionSyntaxError("coefficient is not a finite number")
     return ScalarField(chart, result)
+
+
+def _power_overflow():
+    """The error for a point with a coordinate power past a double, where
+    Python's float ** raises OverflowError."""
+    return DimensionMismatchError(
+        "point coordinates too large: a power overflows a double")
 
 
 def _finite(v):

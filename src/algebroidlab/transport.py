@@ -7,13 +7,16 @@ Transport integrates dv/dt = -M(t) v with classical RK4, where
 M[u][w](t) = sum_s a_s(t) Gamma[s][w][u](gamma(t)); the reported result
 always comes from the finer of an N vs 2N Richardson pair.
 
-Evaluation works on whole arrays of times. A path keeps its segments'
-polynomials in one dense coefficient table and evaluates values and
-t-derivatives at an array of times by Horner's rule, the segment of each
-time found by np.searchsorted; the tangency check evaluates the anchor at
-all of its sample points in one ScalarField.evaluate_many call per anchor
-entry, and lift_base_path evaluates its nodes and builds its cubic cells
-the same way.
+Evaluation works on whole arrays of times. A path is its segment bounds
+and one dense coefficient table of its segments' polynomials, read by
+Horner's rule at an array of times, the segment of each time found by
+np.searchsorted; the tangency check evaluates the anchor at all of its
+sample points in one ScalarField.evaluate_many call per anchor entry.
+Reversing, concatenating and reparametrizing compose the table's rows with
+the clock. lift_base_path stays in arrays from its nodes to its path: one
+stacked SVD gives every node's minimum-norm solution, with lstsq's rank
+cutoff, and the table is indexed out of the base curve's pieces and the
+cubic cells through the nodes.
 
 Transport does not step v in Python. The equation is linear, so one RK4
 step is a matrix, the stability polynomial of the method at -h M(t)
@@ -44,7 +47,7 @@ from .errors import (
     ShapeMismatchError,
     ToleranceNotMetError,
 )
-from .fields import Chart, ScalarField, _split, as_field
+from .fields import Chart, _split, as_field
 from .sampling import max_abs
 
 T_CHART = Chart(1, ("t",))
@@ -102,36 +105,42 @@ def _anchor_many(algebroid, points):
     return out
 
 
-def _compose1(f, g):
-    """f(g(t)) for polynomials in one variable."""
-    coeffs = _table([[f]])[0, 0]
-    out = ScalarField(T_CHART)
-    power = ScalarField.constant(T_CHART, 1.0)
-    for d, c in enumerate(coeffs):
-        if c:
-            out = out + c * power
-        power = power * g
+def _compose1(table, m, g, rate):
+    """Table of a path's segments run on the clock g: base curve gamma(g(t))
+    and frame coefficients rate(t) a(g(t)), g and rate given by their
+    coefficients in t."""
+    deg = table.shape[2] - 1
+    n = deg * (len(g) - 1) + 1
+    # the powers of g by rows, so that f(g(t)) is f @ powers
+    powers = np.zeros((deg + 1, n))
+    p = np.ones(1)
+    for d in range(deg + 1):
+        powers[d, :len(p)] = p
+        p = np.convolve(p, g)
+    f = table @ powers
+    out = np.zeros(f.shape[:2] + (n + len(rate) - 1,))
+    out[:, :m, :n] = f[:, :m]
+    for j, c in enumerate(rate):
+        out[:, m:, j:j + n] += c * f[:, m:]
     return out
 
 
 class APath:
     """Piecewise polynomial path in the algebroid over its base curve.
 
-    The base curve and the coefficients of all segments sit in one dense
-    table, [segment, gamma then coeffs, power of t], that every evaluation
-    reads by Horner's rule at a whole array of times.
+    A path is its segment bounds, segments[k] = (t0, t1) in order of t0,
+    and one dense table of the segments' polynomials, [segment, gamma then
+    coeffs, power of t], that every evaluation reads by Horner's rule at a
+    whole array of times.
     """
 
-    __slots__ = ("algebroid", "segments", "starts", "residual", "_table")
+    __slots__ = ("algebroid", "segments", "residual", "_table")
 
     def __init__(self, algebroid, segments):
         m = algebroid.dimension
         r = algebroid.rank
-        cleaned = []
+        bounds, rows = [], []
         for t0, t1, gamma, coeffs in segments:
-            t0, t1 = float(t0), float(t1)
-            if not t1 > t0:
-                raise ShapeMismatchError("segment endpoints out of order")
             gamma = [as_field(T_CHART, g) for g in gamma]
             coeffs = [as_field(T_CHART, a) for a in coeffs]
             if len(gamma) != m:
@@ -140,36 +149,55 @@ class APath:
             if len(coeffs) != r:
                 raise ShapeMismatchError(
                     "path needs %d coefficients, got %d" % (r, len(coeffs)))
-            cleaned.append((t0, t1, gamma, coeffs))
-        cleaned.sort(key=lambda seg: seg[0])
-        if not cleaned:
+            bounds.append((float(t0), float(t1)))
+            rows.append(gamma + coeffs)
+        if not rows:
             raise ShapeMismatchError("path needs at least one segment")
-        if abs(cleaned[0][0]) > 1e-12 or abs(cleaned[-1][1] - 1.0) > 1e-12:
+        order = sorted(range(len(rows)), key=lambda k: bounds[k][0])
+        self._check(algebroid, np.array(bounds)[order],
+                    _table([rows[k] for k in order]))
+
+    @classmethod
+    def _from_table(cls, algebroid, bounds, table):
+        """Path from segment bounds in order of t0 and their table, checked
+        as the constructor checks the segments it converts."""
+        path = object.__new__(cls)
+        path._check(algebroid, bounds, table)
+        return path
+
+    def _check(self, algebroid, bounds, table):
+        t0, t1 = bounds[:, 0], bounds[:, 1]
+        if not (t1 > t0).all():
+            raise ShapeMismatchError("segment endpoints out of order")
+        if abs(t0[0]) > 1e-12 or abs(t1[-1] - 1.0) > 1e-12:
             raise ShapeMismatchError("segments must cover [0, 1]")
         self.algebroid = algebroid
-        self.segments = cleaned
-        self.starts = np.array([seg[0] for seg in cleaned])
-        self._table = _table([seg[2] + seg[3] for seg in cleaned])
-        # each segment's base point at its end against the next one's at
-        # its start
-        joint = np.arange(len(cleaned) - 1)
-        left = self._eval([seg[1] for seg in cleaned[:-1]], joint)[0]
-        right = self._eval(self.starts[1:], joint + 1)[0]
-        jumps = ~np.all(np.abs(left[:, :m] - right[:, :m]) <= JOINT_TOL,
-                        axis=1)
-        for a, b, jump in zip(cleaned, cleaned[1:], jumps):
-            if abs(a[1] - b[0]) > 1e-12:
-                raise ShapeMismatchError("segments leave a gap in [0, 1]")
-            if jump:
-                raise NotTangentError("base curve jumps at a segment joint")
-        self.residual = self._tangency_residual()
+        self.segments = bounds
+        self._table = table
+        m = algebroid.dimension
+        # an overflow gives a non-finite jump or residual, refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            if len(bounds) > 1:
+                # each segment's base point at its end against the next
+                # one's at its start; the first bad joint names the error
+                joint = np.arange(len(bounds) - 1)
+                left = self._eval(t1[:-1], joint)[0][:, :m]
+                right = self._eval(t0[1:], joint + 1)[0][:, :m]
+                gaps = np.abs(t1[:-1] - t0[1:]) > 1e-12
+                bad = gaps | ~(np.abs(left - right) <= JOINT_TOL).all(axis=1)
+                if bad.any():
+                    if gaps[bad.argmax()]:
+                        raise ShapeMismatchError(
+                            "segments leave a gap in [0, 1]")
+                    raise NotTangentError("base curve jumps at a segment joint")
+            self.residual = self._tangency_residual()
         if not self.residual <= PATH_TOL:
             raise NotTangentError(
                 "path is not tangent to the anchor distribution "
                 "(residual %.3e)" % self.residual)
 
     def _eval(self, ts, seg=None):
-        return _horner(self._table, self.starts, ts, seg)
+        return _horner(self._table, self.segments[:, 0], ts, seg)
 
     def base_at(self, t):
         return self._eval([t])[0][0, :self.algebroid.dimension]
@@ -186,7 +214,7 @@ class APath:
             return 0.0
         # a fixed grid, and every segment's midpoint so that no segment
         # goes unchecked however many there are
-        mids = [0.5 * (seg[0] + seg[1]) for seg in self.segments]
+        mids = 0.5 * (self.segments[:, 0] + self.segments[:, 1])
         val, der = self._eval(
             np.concatenate((np.linspace(0.0, 1.0, RESIDUAL_GRID), mids)))
         b = _anchor_many(self.algebroid, val[:, :m])
@@ -203,13 +231,10 @@ def constant_path(algebroid, coeffs, point):
 
 def reverse_path(path):
     """Run a path backwards; coefficients flip sign with the time reversal."""
-    flip = 1.0 - ScalarField.coordinate(T_CHART, 0)
-    segments = []
-    for t0, t1, gamma, coeffs in path.segments:
-        segments.append((1.0 - t1, 1.0 - t0,
-                         [_compose1(g, flip) for g in gamma],
-                         [-_compose1(a, flip) for a in coeffs]))
-    return APath(path.algebroid, segments)
+    m = path.algebroid.dimension
+    return APath._from_table(
+        path.algebroid, 1.0 - path.segments[::-1, ::-1],
+        _compose1(path._table[::-1], m, [1.0, -1.0], [-1.0]))
 
 
 def concat_paths(first, second):
@@ -218,19 +243,15 @@ def concat_paths(first, second):
         raise AlgebroidMismatchError("paths over different algebroids")
     if not max_abs(first.base_at(1.0) - second.base_at(0.0)) <= JOINT_TOL:
         raise NotTangentError("second path does not start where the first ends")
-    t = ScalarField.coordinate(T_CHART, 0)
-    segments = []
-    for t0, t1, gamma, coeffs in first.segments:
-        g = 2.0 * t
-        segments.append((t0 / 2.0, t1 / 2.0,
-                         [_compose1(f, g) for f in gamma],
-                         [2.0 * _compose1(a, g) for a in coeffs]))
-    for t0, t1, gamma, coeffs in second.segments:
-        g = 2.0 * t - 1.0
-        segments.append(((t0 + 1.0) / 2.0, (t1 + 1.0) / 2.0,
-                         [_compose1(f, g) for f in gamma],
-                         [2.0 * _compose1(a, g) for a in coeffs]))
-    return APath(first.algebroid, segments)
+    m = first.algebroid.dimension
+    tables = [_compose1(first._table, m, [0.0, 2.0], [2.0]),
+              _compose1(second._table, m, [-1.0, 2.0], [2.0])]
+    width = max(x.shape[2] for x in tables)
+    table = np.concatenate(
+        [np.pad(x, ((0, 0), (0, 0), (0, width - x.shape[2]))) for x in tables])
+    bounds = np.concatenate((first.segments / 2.0,
+                             (second.segments + 1.0) / 2.0))
+    return APath._from_table(first.algebroid, bounds, table)
 
 
 def reparametrize_path(path, phi):
@@ -241,12 +262,11 @@ def reparametrize_path(path, phi):
     phi = as_field(T_CHART, phi)
     if abs(phi.evaluate((0.0,))) > 1e-12 or abs(phi.evaluate((1.0,)) - 1.0) > 1e-12:
         raise ShapeMismatchError("clock change must fix the endpoints")
-    rate = phi.partial(0)
-    t0, t1, gamma, coeffs = path.segments[0]
-    return APath(path.algebroid,
-                 [(t0, t1,
-                   [_compose1(g, phi) for g in gamma],
-                   [rate * _compose1(a, phi) for a in coeffs])])
+    g = _table([[phi]])[0, 0]
+    rate = g[1:] * np.arange(1, len(g))
+    return APath._from_table(
+        path.algebroid, path.segments,
+        _compose1(path._table, path.algebroid.dimension, g, rate))
 
 
 def _cubic_cells(nodes, values):
@@ -274,18 +294,36 @@ def _cubic_cells(nodes, values):
     return out
 
 
+def _min_norm(mats, rhs):
+    """Minimum-norm least-squares solutions of mats[n] x = rhs[n] over a
+    stack, from one stacked SVD (Golub-Van Loan, Matrix Computations,
+    5.5). Singular values at or below eps * max(rows, columns) times the
+    largest are dropped, the cutoff of np.linalg.lstsq; a zero matrix drops
+    them all and gives x = 0, as lstsq does."""
+    n, rows, cols = mats.shape
+    if not rows or not cols:
+        return np.zeros((n, cols))
+    u, s, vt = np.linalg.svd(mats, full_matrices=False)
+    keep = s > np.finfo(float).eps * max(rows, cols) * s[:, :1]
+    y = np.divide((rhs[:, None, :] @ u)[:, 0], s, out=np.zeros_like(s),
+                  where=keep)
+    return (y[:, None, :] @ vt)[:, 0]
+
+
 def lift_base_path(algebroid, base, grid=64):
     """Lift a base curve to an A-path by least squares at grid nodes.
 
     base is either a list of m polynomials in t covering [0, 1], or a list
     of (t0, t1, [polynomials]) pieces. Coefficients at the nodes are the
     minimum-norm solutions of the anchor system; between nodes they are
-    interpolated by a cubic through the four nearest nodes.
+    interpolated by a cubic through the four nearest nodes. A base curve,
+    velocity or anchor value that overflows a double at a node is refused.
     """
     def is_piece(x):
         return (isinstance(x, (tuple, list)) and len(x) == 3
                 and isinstance(x[0], (int, float)))
 
+    m = algebroid.dimension
     base = list(base)
     if base and all(is_piece(x) for x in base):
         pieces = [(float(t0), float(t1), [as_field(T_CHART, g) for g in gs])
@@ -294,34 +332,36 @@ def lift_base_path(algebroid, base, grid=64):
         pieces = [(0.0, 1.0, [as_field(T_CHART, g) for g in base])]
     pieces.sort(key=lambda seg: seg[0])
     for _t0, _t1, gs in pieces:
-        if len(gs) != algebroid.dimension:
+        if len(gs) != m:
             raise ShapeMismatchError("base curve needs %d components, got %d"
-                                     % (algebroid.dimension, len(gs)))
-    starts = [p[0] for p in pieces]
+                                     % (m, len(gs)))
+    starts = np.array([p[0] for p in pieces])
     grid = int(grid)
     if grid < 4:
         raise ShapeMismatchError("grid must have at least 4 cells")
     nodes = np.linspace(0.0, 1.0, grid + 1)
-    points, vel = _horner(_table([gs for _t0, _t1, gs in pieces]), starts,
-                          nodes)
-    a_nodes = np.array([np.linalg.lstsq(b.T, v, rcond=None)[0] for b, v
-                        in zip(_anchor_many(algebroid, points), vel)])
-    h = 1.0 / grid
-    base_breaks = {t0 for t0, _t1, _g in pieces} | {1.0}
-    cell_polys = [[ScalarField._of(T_CHART, {(d,): c for d, c
-                                             in enumerate(row) if c})
-                   for row in cell]
-                  for cell in _cubic_cells(nodes, a_nodes).tolist()]
+    curve = _table([gs for _t0, _t1, gs in pieces])
+    # an overflow at a node is refused before the SVD; one in the cubic
+    # cells leaves a non-finite residual, which the path check refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        points, vel = _horner(curve, starts, nodes)
+        b = _anchor_many(algebroid, points)
+        if not all(np.isfinite(x).all() for x in (points, vel, b)):
+            raise ShapeMismatchError(
+                "base curve or the anchor along it overflows a double")
+        cells = _cubic_cells(nodes, _min_norm(b.transpose(0, 2, 1), vel))
 
-    breaks = sorted(base_breaks | set(nodes))
-    breaks = [t for t in breaks if -1e-12 < t < 1.0 + 1e-12]
-    spans = [(t0, t1) for t0, t1 in zip(breaks, breaks[1:])
-             if t1 - t0 >= 1e-12]
-    mids = [0.5 * (t0 + t1) for t0, t1 in spans]
-    segments = [(t0, t1, pieces[i][2], cell_polys[min(int(mid / h), grid - 1)])
-                for (t0, t1), mid, i
-                in zip(spans, mids, _segment_of(starts, mids).tolist())]
-    return APath(algebroid, segments)
+    breaks = np.unique(np.concatenate((starts, [1.0], nodes)))
+    breaks = breaks[(breaks > -1e-12) & (breaks < 1.0 + 1e-12)]
+    bounds = np.column_stack((breaks[:-1], breaks[1:]))
+    bounds = bounds[bounds[:, 1] - bounds[:, 0] >= 1e-12]
+    mids = 0.5 * (bounds[:, 0] + bounds[:, 1])
+    # each span's piece of the base curve and cubic cell, one degree for all
+    table = np.zeros((len(bounds), m + algebroid.rank,
+                      max(curve.shape[2], 4)))
+    table[:, :m, :curve.shape[2]] = curve[_segment_of(starts, mids)]
+    table[:, m:, :4] = cells[np.minimum((mids * grid).astype(int), grid - 1)]
+    return APath._from_table(algebroid, bounds, table)
 
 
 @dataclass
@@ -412,8 +452,8 @@ def _integrate(conn, path, v0, n_steps, seg_mats):
     block = _CHUNK * max(1, _BLOCK_ENTRIES // (_CHUNK * max(1, conn.q ** 2)))
     # a non-finite result is refused by the caller
     with np.errstate(over="ignore", invalid="ignore"):
-        for seg, c in zip(path.segments, seg_mats):
-            t0, t1 = seg[0], seg[1]
+        for (t0, t1), c in zip(path.segments, seg_mats):
+            t0, t1 = float(t0), float(t1)
             n = max(1, math.ceil(n_steps * (t1 - t0)))
             h = (t1 - t0) / n
             # step starts by a running sum from t0, each t + h rounded once

@@ -134,6 +134,17 @@ def test_validate_refuses_non_finite_points(catalog):
             al.validate(a, points=[(1.0, 0.0, 0.0), bad])
 
 
+def test_huge_points_are_refused_in_the_error_family():
+    # (1e200)^2 overflows Python's float **, which raises OverflowError
+    a = al.load_algebroid(Path(__file__).parent / "data" / "overflow.json")
+    for call in (lambda: al.validate(a, points=[(0.5,), (1e200,)]),
+                 lambda: a.anchor[1][0].evaluate((1e200,)),
+                 lambda: al.anchor_rank_at(a, (-1e200,))):
+        with pytest.raises(DimensionMismatchError, match="too large"):
+            call()
+    assert al.validate(a, points=[(0.5,)]).n_points == 1
+
+
 def test_empty_or_negative_samples_are_refused(catalog):
     # a maximum over no points reads 0 and would pass any check
     a = catalog["so3_action"]

@@ -62,8 +62,10 @@ def test_trace_hooks_fire_and_restore(catalog):
             al.chern_weil(a, conn, poly)
             poly.sigma(np.eye(conn.q))
             path = al.path_from_dict(a, doc)
-            # transport multiplies no fields; reversing a path does
             al.reverse_path(path)
+            # transport multiplies no fields; a section bracket does
+            al.bracket_sections(a, al.Section(a, ["x1", 0, 0]),
+                                al.Section(a, [0, "x2", 0]))
             al.parallel_transport(al.compatible_connection(a)[0], path,
                                   np.eye(a.rank), n_steps=8)
     finally:
@@ -79,8 +81,9 @@ def test_trace_hooks_fire_and_restore(catalog):
     assert counts["fields.mul_calls"] > 0 and counts["fields.new_calls"] > 0
     metrics = spans.summarize(tracer, 1, 1.0)
     assert metrics["classes.invpoly_calls"] > 0
-    # path_from_dict and reverse_path build one path each
-    assert metrics["transport.apath_calls"] == 2
+    # path_from_dict builds its path through APath.__init__; reverse_path
+    # composes the table rows and does not
+    assert metrics["transport.apath_calls"] == 1
 
     # restore puts every original back
     assert all(getattr(mod, name) is originals[(mod.__name__, name)]

@@ -2,6 +2,7 @@
 
 import time
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,6 +22,7 @@ from algebroidlab.errors import (
 from algebroidlab.fields import ScalarField
 from conftest import EPS3, circle_pieces, random_symbols, rng_for
 
+DATA = Path(__file__).parent / "data"
 V = np.array([0.4, -0.3, 0.7])
 
 
@@ -176,6 +178,109 @@ def test_lift_latitude_circle(catalog):
     a = catalog["so3_action"]
     lift = al.lift_base_path(a, circle_pieces(z0=0.6, radius=0.8), grid=512)
     assert lift.residual < 1e-8
+
+
+def lift_nodes(a, pieces, grid):
+    """The lift's anchor systems b^T x = gamma' at the grid nodes, stacked:
+    (nodes, dimension, rank) matrices and (nodes, dimension) velocities."""
+    from algebroidlab.transport import _anchor_many, _horner, _table
+
+    nodes = np.linspace(0.0, 1.0, grid + 1)
+    points, vel = _horner(_table([gs for _t0, _t1, gs in pieces]),
+                          [p[0] for p in pieces], nodes)
+    return _anchor_many(a, points).transpose(0, 2, 1), vel
+
+
+def per_node_lstsq(mats, vel):
+    return np.array([np.linalg.lstsq(b, v, rcond=None)[0]
+                     for b, v in zip(mats, vel)])
+
+
+def test_stacked_solve_matches_per_node_lstsq(catalog):
+    # seeded latitudes from the benchmark's range, and the equator: the
+    # anchor has rank 2 there, and its smallest singular value must sit
+    # well under lstsq's cutoff, or the two solves could keep different
+    # ranks and move the coefficients along the kernel
+    from algebroidlab.transport import _min_norm
+
+    a = catalog["so3_action"]
+    cutoff = np.finfo(float).eps * 3
+    rng = rng_for("stacked_lift")
+    latitudes = [(0.0, 1.0)] + rng.uniform([-0.8, 0.5], [0.8, 1.5],
+                                           (20, 2)).tolist()
+    for z0, radius in latitudes:
+        mats, vel = lift_nodes(a, circle_pieces(z0=z0, radius=radius), 512)
+        got = _min_norm(mats, vel)
+        want = per_node_lstsq(mats, vel)
+        assert np.all(np.linalg.norm(got - want, axis=1)
+                      <= 1e-13 * np.linalg.norm(want, axis=1))
+        res_got = np.abs(np.einsum("nij,nj->ni", mats, got) - vel)
+        res_want = np.abs(np.einsum("nij,nj->ni", mats, want) - vel)
+        assert np.max(res_got) <= np.max(res_want) + 1e-14 * np.max(np.abs(vel))
+        sv = np.linalg.svd(mats, compute_uv=False)
+        assert np.max(sv[:, -1] / sv[:, 0]) <= 0.5 * cutoff
+    # a radial curve through the origin: the anchor is zero at t = 1/2,
+    # where both solves give zero
+    t_chart = al.transport.T_CHART
+    radial = [(0.0, 1.0, [al.parse_field(t_chart, g)
+                          for g in ("t - 0.5", "0", "0")])]
+    mats, vel = lift_nodes(a, radial, 512)
+    assert not mats[256].any() and vel[256].any()
+    got = _min_norm(mats, vel)
+    assert np.array_equal(got[256], np.zeros(3))
+    assert np.max(np.abs(got - per_node_lstsq(mats, vel))) <= 1e-15
+    origin = al.lift_base_path(a, ["0", "0", "0"], grid=8)
+    assert origin.residual == 0.0 and not origin._table.any()
+    # the identity anchor of tangent2: both solves give the velocity itself
+    t2 = catalog["tangent2"]
+    mats, vel = lift_nodes(t2, [(0.0, 1.0, [al.parse_field(t_chart, g)
+                                            for g in ("t", "t*t")])], 64)
+    assert np.array_equal(_min_norm(mats, vel), vel)
+    assert np.array_equal(per_node_lstsq(mats, vel), vel)
+
+
+def test_lift_refuses_overflow_quietly(capfd):
+    # 1e200 * x1 at x1 = 1e200 t overflows: refused before any LAPACK call,
+    # with no numpy warning and nothing from LAPACK on stderr
+    a = al.load_algebroid(DATA / "overflow.json")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for base in (["1e200*t"], ["1e308*t + 1e308"]):
+            with pytest.raises(ShapeMismatchError, match="overflows a double"):
+                al.lift_base_path(a, base)
+        # finite nodes, but coefficients 1e10 / 1e-300 past a double: the
+        # path check refuses the non-finite residual
+        tiny = al.catalog_build("transformation", {
+            "dimension": 1, "constants": [[[0.0]]], "fields": [["1e-300"]]})
+        with pytest.raises(NotTangentError, match="residual nan"):
+            al.lift_base_path(tiny, ["1e10*t"])
+    assert caught == []
+    assert capfd.readouterr().err == ""
+
+
+def test_lifted_paths_compose_as_tables(catalog):
+    # reverse and concat compose the lift's table rows; the lift has a
+    # segment per grid cell, so a clock change needs a single-segment
+    # table-only path, the reversed arc
+    a = catalog["so3_action"]
+    lift = al.lift_base_path(a, circle_pieces(z0=0.6, radius=0.8), grid=512)
+    rev = al.reverse_path(lift)
+    for t in np.linspace(0.0, 1.0, 41):
+        assert np.max(np.abs(rev.base_at(t) - lift.base_at(1.0 - t))) <= 1e-12
+    loop = al.concat_paths(lift, rev)
+    assert len(loop.segments) == 2 * len(lift.segments) == 1024
+    hol = al.holonomy_matrix(bracket_conn(a), loop, n_steps=200)
+    assert np.max(np.abs(hol - np.eye(3))) <= 1e-10
+    with pytest.raises(ShapeMismatchError):
+        al.reparametrize_path(lift, "t*t")
+    t2 = catalog["tangent2"]
+    conn = al.build_connection(t2, "A", random_symbols(t2, "A", 21, degree=1))
+    back = al.reverse_path(plane_arc(t2))
+    rep = al.reparametrize_path(back, "t*t")
+    v0 = np.array([1.0, -2.0])
+    fwd = al.parallel_transport(conn, back, v0, n_steps=400).value
+    slow = al.parallel_transport(conn, rep, v0, n_steps=400).value
+    assert np.max(np.abs(slow - fwd)) < 1e-9
 
 
 def test_lift_rejects_radial_path(catalog):
