@@ -36,7 +36,6 @@ from .fields import (
     _values,
     as_field,
     dot,
-    parse_field,
 )
 from .sampling import _MAX_SIZE, max_abs, seeded_points
 
@@ -601,7 +600,7 @@ def _bracket_from_entries(chart, rank, entries):
             if not 0 <= idx < rank:
                 raise ShapeMismatchError(
                     "bracket index out of range in %r" % (entry,))
-        f = parse_field(chart, str(entry["value"]))
+        f = as_field(chart, entry["value"])
         if (s, t, u) in given:
             given[(s, t, u)] = given[(s, t, u)] + f
         else:

@@ -16,7 +16,9 @@ term that drops out (a zero product or an exact cancellation) does not.
 from __future__ import annotations
 
 import math
+import numbers
 import re
+import reprlib
 
 import numpy as np
 
@@ -132,7 +134,17 @@ _CODECS = _Codecs()
 
 
 def _exponents(exps, m):
-    """exps as a tuple of m ints in [0, MAX_EXPONENT], or an error."""
+    """exps as a tuple of m ints in [0, MAX_EXPONENT], or an error.
+
+    A tuple of m Python ints in range is returned as it is; anything else
+    (bools, numpy ints, integral floats, lists) is read and checked below.
+    """
+    if type(exps) is tuple and len(exps) == m:
+        for e in exps:
+            if type(e) is not int or not 0 <= e <= MAX_EXPONENT:
+                break
+        else:
+            return exps
     try:
         ints = tuple(int(e) for e in exps)
     except (TypeError, ValueError, OverflowError):
@@ -176,12 +188,13 @@ def _accumulate(total, coeffs):
 class ScalarField:
     """Sparse polynomial: dict from exponent tuples to nonzero coefficients.
 
-    The constructor is the one validating entry point: exponents must be
-    integers in [0, MAX_EXPONENT], one per chart coordinate, and
-    coefficients finite. Results of the closed operations (sums, products,
-    negation, powers, partials and ``dot``) are built by ``_of`` without
-    re-checking, so arithmetic may still overflow to inf or nan; a number
-    in arithmetic must be finite.
+    The constructor and ``parse_field`` are the validating entry points:
+    exponents must be integers in [0, MAX_EXPONENT], one per chart
+    coordinate, and coefficients finite. The parser checks the terms it
+    builds itself and stores them through ``_of``. Results of the closed
+    operations (sums, products, negation, powers, partials and ``dot``)
+    are built by ``_of`` without re-checking, so arithmetic may still
+    overflow to inf or nan; a number in arithmetic must be finite.
 
     A field's ``coeffs`` must not be mutated after construction: the field
     caches its terms with packed keys on first use in a product.
@@ -539,7 +552,14 @@ def parse_field(chart, text):
         result[key] = result.get(key, 0.0) + coeff
     if not all(math.isfinite(c) for c in result.values()):
         raise ExpressionSyntaxError("coefficient is not a finite number")
-    return ScalarField(chart, result)
+    # the constructor's rules: a term that cancels drops out, and one that
+    # stays may not hold an accumulated exponent past the limit
+    coeffs = {e: c for e, c in result.items() if c}
+    for e in coeffs:
+        if max(e, default=0) > MAX_EXPONENT:
+            raise ExponentTooLargeError(
+                "exponent %d is above the limit %d" % (max(e), MAX_EXPONENT))
+    return ScalarField._of(chart, coeffs)
 
 
 def _power_overflow():
@@ -563,13 +583,18 @@ def _finite(v):
 
 
 def as_field(chart, v):
-    """A ScalarField on chart from a field, expression or finite number."""
+    """A ScalarField on chart from a field, expression or finite number;
+    None, a bool or any other value is refused."""
     if isinstance(v, ScalarField):
         if v.chart != chart:
             raise DimensionMismatchError("field lives on a different chart")
         return v
     if isinstance(v, str):
         return parse_field(chart, v)
+    # float and int first: they match without the slower abstract check
+    if isinstance(v, bool) or not isinstance(v, (float, int, numbers.Real)):
+        raise ExpressionSyntaxError(
+            "%s is not a field, expression or number" % reprlib.repr(v))
     return ScalarField.constant(chart, v)
 
 
@@ -578,8 +603,9 @@ def _field_array(chart, data, shape, what):
     nested data (lists, arrays, fields, expressions or numbers).
 
     Finite integer or float data of the right shape become constant fields
-    in one pass; anything else goes entry by entry through as_field, which
-    raises the errors.
+    in one pass. Anything else goes entry by entry, in C order, through
+    as_field, which raises the errors; each distinct expression text is
+    parsed once per call, and its entries share the one field.
     """
     shape = tuple(shape)
     try:
@@ -604,10 +630,17 @@ def _field_array(chart, data, shape, what):
         raise ShapeMismatchError(
             "%s must have shape %r, one field, expression or number per "
             "entry" % (what, shape))
-    out = np.empty(shape, dtype=object)
-    for idx in np.ndindex(*shape):
-        out[idx] = as_field(chart, arr[idx])
-    return out
+    parsed = {}
+
+    def coerce(v):
+        if isinstance(v, str):
+            f = parsed.get(v)
+            if f is None:
+                f = parsed[v] = parse_field(chart, v)
+            return f
+        return as_field(chart, v)
+
+    return np.fromiter(map(coerce, arr.flat), object, arr.size).reshape(shape)
 
 
 def _values(fields, p):

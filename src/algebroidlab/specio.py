@@ -38,8 +38,8 @@ from .algebroid import (
     build_algebroid,
     catalog_build,
 )
-from .fields import Chart, parse_field
-from .transport import T_CHART, APath
+from .fields import Chart, _field_array
+from .transport import APath
 
 
 def algebroid_from_dict(data):
@@ -58,7 +58,7 @@ def algebroid_from_dict(data):
     anchor_rows = data.get("anchor")
     if anchor_rows is None:
         anchor_rows = [["0"] * m for _ in range(r)]
-    anchor = [[parse_field(chart, str(v)) for v in row] for row in anchor_rows]
+    anchor = _field_array(chart, anchor_rows, (r, m), "anchor")
 
     tensor = _bracket_from_entries(chart, r, data.get("bracket", []))
 
@@ -66,8 +66,7 @@ def algebroid_from_dict(data):
     if metadata.get("kind") == "transformation" and "params" in metadata:
         params = metadata["params"]
         constants = np.asarray(params["constants"], dtype=float)
-        fields = [VectorField(chart, [parse_field(chart, str(c)) for c in row])
-                  for row in params["fields"]]
+        fields = [VectorField(chart, row) for row in params["fields"]]
         metadata = dict(metadata)
         metadata["data"] = TransformationData(constants, fields, chart=chart)
     return build_algebroid(chart, r, anchor, tensor, metadata)
@@ -99,9 +98,5 @@ def save_algebroid(algebroid, path):
 
 
 def path_from_dict(algebroid, data):
-    segments = []
-    for seg in data["segments"]:
-        gamma = [parse_field(T_CHART, str(g)) for g in seg["gamma"]]
-        coeffs = [parse_field(T_CHART, str(a)) for a in seg["coeffs"]]
-        segments.append((float(seg["t0"]), float(seg["t1"]), gamma, coeffs))
-    return APath(algebroid, segments)
+    return APath(algebroid, [(seg["t0"], seg["t1"], seg["gamma"], seg["coeffs"])
+                             for seg in data["segments"]])

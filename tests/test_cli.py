@@ -258,6 +258,43 @@ def test_numbers_too_large_for_a_double_are_error_documents(tmp_path):
     assert code == 1 and set(doc) == {"error"}, doc
 
 
+@pytest.mark.parametrize("entry", [None, True, {}],
+                         ids=["null", "true", "object"])
+def test_non_number_entries_are_error_documents(tmp_path, entry):
+    # a JSON entry is read as a field, an expression or a number, never as
+    # the text of its Python value; each report is one error document
+    want = {"error": "%s is not a field, expression or number" % (entry,)}
+    specs = [
+        {"dimension": 1, "rank": 1, "anchor": [[entry]]},
+        {"dimension": 1, "rank": 2, "anchor": [["x1"], ["0"]],
+         "bracket": [{"s": 1, "t": 2, "u": 2, "value": entry}]},
+        {"dimension": 1, "rank": 1, "anchor": [["x1"]],
+         "metadata": {"kind": "transformation", "params": {
+             "constants": [[[0]]], "fields": [[entry]]}}},
+        {"kind": "poisson", "params": {
+            "dimension": 2, "bivector": [["0", entry], ["-x1", "0"]]}},
+        {"kind": "transformation", "params": {
+            "dimension": 1, "constants": [[[0]]], "fields": [[entry]]}},
+        {"kind": "lie_algebra_bundle", "params": {
+            "dimension": 1, "rank": 2,
+            "bracket": [{"s": 1, "t": 2, "u": 2, "value": entry}]}},
+    ]
+    for i, spec in enumerate(specs):
+        path = tmp_path / ("spec%d.json" % i)
+        path.write_text(json.dumps(spec))
+        code, doc = run_doc(["validate", "--spec", path])
+        assert (code, doc) == (1, want), spec
+    for key in ("gamma", "coeffs"):
+        seg = {"t0": 0, "t1": 1, "gamma": ["0", "0", "1"],
+               "coeffs": ["0", "0", "0"]}
+        seg[key] = [entry] + seg[key][1:]
+        path = tmp_path / ("path_%s.json" % key)
+        path.write_text(json.dumps({"segments": [seg]}))
+        code, doc = run_doc(["transport", "--spec", DATA / "so3_action.json",
+                             "--path", path])
+        assert (code, doc) == (1, want), seg
+
+
 def test_oversized_input_is_refused_before_allocation(tmp_path):
     # a few bytes of JSON must not ask for a tensor of n**3 fields
     big = _MAX_SIZE + 1

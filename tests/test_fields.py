@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -82,6 +83,17 @@ def test_as_field_coerces_and_checks():
             as_field(CHART2, bad)
     with pytest.raises(DimensionMismatchError):
         as_field(CHART2, ScalarField.constant(Chart(1), 1.0))
+    # numbers of any kind read as float() reads them
+    for num in (np.int64(-3), np.float32(0.5), Fraction(1, 4), 2 ** 60 + 1):
+        assert as_field(CHART2, num) == ScalarField.constant(CHART2, num)
+    # None, bools and other values are refused, naming the entry
+    for bad in (None, True, False, np.bool_(True), {}, [1.0], object()):
+        with pytest.raises(ExpressionSyntaxError,
+                           match="is not a field, expression or number"):
+            as_field(CHART2, bad)
+    with pytest.raises(ExpressionSyntaxError,
+                       match=r"^None is not a field, expression or number$"):
+        as_field(CHART2, None)
 
 
 def test_perm_sign_is_permutation_matrix_determinant():
@@ -488,10 +500,67 @@ def test_exponents_above_the_limit_are_rejected():
     with pytest.raises(ExponentTooLargeError):
         ScalarField(CHART2, {(32768, 0): 1.0})
     for text in ("x2^32768", "x1^40000", "x1^20000*x1^20000",
-                 "x1^" + "9" * 5000, "x1^0000032768"):
+                 "x1^" + "9" * 5000, "x1^0000032768", "x1^32767*x1"):
         with pytest.raises(ExponentTooLargeError):
             parse_field(CHART2, text)
+    with pytest.raises(ExponentTooLargeError,
+                       match=r"^exponent 32768 is above the limit 32767$"):
+        parse_field(CHART2, "x2 + x1^32767*x1")
     assert parse_field(CHART2, "x1^0000032767").coeffs == {(32767, 0): 1.0}
+
+
+def test_terms_that_cancel_drop_out_of_a_parse():
+    for text in ("x1 - x1", "0*x1", "-0*x1", "0", "0*x1^40000",
+                 "x1^40000 - x1^40000"):
+        assert parse_field(CHART2, text).coeffs == {}
+    f = parse_field(CHART2, "x2 + x1 - x2 + 2*x1*x1 - x1 + 3")
+    assert list(f.coeffs.items()) == [((2, 0), 2.0), ((0, 0), 3.0)]
+
+
+def _reference_exponents(exps, m):
+    """The exponent check read entry by entry, with no fast path: the
+    reference for fields._exponents."""
+    try:
+        ints = tuple(int(e) for e in exps)
+    except (TypeError, ValueError, OverflowError):
+        ints = None
+    if (ints is None or ints != tuple(exps) or len(ints) != m
+            or any(e < 0 for e in ints)):
+        raise DimensionMismatchError("bad exponent tuple")
+    if max(ints, default=0) > MAX_EXPONENT:
+        raise ExponentTooLargeError("exponent above the limit")
+    return ints
+
+
+exponent_entry = st.one_of(
+    st.integers(min_value=-2, max_value=3),
+    st.integers(min_value=MAX_EXPONENT - 2, max_value=MAX_EXPONENT + 2),
+    st.integers(min_value=-2 ** 70, max_value=2 ** 70),
+    st.booleans(),
+    st.integers(min_value=-2, max_value=MAX_EXPONENT + 2).map(np.int64),
+    st.integers(min_value=-2, max_value=MAX_EXPONENT + 2).map(float),
+    st.sampled_from([0.5, math.nan, math.inf, "1", None]),
+)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(st.integers(min_value=0, max_value=3),
+       st.lists(exponent_entry, max_size=4), st.booleans())
+def test_exponent_fast_path_matches_the_reference(m, entries, as_tuple):
+    from algebroidlab.fields import _exponents
+
+    exps = tuple(entries) if as_tuple else entries
+    outcomes = []
+    for check in (_exponents, _reference_exponents):
+        try:
+            got = check(exps, m)
+        except (DimensionMismatchError, ExponentTooLargeError) as exc:
+            outcomes.append(type(exc))
+        else:
+            assert type(got) is tuple
+            assert all(type(e) is int for e in got)
+            outcomes.append(got)
+    assert outcomes[0] == outcomes[1]
 
 
 def test_products_past_the_limit_raise_and_never_carry():
@@ -626,3 +695,51 @@ def test_numeric_arrays_coerce_like_the_per_entry_route():
     with pytest.raises(ExpressionSyntaxError,
                        match="number too large for a double"):
         _field_array(chart, [1, 10 ** 400], (2,), "x")
+
+
+def test_field_array_parses_each_text_once_as_the_parser_does(monkeypatch):
+    from algebroidlab import fields
+
+    texts = ["0", "x1 - x2", "0", "3*x1^2 + 0.1*x2", "x1 - x2", "0",
+             "-0*x1", "0.1*x2 + 0.2*x1 + 1e-300", "0", "x1 - x1",
+             "3*x1^2 + 0.1*x2", "-2.5"]
+    want = [parse_field(CHART2, t) for t in texts]
+    calls = []
+
+    def counted(chart, text):
+        calls.append(text)
+        return parse_field(chart, text)
+
+    monkeypatch.setattr(fields, "parse_field", counted)
+    for data in (texts, np.array(texts, dtype=object).reshape(3, 4),
+                 [texts[:6], texts[6:]]):
+        calls.clear()
+        shape = np.shape(data)
+        got = fields._field_array(CHART2, data, shape, "x")
+        assert got.shape == shape
+        # the same coefficients in the same key order, bit for bit
+        assert [repr(list(f.coeffs.items())) for f in got.flat] == \
+            [repr(list(g.coeffs.items())) for g in want]
+        assert sorted(calls) == sorted(set(texts))
+    # the first bad entry after good ones raises what it raises alone
+    for bad, error, msg in [
+            ("x3 + x1", UnknownVariableError,
+             "unknown variable 'x3' on this chart"),
+            ("1 +", ExpressionSyntaxError,
+             "term is missing a factor (at end of input)"),
+            ("x1^40000", ExponentTooLargeError,
+             "exponent 40000 is above the limit 32767"),
+            ("1e999", ExpressionSyntaxError,
+             "coefficient is not a finite number")]:
+        data = ["x1", "0", "x1", bad, "2 +", bad]
+        with pytest.raises(error) as exc:
+            fields._field_array(CHART2, data, (6,), "x")
+        assert str(exc.value) == msg
+    # numbers, fields and texts mix
+    y = ScalarField.coordinate(CHART2, 1)
+    mixed = fields._field_array(
+        CHART2, [[1, "x1", y], [2.5, "x1", np.float64(0.0)]], (2, 3), "x")
+    assert [f.coeffs for f in mixed.flat] == [
+        {(0, 0): 1.0}, {(1, 0): 1.0}, {(0, 1): 1.0},
+        {(0, 0): 2.5}, {(1, 0): 1.0}, {}]
+    assert mixed[0, 2] is y
