@@ -33,6 +33,7 @@ from .fields import (
     _partials,
     _power_overflow,
     _split,
+    _split_values,
     _values,
     as_field,
     dot,
@@ -158,8 +159,23 @@ class LieAlgebroid:
         return "LieAlgebroid(m=%d, r=%d)" % (self.dimension, self.rank)
 
 
+class _Spec(dict):
+    """A spec's mapping; a missing key is an error that names the spec."""
+
+    def __init__(self, data, what):
+        super().__init__(data)
+        self.what = what
+
+    def __missing__(self, key):
+        raise ShapeMismatchError("%s: missing key %r" % (self.what, key))
+
+
 def _bounded(n, what):
-    """n as an int, refused above _MAX_SIZE before anything is allocated."""
+    """n as an int, refused unless it is an integral number other than a
+    bool, and above _MAX_SIZE before anything is allocated."""
+    if isinstance(n, bool) or not (isinstance(n, (int, np.integer)) or
+                                   isinstance(n, float) and n.is_integer()):
+        raise ShapeMismatchError("%s must be an integer, got %r" % (what, n))
     n = int(n)
     if n > _MAX_SIZE:
         raise ShapeMismatchError("%s %d is above the limit of %d"
@@ -263,8 +279,9 @@ def validate(algebroid, points=None, tol=1e-10, n_samples=50, seed=0):
     must send frame brackets to vector-field commutators (pairs s < t), the
     cyclic Jacobi sum must vanish (triples s < t < u) and the bracket must
     be antisymmetric (pairs s <= t). Each is evaluated at the points,
-    n_samples seeded points in [-1, 1]^m unless given, with powers taken as
-    in ScalarField.evaluate. The points go in blocks of at most
+    n_samples seeded points in [-1, 1]^m unless given, one chart monomial
+    at a time through fields._split_values; a point whose monomial
+    overflows a double is refused. The points go in blocks of at most
     _SAMPLE_BLOCK sampled values, one kernel pass per block; over a point
     every sample is the point (), evaluated once.
     """
@@ -272,13 +289,13 @@ def validate(algebroid, points=None, tol=1e-10, n_samples=50, seed=0):
     m = algebroid.dimension
     r = algebroid.rank
     if points is None:
-        pts = [chart.check_point(p) for p in seeded_points(n_samples, m, seed)]
+        points = seeded_points(n_samples, m, seed)
     else:
-        pts = [chart.check_point(p) for p in points]
         seed = None
-    if not pts:
-        raise ValueError("at least one sample point is required")
+    pts = np.array([chart.check_point(p) for p in points])   # (n, m)
     n_points = len(pts)
+    if not n_points:
+        raise ValueError("at least one sample point is required")
     if not m:
         pts = pts[:1]
     c = _split(chart, algebroid.bracket)
@@ -292,7 +309,6 @@ def validate(algebroid, points=None, tol=1e-10, n_samples=50, seed=0):
     maxima = []
     for lo in range(0, len(pts), step):
         block = pts[lo:lo + step]
-        powers = {}
         values = [np.zeros((len(block), len(idx[0]), width))
                   for idx, width in entries]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -305,16 +321,9 @@ def validate(algebroid, points=None, tol=1e-10, n_samples=50, seed=0):
                          if d is not None and (x := d[idx]).any()]
                 if not terms:
                     continue
-                mono = np.ones(len(block))
-                for i, e in enumerate(g):
-                    if e:
-                        if (i, e) not in powers:
-                            try:
-                                powers[i, e] = np.array(
-                                    [p[i] ** e for p in block])
-                            except OverflowError:
-                                raise _power_overflow() from None
-                        mono = mono * powers[i, e]
+                mono = _split_values({g: np.ones(())}, block)
+                if not np.isfinite(mono).all():
+                    raise _power_overflow()
                 for v, x in terms:
                     v += np.multiply.outer(mono, x)
         maxima.append([max_abs(v) for v in values])
@@ -595,29 +604,25 @@ def _bracket_from_entries(chart, rank, entries):
     """
     given = {}
     for entry in entries:
-        s, t, u = int(entry["s"]) - 1, int(entry["t"]) - 1, int(entry["u"]) - 1
+        entry = _Spec(entry, "bracket entry")
+        s, t, u = (_bounded(entry[k], "bracket index " + k) - 1 for k in "stu")
         for idx in (s, t, u):
             if not 0 <= idx < rank:
                 raise ShapeMismatchError(
                     "bracket index out of range in %r" % (entry,))
         f = as_field(chart, entry["value"])
-        if (s, t, u) in given:
-            given[(s, t, u)] = given[(s, t, u)] + f
-        else:
-            given[(s, t, u)] = f
+        given[s, t, u] = given[s, t, u] + f if (s, t, u) in given else f
 
     tensor = np.empty((rank, rank, rank), dtype=object)
     tensor[...] = ScalarField(chart)
     for (s, t, u), f in given.items():
-        if (t, s, u) in given:
-            if not (f + given[(t, s, u)]).is_zero():
-                raise AntisymmetryViolationError(
-                    "entries (%d,%d,%d) and (%d,%d,%d) are not opposite"
-                    % (s + 1, t + 1, u + 1, t + 1, s + 1, u + 1))
-            tensor[s, t, u] = f
-        else:
-            tensor[s, t, u] = f
+        tensor[s, t, u] = f
+        if (t, s, u) not in given:
             tensor[t, s, u] = -f
+        elif not (f + given[t, s, u]).is_zero():
+            raise AntisymmetryViolationError(
+                "entries (%d,%d,%d) and (%d,%d,%d) are not opposite"
+                % (s + 1, t + 1, u + 1, t + 1, s + 1, u + 1))
     return tensor
 
 
@@ -640,6 +645,7 @@ def catalog_build(kind, params):
     sum of absolute coefficients over the entries, which bounds the defect
     at every point of [-1, 1]^m.
     """
+    params = _Spec(params, "%s params" % (kind,))
     if kind == "lie_algebra":
         constants = np.asarray(params["constants"], dtype=float)
         n = constants.shape[0]

@@ -43,7 +43,7 @@ from .errors import (
     ClosednessFailureError,
     ShapeMismatchError,
 )
-from .fields import ScalarField, _join, dot, perm_sign
+from .fields import ScalarField, _join, _split, _split_values, dot, perm_sign
 from .sampling import max_abs, seeded_points
 
 TWO_PI = 2.0 * math.pi
@@ -456,9 +456,10 @@ def _closedness_residual(form):
     d = differential(form)
     if not d.coeffs:
         return 0.0
-    pts = seeded_points(20, form.algebroid.dimension, 0)
-    return max_abs(f.evaluate(tuple(p))
-                      for f in d.coeffs.values() for p in pts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return max_abs(_split_values(
+            _split(form.algebroid.chart, np.array(list(d.coeffs.values()))),
+            seeded_points(20, form.algebroid.dimension, 0)))
 
 
 def secondary_class(algebroid, k):
@@ -522,10 +523,11 @@ def modular_theorem_check(algebroid, n_points=20, seed=0):
     pts = seeded_points(n_points, algebroid.dimension, seed)
     m1 = secondary_class(algebroid, 1)
     theta = modular_cocycle(algebroid)
-    pairs = [(m1.form.coeff((s,)), theta.form.coeff((s,)))
-             for s in range(algebroid.rank)]
-    worst = max_abs(f.evaluate(p) - g.evaluate(p) / TWO_PI
-                    for p in map(tuple, pts) for f, g in pairs)
+    pairs = np.array([(m1.form.coeff((s,)), theta.form.coeff((s,)))
+                      for s in range(algebroid.rank)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = _split_values(_split(algebroid.chart, pairs), pts)
+        worst = max_abs(v[..., 0] - v[..., 1] / TWO_PI)
     return {"max_deviation": worst,
             "n_points": int(pts.shape[0]),
             "closedness_residual": m1.closedness_residual,

@@ -351,29 +351,6 @@ class ScalarField:
             raise _power_overflow() from None
         return total
 
-    def evaluate_many(self, points):
-        """Values at each row of an (n, dimension) array of points.
-
-        The terms are formed and summed in the order of ``evaluate``; only
-        the powers differ, numpy's ``**`` against the float one, so each
-        value agrees with ``evaluate`` to a few ulp of the sum of the terms'
-        absolute values.
-        """
-        points = np.asarray(points, dtype=float)
-        m = self.chart.dimension
-        if points.ndim != 2 or points.shape[1] != m:
-            raise DimensionMismatchError(
-                "points need shape (n, %d), got %r" % (m, points.shape))
-        if not self.coeffs:
-            return np.zeros(len(points))
-        exps = np.array(list(self.coeffs), dtype=int)
-        exps = exps.reshape(len(self.coeffs), m)
-        terms = np.outer(list(self.coeffs.values()), np.ones(len(points)))
-        for i in range(m):
-            terms = terms * points[:, i] ** exps[:, i, None]
-        # a running sum is the sequential sum of evaluate's loop
-        return np.cumsum(terms, axis=0)[-1]
-
     def is_zero(self):
         return not self.coeffs
 
@@ -483,7 +460,10 @@ def parse_field(chart, text):
     Whitespace is ignored. Scientific notation is accepted so that printed
     fields re-parse exactly.
     """
-    tokens = _tokenize(str(text))
+    if not isinstance(text, str):
+        raise ExpressionSyntaxError(
+            "%s is not an expression" % reprlib.repr(text))
+    tokens = _tokenize(text)
     if not tokens:
         raise ExpressionSyntaxError("empty expression")
     labels = {name: i for i, name in enumerate(chart.labels)}
@@ -659,14 +639,29 @@ def _partials(fields, m):
 
 def _split(chart, fields):
     """{chart exponents: float array of the fields' shape}: the coefficients
-    of an array of fields by monomial, so that fields = sum_e out[e] x^e.
-    Keys are sorted, so the constant monomial is always the first, a zero
-    array when no field has it; over a point it is the only one."""
+    of an array of fields by monomial, so that fields = sum_e out[e] x^e,
+    read at points by _split_values. Keys are sorted: the constant monomial
+    is first, a zero array when no field has it; over a point, the only one."""
     keys = [(0,) * chart.dimension]
     if chart.dimension:
         keys = sorted(set().union(keys, *(f.coeffs for f in fields.flat)))
     return {e: np.fromiter((f.coeffs.get(e, 0.0) for f in fields.flat), float,
                            fields.size).reshape(fields.shape) for e in keys}
+
+
+def _split_values(parts, points):
+    """Values of a split array (see _split) at each row of an (n, m) array
+    of points, shape (n,) + the array's shape: per monomial, in the split's
+    order, the product of numpy's powers of its coordinates, outer times
+    its coefficients, summed. A power past a double gives inf or NaN."""
+    total = 0.0
+    for e, c in parts.items():
+        mono = np.ones(len(points))
+        for i, k in enumerate(e):
+            if k:
+                mono = mono * points[:, i] ** k
+        total = total + np.multiply.outer(mono, c)
+    return total
 
 
 def _join(chart, parts):

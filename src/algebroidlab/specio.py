@@ -31,6 +31,7 @@ import numpy as np
 from .algebroid import (
     TransformationData,
     VectorField,
+    _Spec,
     _bounded,
     _bracket_entries,
     _bracket_from_entries,
@@ -51,6 +52,7 @@ def algebroid_from_dict(data):
             merged.update(built.metadata)
             built.metadata = merged
         return built
+    data = _Spec(data, "algebroid spec")
     m = _bounded(data["dimension"], "dimension")
     r = _positive_rank(data["rank"])
     labels = data.get("labels")
@@ -64,7 +66,7 @@ def algebroid_from_dict(data):
 
     metadata = data.get("metadata") or {}
     if metadata.get("kind") == "transformation" and "params" in metadata:
-        params = metadata["params"]
+        params = _Spec(metadata["params"], "transformation metadata params")
         constants = np.asarray(params["constants"], dtype=float)
         fields = [VectorField(chart, row) for row in params["fields"]]
         metadata = dict(metadata)

@@ -10,8 +10,8 @@ always comes from the finer of an N vs 2N Richardson pair.
 Evaluation works on whole arrays of times. A path is its segment bounds
 and one dense coefficient table of its segments' polynomials, read by
 Horner's rule at an array of times, the segment of each time found by
-np.searchsorted; the tangency check evaluates the anchor at all of its
-sample points in one ScalarField.evaluate_many call per anchor entry.
+np.searchsorted; the tangency check evaluates the anchor split by chart
+monomial at all of its sample points in one fields._split_values call.
 Reversing, concatenating and reparametrizing compose the table's rows with
 the clock. lift_base_path stays in arrays from its nodes to its path: one
 stacked SVD gives every node's minimum-norm solution, with lstsq's rank
@@ -47,7 +47,7 @@ from .errors import (
     ShapeMismatchError,
     ToleranceNotMetError,
 )
-from .fields import Chart, _split, as_field
+from .fields import Chart, _split, _split_values, as_field
 from .sampling import max_abs
 
 T_CHART = Chart(1, ("t",))
@@ -96,15 +96,6 @@ def _horner(table, starts, ts, seg=None):
     return val, der
 
 
-def _anchor_many(algebroid, points):
-    """anchor_matrix_at at each row of points: shape (n, rank, dimension)."""
-    out = np.empty((len(points), algebroid.rank, algebroid.dimension))
-    for s, row in enumerate(algebroid.anchor):
-        for i, f in enumerate(row):
-            out[:, s, i] = f.evaluate_many(points)
-    return out
-
-
 def _compose1(table, m, g, rate):
     """Table of a path's segments run on the clock g: base curve gamma(g(t))
     and frame coefficients rate(t) a(g(t)), g and rate given by their
@@ -149,6 +140,8 @@ class APath:
             if len(coeffs) != r:
                 raise ShapeMismatchError(
                     "path needs %d coefficients, got %d" % (r, len(coeffs)))
+            if {type(t0), type(t1)} & {bool, np.bool_}:
+                raise ShapeMismatchError("segment bounds must be numbers")
             bounds.append((float(t0), float(t1)))
             rows.append(gamma + coeffs)
         if not rows:
@@ -209,7 +202,8 @@ class APath:
         return self._eval([t])[0][0, self.algebroid.dimension:]
 
     def _tangency_residual(self):
-        m = self.algebroid.dimension
+        a = self.algebroid
+        m = a.dimension
         if m == 0:
             return 0.0
         # a fixed grid, and every segment's midpoint so that no segment
@@ -217,7 +211,7 @@ class APath:
         mids = 0.5 * (self.segments[:, 0] + self.segments[:, 1])
         val, der = self._eval(
             np.concatenate((np.linspace(0.0, 1.0, RESIDUAL_GRID), mids)))
-        b = _anchor_many(self.algebroid, val[:, :m])
+        b = _split_values(_split(a.chart, a.anchor), val[:, :m])
         return max_abs(
             (np.einsum("ns,nsi->ni", val[:, m:], b) - der[:, :m]).ravel())
 
@@ -345,7 +339,7 @@ def lift_base_path(algebroid, base, grid=64):
     # cells leaves a non-finite residual, which the path check refuses
     with np.errstate(over="ignore", invalid="ignore"):
         points, vel = _horner(curve, starts, nodes)
-        b = _anchor_many(algebroid, points)
+        b = _split_values(_split(algebroid.chart, algebroid.anchor), points)
         if not all(np.isfinite(x).all() for x in (points, vel, b)):
             raise ShapeMismatchError(
                 "base curve or the anchor along it overflows a double")

@@ -135,7 +135,7 @@ def test_validate_refuses_non_finite_points(catalog):
 
 
 def test_huge_points_are_refused_in_the_error_family():
-    # (1e200)^2 overflows Python's float **, which raises OverflowError
+    # (1e200)^2 overflows a double
     a = al.load_algebroid(Path(__file__).parent / "data" / "overflow.json")
     for call in (lambda: al.validate(a, points=[(0.5,), (1e200,)]),
                  lambda: a.anchor[1][0].evaluate((1e200,)),
@@ -143,6 +143,11 @@ def test_huge_points_are_refused_in_the_error_family():
         with pytest.raises(DimensionMismatchError, match="too large"):
             call()
     assert al.validate(a, points=[(0.5,)]).n_points == 1
+    # the anchor defect's x1^3 coefficients cancel exactly, so its power,
+    # the only one that overflows, is not taken
+    square = al.algebroid_from_dict(
+        {"dimension": 1, "rank": 2, "anchor": [["x1^2"], ["x1^2"]]})
+    assert al.validate(square, points=[(1e200,)]).passed
 
 
 def test_empty_or_negative_samples_are_refused(catalog):

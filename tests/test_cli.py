@@ -295,6 +295,70 @@ def test_non_number_entries_are_error_documents(tmp_path, entry):
         assert (code, doc) == (1, want), seg
 
 
+@pytest.mark.parametrize("spec, segment, want", [
+    ({"dimension": True, "rank": True, "anchor": [["x1"]]}, None,
+     "dimension must be an integer, got True"),
+    ({"dimension": 1, "rank": True, "anchor": [["x1"]]}, None,
+     "rank must be an integer, got True"),
+    ({"dimension": 1, "rank": 2.5, "anchor": [["x1"], ["0"]]}, None,
+     "rank must be an integer, got 2.5"),
+    ({"dimension": "1", "rank": 1, "anchor": [["x1"]]}, None,
+     "dimension must be an integer, got '1'"),
+    ({"dimension": 1, "rank": 2, "anchor": [["x1"], ["0"]],
+      "bracket": [{"s": True, "t": 2, "u": 2, "value": "1"}]}, None,
+     "bracket index s must be an integer, got True"),
+    ({"kind": "lie_algebra_bundle", "params": {
+        "dimension": 1, "rank": 2,
+        "bracket": [{"s": 1, "t": 2, "u": 1.5, "value": "1"}]}}, None,
+     "bracket index u must be an integer, got 1.5"),
+    ({"kind": "tangent", "params": {"dimension": False}}, None,
+     "dimension must be an integer, got False"),
+    (None, {"t0": False, "t1": True, "gamma": ["0", "0", "1"],
+            "coeffs": ["0", "0", "0"]},
+     "segment bounds must be numbers"),
+], ids=["dimension", "rank", "fraction", "text", "bracket_s", "bracket_u",
+        "tangent", "segment"])
+def test_bools_and_fractions_are_not_integers(tmp_path, spec, segment, want):
+    # JSON true and false are not 1 and 0, and 2.5 is not 2: each report is
+    # one error document
+    if segment is None:
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        argv = ["validate", "--spec", tmp_path / "spec.json"]
+    else:
+        (tmp_path / "path.json").write_text(json.dumps({"segments": [segment]}))
+        argv = ["transport", "--spec", DATA / "so3_action.json",
+                "--path", tmp_path / "path.json"]
+    assert run_doc(argv) == (1, {"error": want})
+
+
+@pytest.mark.parametrize("spec, want", [
+    ({"kind": "lie_algebra"}, "lie_algebra params: missing key 'constants'"),
+    ({"kind": "tangent", "params": {}},
+     "tangent params: missing key 'dimension'"),
+    ({"kind": "poisson"}, "poisson params: missing key 'dimension'"),
+    ({"kind": "poisson", "params": {"dimension": 2}},
+     "poisson params: missing key 'bivector'"),
+    ({"kind": "transformation", "params": {"dimension": 1}},
+     "transformation params: missing key 'constants'"),
+    ({"kind": "lie_algebra_bundle", "params": {"dimension": 1, "rank": 2}},
+     "lie_algebra_bundle params: missing key 'bracket'"),
+    ({"rank": 1, "anchor": []}, "algebroid spec: missing key 'dimension'"),
+    ({"dimension": 1}, "algebroid spec: missing key 'rank'"),
+    ({"dimension": 1, "rank": 2, "anchor": [["x1"], ["0"]],
+      "bracket": [{"s": 1, "t": 2, "value": "1"}]},
+     "bracket entry: missing key 'u'"),
+    ({"dimension": 1, "rank": 1, "anchor": [["x1"]],
+      "metadata": {"kind": "transformation", "params": {"fields": [["x1"]]}}},
+     "transformation metadata params: missing key 'constants'"),
+], ids=["lie_algebra", "tangent", "poisson", "bivector", "transformation",
+        "lie_algebra_bundle", "dimension", "rank", "bracket_entry",
+        "metadata"])
+def test_missing_keys_are_named(tmp_path, spec, want):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert run_doc(["validate", "--spec", path]) == (1, {"error": want})
+
+
 def test_oversized_input_is_refused_before_allocation(tmp_path):
     # a few bytes of JSON must not ask for a tensor of n**3 fields
     big = _MAX_SIZE + 1

@@ -2,11 +2,12 @@
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import algebroidlab as al
 from algebroidlab.calculus import _mat_dot
@@ -15,6 +16,8 @@ from algebroidlab.fields import (
     MAX_EXPONENT,
     Chart,
     ScalarField,
+    _split,
+    _split_values,
     as_field,
     dot,
     parse_field,
@@ -94,6 +97,18 @@ def test_as_field_coerces_and_checks():
     with pytest.raises(ExpressionSyntaxError,
                        match=r"^None is not a field, expression or number$"):
         as_field(CHART2, None)
+
+
+def test_parse_field_reads_only_text():
+    # the str() of another value is not its expression: on a chart with a
+    # coordinate named None, None is still not that coordinate
+    chart = Chart(2, ("None", "True"))
+    for bad in (None, True, 3, 2.5, ["x1"]):
+        with pytest.raises(ExpressionSyntaxError,
+                           match=r"^%s is not an expression$"
+                           % re.escape(repr(bad))):
+            parse_field(chart, bad)
+    assert parse_field(chart, "None") == ScalarField.coordinate(chart, 0)
 
 
 def test_perm_sign_is_permutation_matrix_determinant():
@@ -419,25 +434,20 @@ def fields_and_points(draw):
 
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(fields_and_points())
-def test_evaluate_many_matches_evaluate(case):
-    # the same terms summed in the same order; numpy's and the float power
-    # may differ in the last bit, so each value is within 1e-13 of the sum
-    # of the terms' absolute values (plus an underflow floor)
+@example((ScalarField(Chart(0), {(): -2.5}), np.zeros((3, 0))))
+@example((parse_field(CHART2, "x1*x2 + 1"), np.zeros((0, 2))))
+def test_split_values_match_evaluate(case):
+    # the terms are summed in the split's monomial order, and numpy's and
+    # the float power may differ in the last bit, so each value is within
+    # 1e-13 of the sum of the terms' absolute values (plus an underflow
+    # floor)
     f, points = case
     size = ScalarField(f.chart, {e: abs(c) for e, c in f.coeffs.items()})
-    got = f.evaluate_many(points)
-    assert got.shape == (len(points),)
-    for value, p in zip(got, points):
+    got = _split_values(_split(f.chart, np.array([f])), points)
+    assert got.shape == (len(points), 1)
+    for value, p in zip(got[:, 0], points):
         bound = 1e-13 * size.evaluate(np.abs(p)) + 1e-300
         assert abs(value - f.evaluate(p)) <= bound
-
-
-def test_evaluate_many_checks_the_point_shape():
-    f = parse_field(CHART2, "x1*x2 + 1")
-    assert f.evaluate_many(np.zeros((0, 2))).shape == (0,)
-    for bad in (np.zeros((3, 3)), np.zeros(2), [[1.0], [2.0]]):
-        with pytest.raises(DimensionMismatchError):
-            f.evaluate_many(bad)
 
 
 def test_dot_rejects_fields_on_other_charts():

@@ -183,12 +183,14 @@ def test_lift_latitude_circle(catalog):
 def lift_nodes(a, pieces, grid):
     """The lift's anchor systems b^T x = gamma' at the grid nodes, stacked:
     (nodes, dimension, rank) matrices and (nodes, dimension) velocities."""
-    from algebroidlab.transport import _anchor_many, _horner, _table
+    from algebroidlab.fields import _split, _split_values
+    from algebroidlab.transport import _horner, _table
 
     nodes = np.linspace(0.0, 1.0, grid + 1)
     points, vel = _horner(_table([gs for _t0, _t1, gs in pieces]),
                           [p[0] for p in pieces], nodes)
-    return _anchor_many(a, points).transpose(0, 2, 1), vel
+    b = _split_values(_split(a.chart, a.anchor), points)
+    return b.transpose(0, 2, 1), vel
 
 
 def per_node_lstsq(mats, vel):
