@@ -23,19 +23,8 @@ import sys
 
 import numpy as np
 
-from .algebroid import (
-    anchor_rank_at,
-    isotropy_at,
-    linearize_at,
-    validate,
-)
-from .calculus import AForm, differential
-from .classes import modular_theorem_check, secondary_class
-from .connections import compatible_connection, curvature, torsion
 from .errors import AlgebroidError, BadOrderError, ClosednessFailureError
-from .fields import ScalarField
-from .specio import algebroid_from_dict, path_from_dict
-from .transport import _check_loop, parallel_transport
+from .specio import algebroid_from_dict
 
 SCHEMA = "algebroidlab/1"
 TWO_PI = 2.0 * math.pi
@@ -106,8 +95,13 @@ def _parse_point(text, dimension):
 
 
 # ------------------------------------------------------------- subcommands
+# Each handler imports what it runs, so a call loads only the modules of its
+# subcommand. Where no bytecode is cached each call compiles what it loads,
+# and the calculus, connection, transport and class modules are most of that.
 
 def _cmd_validate(a, args):
+    from .algebroid import validate
+
     tol = args.tol if args.tol is not None else 1e-10
     report = validate(a, tol=tol, n_samples=args.samples, seed=args.seed)
     results = {
@@ -126,12 +120,16 @@ def _cmd_validate(a, args):
 
 
 def _cmd_rank(a, args):
+    from .algebroid import anchor_rank_at
+
     p = _parse_point(args.point, a.dimension)
     rank = anchor_rank_at(a, p)
     return ({"rank": rank, "point": list(p)}, {}, {}, 0)
 
 
 def _cmd_isotropy(a, args):
+    from .algebroid import isotropy_at
+
     p = _parse_point(args.point, a.dimension)
     tol = args.tol if args.tol is not None else 1e-9
     iso = isotropy_at(a, p, tol=tol)
@@ -146,6 +144,8 @@ def _cmd_isotropy(a, args):
 
 
 def _cmd_linearize(a, args):
+    from .algebroid import linearize_at
+
     p = _parse_point(args.point, a.dimension)
     tol = args.tol if args.tol is not None else 1e-9
     data = linearize_at(a, p, tol=tol)
@@ -169,6 +169,9 @@ def _entries(names, items):
 
 
 def _cmd_differential(a, args):
+    from .calculus import AForm, differential
+    from .fields import ScalarField
+
     coords = []
     for i in range(a.dimension):
         f = AForm(a, 0, {(): ScalarField.coordinate(a.chart, i)})
@@ -182,12 +185,16 @@ def _cmd_differential(a, args):
 
 
 def _cmd_torsion(a, args):
+    from .connections import compatible_connection, torsion
+
     tens = torsion(compatible_connection(a)[0])
     entries = _entries(("u", "s", "t"), np.ndenumerate(tens.comps))
     return ({"bundle": "A", "entries": entries}, {}, {}, 0)
 
 
 def _cmd_curvature(a, args):
+    from .connections import compatible_connection, curvature
+
     form = curvature(compatible_connection(a)[0])
     entries = _entries(("alpha", "beta", "row", "col"), (
         (key + idx, f) for key in sorted(form.coeffs)
@@ -197,6 +204,10 @@ def _cmd_curvature(a, args):
 
 def _cmd_transport(a, args):
     """transport; holonomy is the same run on a path that must close up."""
+    from .connections import compatible_connection
+    from .specio import path_from_dict
+    from .transport import _check_loop, parallel_transport
+
     if not args.path:
         raise UsageError("this command needs --path")
     doc, digest = _read_json(args.path)
@@ -213,6 +224,8 @@ def _cmd_transport(a, args):
 
 
 def _cmd_classes(a, args):
+    from .classes import secondary_class
+
     k = args.k if args.k is not None else 1
     if k > 3:
         raise BadOrderError("orders above 3 are not exposed on the "
@@ -229,6 +242,8 @@ def _cmd_classes(a, args):
 
 
 def _cmd_modular(a, args):
+    from .classes import modular_theorem_check
+
     check = modular_theorem_check(a, n_points=20, seed=args.seed)
     theta, m1 = check["theta"], check["m1"]
     theta_strings = [theta.form.coeff((s,)).to_string()

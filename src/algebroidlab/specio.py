@@ -40,7 +40,6 @@ from .algebroid import (
     catalog_build,
 )
 from .fields import Chart, _field_array
-from .transport import APath
 
 
 def algebroid_from_dict(data):
@@ -100,5 +99,9 @@ def save_algebroid(algebroid, path):
 
 
 def path_from_dict(algebroid, data):
+    from .transport import APath
+
+    segments = [_Spec(seg, "path segment")
+                for seg in _Spec(data, "path")["segments"]]
     return APath(algebroid, [(seg["t0"], seg["t1"], seg["gamma"], seg["coeffs"])
-                             for seg in data["segments"]])
+                             for seg in segments])

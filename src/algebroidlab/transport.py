@@ -116,6 +116,13 @@ def _compose1(table, m, g, rate):
     return out
 
 
+def _bound(t):
+    """A segment or piece bound as a float; a bool is not a number here."""
+    if isinstance(t, (bool, np.bool_)):
+        raise ShapeMismatchError("segment bounds must be numbers")
+    return float(t)
+
+
 class APath:
     """Piecewise polynomial path in the algebroid over its base curve.
 
@@ -140,9 +147,7 @@ class APath:
             if len(coeffs) != r:
                 raise ShapeMismatchError(
                     "path needs %d coefficients, got %d" % (r, len(coeffs)))
-            if {type(t0), type(t1)} & {bool, np.bool_}:
-                raise ShapeMismatchError("segment bounds must be numbers")
-            bounds.append((float(t0), float(t1)))
+            bounds.append((_bound(t0), _bound(t1)))
             rows.append(gamma + coeffs)
         if not rows:
             raise ShapeMismatchError("path needs at least one segment")
@@ -315,12 +320,12 @@ def lift_base_path(algebroid, base, grid=64):
     """
     def is_piece(x):
         return (isinstance(x, (tuple, list)) and len(x) == 3
-                and isinstance(x[0], (int, float)))
+                and isinstance(x[0], (int, float, np.bool_)))
 
     m = algebroid.dimension
     base = list(base)
     if base and all(is_piece(x) for x in base):
-        pieces = [(float(t0), float(t1), [as_field(T_CHART, g) for g in gs])
+        pieces = [(_bound(t0), _bound(t1), [as_field(T_CHART, g) for g in gs])
                   for t0, t1, gs in base]
     else:
         pieces = [(0.0, 1.0, [as_field(T_CHART, g) for g in base])]

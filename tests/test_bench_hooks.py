@@ -19,6 +19,11 @@ from algebroidlab import classes, transport
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# the package's functions that the traced op below calls
+PACKAGE_FUNCTIONS = ("basic_connection", "chern_weil", "path_from_dict",
+                     "reverse_path", "bracket_sections", "parallel_transport",
+                     "compatible_connection")
+
 
 def load_spans():
     spec = importlib.util.spec_from_file_location(
@@ -45,6 +50,9 @@ def test_trace_hooks_fire_and_restore(catalog):
     targets = layer_functions(spans)
     originals = {(mod.__name__, name): getattr(mod, name)
                  for mod, name in targets}
+    # the package binds a name on its first read, and install wraps the
+    # names bound by then: read the ones called below first
+    package = {name: getattr(al, name) for name in PACKAGE_FUNCTIONS}
     poly_call = vars(al.InvariantPolynomial)["__call__"]
     poly_sigma = vars(al.InvariantPolynomial)["sigma"]
     integrate = transport._integrate
@@ -56,6 +64,8 @@ def test_trace_hooks_fire_and_restore(catalog):
     try:
         assert all(hasattr(getattr(mod, name), "__wrapped__")
                    for mod, name in targets)
+        assert all(getattr(al, name).__wrapped__ is package[name]
+                   for name in PACKAGE_FUNCTIONS)
         with tracer.op(0):
             conn = al.basic_connection(a)
             poly = al.InvariantPolynomial(1, conn.q)
@@ -88,6 +98,8 @@ def test_trace_hooks_fire_and_restore(catalog):
     # restore puts every original back
     assert all(getattr(mod, name) is originals[(mod.__name__, name)]
                for mod, name in targets)
+    assert all(getattr(al, name) is package[name]
+               for name in PACKAGE_FUNCTIONS)
     assert al.chern_weil is classes.chern_weil
     assert vars(al.InvariantPolynomial)["__call__"] is poly_call
     assert vars(al.InvariantPolynomial)["sigma"] is poly_sigma

@@ -359,6 +359,21 @@ def test_missing_keys_are_named(tmp_path, spec, want):
     assert run_doc(["validate", "--spec", path]) == (1, {"error": want})
 
 
+@pytest.mark.parametrize("doc, want", [
+    ({"segment": []}, "path: missing key 'segments'"),
+    ({"segments": [{"t0": 0, "gamma": ["0", "0", "1"],
+                    "coeffs": ["0", "0", "1"]}]},
+     "path segment: missing key 't1'"),
+    ({"segments": [{"t0": 0, "t1": 1, "gamma": ["0", "0", "1"]}]},
+     "path segment: missing key 'coeffs'"),
+], ids=["segments", "t1", "coeffs"])
+def test_missing_path_keys_are_named(tmp_path, doc, want):
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps(doc))
+    assert run_doc(["transport", "--spec", DATA / "so3_action.json",
+                    "--path", path]) == (1, {"error": want})
+
+
 def test_oversized_input_is_refused_before_allocation(tmp_path):
     # a few bytes of JSON must not ask for a tensor of n**3 fields
     big = _MAX_SIZE + 1

@@ -291,6 +291,15 @@ def test_lift_rejects_radial_path(catalog):
         al.lift_base_path(a, ["1 + t", "0", "0"])
 
 
+def test_lift_refuses_bool_piece_bounds(catalog):
+    # False and True are not the bounds 0 and 1, as in APath
+    a = catalog["so3_action"]
+    for t0, t1 in ((False, True), (np.False_, np.True_), (0.0, True)):
+        with pytest.raises(ShapeMismatchError,
+                           match="segment bounds must be numbers"):
+            al.lift_base_path(a, [(t0, t1, ["0", "0", "1"])])
+
+
 def test_lift_tangent_algebroid_is_velocity(catalog):
     a = catalog["tangent2"]
     lift = al.lift_base_path(a, ["t", "t*t"])
