@@ -493,10 +493,10 @@ def _axiom_defects(c, rho):
         return (rho[a] @ dc[b]).reshape(r, r, r, r)
 
     for g in sorted(lands):
-        anchor_terms, jacobi_terms = lands[g]
+        anchor_lands, jacobi_lands = lands[g]
         with np.errstate(over="ignore", invalid="ignore"):
-            anchor = _sum(anchor_term, anchor_terms)
-            jacobi = p = _sum(jacobi_term, jacobi_terms)
+            anchor = _sum(anchor_term, anchor_lands)
+            jacobi = p = _sum(jacobi_term, jacobi_lands)
             if p is not None:
                 jacobi = p + p.transpose(2, 0, 1, 3)
                 jacobi += p.transpose(1, 2, 0, 3)
@@ -640,10 +640,11 @@ def catalog_build(kind, params):
     kind is one of lie_algebra, tangent, poisson, transformation,
     lie_algebra_bundle. params is a dict; field entries may be expression
     strings, numbers, or ScalarFields. Constant structure data must pass
-    _check_constants. A lie_algebra_bundle must satisfy Jacobi exactly, up
-    to 1e-10 in _certificate of its Jacobi defect polynomials: the largest
-    sum of absolute coefficients over the entries, which bounds the defect
-    at every point of [-1, 1]^m.
+    _check_constants, a lie_algebra's with exact antisymmetry. A
+    lie_algebra_bundle must satisfy Jacobi exactly, up to 1e-10 in
+    _certificate of its Jacobi defect polynomials: the largest sum of
+    absolute coefficients over the entries, which bounds the defect at
+    every point of [-1, 1]^m.
     """
     params = _Spec(params, "%s params" % (kind,))
     if kind == "lie_algebra":
@@ -651,7 +652,7 @@ def catalog_build(kind, params):
         n = constants.shape[0]
         if constants.shape != (n, n, n):
             raise ShapeMismatchError("constants must be (n, n, n)")
-        _check_constants(constants, 1e-12, 1e-10)
+        _check_constants(constants, 0.0, 1e-10)
         chart = Chart(0)
         anchor = [[] for _ in range(n)]
         meta = {"kind": kind, "params": {"constants": constants.tolist()}}

@@ -37,6 +37,33 @@ def _normalize_key(key, bound):
     return tuple(sorted(key)), perm_sign(key)
 
 
+def _read_entries(algebroid, degree, entries, read, is_zero):
+    """(degree, coeffs) of a form from its entries {index tuple: value}.
+
+    The degree must be nonnegative, and each key (an int is a 1-tuple) as
+    long as it. Keys are sorted with their sign and values read by read;
+    a key with a repeated index drops out, values on one sorted key are
+    summed, and those that are zero by is_zero are dropped.
+    """
+    degree = int(degree)
+    if degree < 0:
+        raise ShapeMismatchError("form degree must be nonnegative")
+    coeffs = {}
+    for key, value in (entries or {}).items():
+        key = (key,) if isinstance(key, int) else tuple(key)
+        if len(key) != degree:
+            raise ShapeMismatchError(
+                "key %r does not match degree %d" % (key, degree))
+        skey, sign = _normalize_key(key, algebroid.rank)
+        if sign == 0:
+            continue
+        value = read(value)
+        if sign < 0:
+            value = -value
+        coeffs[skey] = coeffs[skey] + value if skey in coeffs else value
+    return degree, {k: v for k, v in coeffs.items() if not is_zero(v)}
+
+
 def _poly_det(rows):
     """Determinant of a small square matrix of scalar fields."""
     n = len(rows)
@@ -58,32 +85,12 @@ class AForm:
     __slots__ = ("algebroid", "degree", "coeffs", "overflow")
 
     def __init__(self, algebroid, degree, entries=None):
-        degree = int(degree)
-        if degree < 0:
-            raise ShapeMismatchError("form degree must be nonnegative")
         self.algebroid = algebroid
-        self.degree = degree
         self.overflow = False
         chart = algebroid.chart
-        coeffs = {}
-        for key, value in (entries or {}).items():
-            key = (key,) if isinstance(key, int) else tuple(key)
-            if len(key) != degree:
-                raise ShapeMismatchError(
-                    "key %r does not match degree %d" % (key, degree))
-            skey, sign = _normalize_key(key, algebroid.rank)
-            if sign == 0:
-                continue
-            f = as_field(chart, value)
-            if sign < 0:
-                f = -f
-            if skey in coeffs:
-                coeffs[skey] = coeffs[skey] + f
-            else:
-                coeffs[skey] = f
-        self.coeffs = {k: v for k, v in coeffs.items() if not v.is_zero()}
-        if degree > algebroid.rank and self.coeffs:
-            raise ShapeMismatchError("nonzero form of degree above the rank")
+        self.degree, self.coeffs = _read_entries(
+            algebroid, degree, entries, lambda v: as_field(chart, v),
+            ScalarField.is_zero)
 
     def coeff(self, key):
         """Signed component on an arbitrary index tuple."""
@@ -258,21 +265,12 @@ class MatrixForm:
 
     def __init__(self, algebroid, degree, size, entries=None):
         self.algebroid = algebroid
-        self.degree = int(degree)
-        self.size = int(size)
-        coeffs = {}
-        for key, mat in (entries or {}).items():
-            key = (key,) if isinstance(key, int) else tuple(key)
-            skey, sign = _normalize_key(key, algebroid.rank)
-            if sign == 0:
-                continue
-            mat = _field_array(algebroid.chart, mat, (self.size,) * 2,
-                               "matrix component")
-            if sign < 0:
-                mat = -mat
-            coeffs[skey] = coeffs[skey] + mat if skey in coeffs else mat
-        self.coeffs = {k: v for k, v in coeffs.items()
-                       if not _matrix_is_zero(v)}
+        self.size = size = int(size)
+        self.degree, self.coeffs = _read_entries(
+            algebroid, degree, entries,
+            lambda m: _field_array(algebroid.chart, m, (size, size),
+                                   "matrix component"),
+            _matrix_is_zero)
 
     def zero_matrix(self):
         zero = ScalarField(self.algebroid.chart)

@@ -41,6 +41,7 @@ from .errors import (
     AlgebroidMismatchError,
     BadOrderError,
     ClosednessFailureError,
+    NotInvertibleError,
     ShapeMismatchError,
 )
 from .fields import ScalarField, _join, _split, _split_values, dot, perm_sign
@@ -469,11 +470,6 @@ def secondary_class(algebroid, k):
         raise BadOrderError("secondary classes need odd positive order")
     q = bundle_rank(algebroid, "E")
     poly = InvariantPolynomial(k, q)
-    if 2 * k - 1 > algebroid.rank:
-        form = AForm(algebroid, 2 * k - 1)
-        form.overflow = True
-        return CocycleSection(form, k, 0.0,
-                              ("basic", "flat_metric"), overflow=True)
     conn1 = basic_connection(algebroid)
     conn0 = flat_metric_connection(algebroid)
     form = transgression_form(conn1, conn0, poly)
@@ -481,7 +477,8 @@ def secondary_class(algebroid, k):
     if not residual <= 1e-7:
         raise ClosednessFailureError(
             "secondary class is not closed (residual %.3e)" % residual)
-    return CocycleSection(form, k, residual, ("basic", "flat_metric"))
+    return CocycleSection(form, k, residual, ("basic", "flat_metric"),
+                          overflow=form.overflow)
 
 
 def modular_cocycle(algebroid):
@@ -502,15 +499,19 @@ def modular_values(algebroid, point, weight=None):
     """Modular coefficients at a point, for an optionally rescaled section.
 
     Rescaling the trivializing volume section by a polynomial shifts each
-    coefficient by (anchor derivative of the weight) / weight.
+    coefficient by (anchor derivative of the weight) / weight, so a weight
+    that vanishes at the point is refused.
     """
     p = algebroid.chart.check_point(point)
+    if weight is not None:
+        w = weight.evaluate(p)
+        if w == 0.0:
+            raise NotInvertibleError("weight vanishes at the point")
     theta = modular_cocycle(algebroid).form
     out = np.zeros(algebroid.rank)
     for s in range(algebroid.rank):
         out[s] = theta.coeff((s,)).evaluate(p)
         if weight is not None:
-            w = weight.evaluate(p)
             out[s] += algebroid.anchor_row(s).apply(weight).evaluate(p) / w
     return out
 

@@ -18,7 +18,7 @@ class DimensionMismatchError(AlgebroidError):
 
 
 class ExponentTooLargeError(AlgebroidError):
-    """A monomial exponent exceeds the limit of packed monomials, 32,767."""
+    """A monomial exponent exceeds the limit on every exponent, 32,767."""
 
 
 class ShapeMismatchError(AlgebroidError):
@@ -50,7 +50,7 @@ class BundleMismatchError(AlgebroidError):
 
 
 class NotInvertibleError(AlgebroidError):
-    """Frame change has no polynomial inverse."""
+    """Frame change has no polynomial inverse, or a weight vanishes."""
 
 
 class NotTangentError(AlgebroidError):

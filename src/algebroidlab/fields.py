@@ -5,18 +5,18 @@ keyed by exponent tuples. Evaluation and partial differentiation are exact
 (no truncation), which is what makes every downstream identity checkable at
 tight tolerances.
 
-Products multiply packed monomials: the exponent tuple (e_1, ..., e_m) is
-the integer sum(e_i << 16*(i-1)), so the exponent sum of two monomials is
-one integer add. Every exponent is at most MAX_EXPONENT = 32,767, so the sum
-of two fits in its 16 bits and never carries into the next variable. A
-result that would hold a larger exponent raises ExponentTooLargeError; a
-term that drops out (a zero product or an exact cancellation) does not.
+Every exponent is at most MAX_EXPONENT = 32,767. A field whose kept terms
+would hold a larger one raises ExponentTooLargeError, whether it comes from
+input, a product or a split array; a term that drops out (a zero product or
+an exact cancellation) does not.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
+import operator
 import re
 import reprlib
 
@@ -86,51 +86,15 @@ def _fmt(x):
 
 
 MAX_EXPONENT = (1 << 15) - 1
-_SHIFT = 16
 
 
-class _Encoder(dict):
-    """Exponent tuple -> packed key, filled on a miss."""
-
-    __slots__ = ()
-
-    def __missing__(self, exps):
-        key = self[exps] = sum(e << _SHIFT * i for i, e in enumerate(exps))
-        return key
-
-
-class _Decoder(dict):
-    """Packed key -> exponent tuple of one chart dimension, filled on a miss.
-
-    A key is the sum of two packed monomials at most, so each 16-bit field
-    holds an exponent below 2^16; one above MAX_EXPONENT is refused here,
-    before it is stored and could be summed again.
-    """
-
-    __slots__ = ("dimension",)
-
-    def __init__(self, dimension):
-        self.dimension = dimension
-
-    def __missing__(self, key):
-        exps = tuple(key >> _SHIFT * i & 0xFFFF for i in range(self.dimension))
-        if max(exps, default=0) > MAX_EXPONENT:
-            raise ExponentTooLargeError(
-                "exponent %d is above the limit %d"
-                % (max(exps), MAX_EXPONENT))
-        self[key] = exps
-        return exps
-
-
-class _Codecs(dict):
-    """Chart dimension -> (encoder, decoder), made on first use."""
-
-    def __missing__(self, m):
-        codec = self[m] = (_Encoder(), _Decoder(m))
-        return codec
-
-
-_CODECS = _Codecs()
+def _check_limit(keys):
+    """Raise ExponentTooLargeError for the first exponent tuple of keys (a
+    collection), in order, that holds an exponent past MAX_EXPONENT."""
+    if max(itertools.chain.from_iterable(keys), default=0) > MAX_EXPONENT:
+        e = next(e for e in keys if max(e) > MAX_EXPONENT)
+        raise ExponentTooLargeError(
+            "exponent %d is above the limit %d" % (max(e), MAX_EXPONENT))
 
 
 def _exponents(exps, m):
@@ -153,21 +117,20 @@ def _exponents(exps, m):
             or any(e < 0 for e in ints)):
         raise DimensionMismatchError(
             "bad exponent tuple %r for chart of dimension %d" % (exps, m))
-    if max(ints, default=0) > MAX_EXPONENT:
-        raise ExponentTooLargeError(
-            "exponent %d is above the limit %d" % (max(ints), MAX_EXPONENT))
+    _check_limit((ints,))
     return ints
 
 
-def _product(terms_a, terms_b):
-    """Packed-key dict of the product of two packed term lists, zeros not
-    yet dropped."""
+def _product(a, b):
+    """Coefficient dict of the product of two coefficient dicts, zeros not
+    yet dropped and exponents not yet checked."""
     out = {}
     get = out.get
-    for k1, c1 in terms_a:
-        for k2, c2 in terms_b:
-            k = k1 + k2
-            out[k] = get(k, 0.0) + c1 * c2
+    add = operator.add
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = get(e, 0.0) + c1 * c2
     return out
 
 
@@ -193,18 +156,18 @@ class ScalarField:
     coordinate, and coefficients finite. The parser checks the terms it
     builds itself and stores them through ``_of``. Results of the closed
     operations (sums, products, negation, powers, partials and ``dot``)
-    are built by ``_of`` without re-checking, so arithmetic may still
-    overflow to inf or nan; a number in arithmetic must be finite.
+    are built by ``_of`` without re-checking their coefficients, so
+    arithmetic may still overflow to inf or nan; a number in arithmetic
+    must be finite. Products and ``dot`` check the exponents they keep.
 
-    A field's ``coeffs`` must not be mutated after construction: the field
-    caches its terms with packed keys on first use in a product.
+    Fields are immutable: arrays of fields may share one field between
+    entries, so a field's ``coeffs`` must not be mutated.
     """
 
-    __slots__ = ("chart", "coeffs", "_packed")
+    __slots__ = ("chart", "coeffs")
 
     def __init__(self, chart, coeffs=None):
         self.chart = chart
-        self._packed = None
         clean = {}
         if coeffs:
             m = chart.dimension
@@ -225,17 +188,7 @@ class ScalarField:
         f = object.__new__(cls)
         f.chart = chart
         f.coeffs = coeffs
-        f._packed = None
         return f
-
-    def _terms(self):
-        """[(packed key, coefficient), ...] in the order of coeffs, cached."""
-        packed = self._packed
-        if packed is None:
-            encode = _CODECS[self.chart.dimension][0]
-            packed = self._packed = [(encode[e], c)
-                                     for e, c in self.coeffs.items()]
-        return packed
 
     @classmethod
     def _scalar(cls, chart, value):
@@ -296,10 +249,10 @@ class ScalarField:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = _product(self._terms(), other._terms())
-        decode = _CODECS[self.chart.dimension][1]
-        return ScalarField._of(self.chart, {
-            decode[k]: c for k, c in out.items() if c != 0.0})
+        out = _product(self.coeffs, other.coeffs)
+        out = {e: c for e, c in out.items() if c != 0.0}
+        _check_limit(out)
+        return ScalarField._of(self.chart, out)
 
     __rmul__ = __mul__
 
@@ -404,26 +357,26 @@ def dot(chart, pairs, start=None):
     """start (default zero) plus the sum of a * b over the pairs (a, b) of
     fields on chart.
 
-    The sum is built in one dict keyed by packed monomials and decoded once
-    at the end: each product is summed per monomial and then added to the
-    total in pair order, so the result is bit-identical to
-    ``total = total + a * b`` chained from start. Only the monomials of the
-    sum are decoded, so a product term past MAX_EXPONENT that cancels in the
-    sum raises nothing, where the chained sum would raise.
+    The sum is built in one dict and its exponents are checked once at the
+    end: each product is summed per monomial and then added to the total in
+    pair order, so the result is bit-identical to ``total = total + a * b``
+    chained from start. Only the monomials of the sum are checked, so a
+    product term past MAX_EXPONENT that cancels in the sum raises nothing,
+    where the chained sum would raise.
     """
     total = {}
     if start is not None:
         if start.chart is not chart and start.chart != chart:
             raise DimensionMismatchError("fields live on different charts")
-        total.update(start._terms())
+        total.update(start.coeffs)
     for a, b in pairs:
         if ((a.chart is not chart and a.chart != chart)
                 or (b.chart is not chart and b.chart != chart)):
             raise DimensionMismatchError("fields live on different charts")
         if a.coeffs and b.coeffs:
-            _accumulate(total, _product(a._terms(), b._terms()))
-    decode = _CODECS[chart.dimension][1]
-    return ScalarField._of(chart, {decode[k]: c for k, c in total.items()})
+            _accumulate(total, _product(a.coeffs, b.coeffs))
+    _check_limit(total)
+    return ScalarField._of(chart, total)
 
 
 _TOKEN = re.compile(
@@ -496,8 +449,6 @@ def parse_field(chart, text):
                     expect_factor = True
                     continue
                 break
-            if i >= n:
-                fail("dangling operator")
             kind, value, _pos = tokens[i]
             if kind == "num":
                 coeff *= float(value)
@@ -535,10 +486,7 @@ def parse_field(chart, text):
     # the constructor's rules: a term that cancels drops out, and one that
     # stays may not hold an accumulated exponent past the limit
     coeffs = {e: c for e, c in result.items() if c}
-    for e in coeffs:
-        if max(e, default=0) > MAX_EXPONENT:
-            raise ExponentTooLargeError(
-                "exponent %d is above the limit %d" % (max(e), MAX_EXPONENT))
+    _check_limit(coeffs)
     return ScalarField._of(chart, coeffs)
 
 
@@ -666,7 +614,9 @@ def _split_values(parts, points):
 
 def _join(chart, parts):
     """Inverse of _split: the fields sum_e parts[e] x^e, each built once with
-    its exact zeros dropped."""
+    its exact zeros dropped. A monomial past MAX_EXPONENT that some field
+    keeps raises ExponentTooLargeError."""
+    _check_limit([e for e, v in parts.items() if v.any()])
     first = next(iter(parts.values()))
     coeffs = [{} for _ in range(first.size)]
     for e, v in parts.items():

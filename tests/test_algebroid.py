@@ -109,6 +109,15 @@ def test_catalog_rejects_non_finite_constants():
                 "fields": [["x1"]] * len(constants)})
 
 
+def test_lie_algebra_constants_are_antisymmetric_exactly():
+    constants = np.zeros((3, 3, 3))
+    constants[0, 1, 2] = 1e-13
+    with pytest.raises(AntisymmetryViolationError,
+                       match=r"^constants not antisymmetric "
+                             r"\(defect 1\.000e-13\)$"):
+        al.catalog_build("lie_algebra", {"constants": constants})
+
+
 def test_structure_constants_above_the_size_limit_are_refused():
     big = np.zeros((_MAX_SIZE + 1,) * 3)
     with pytest.raises(ShapeMismatchError):

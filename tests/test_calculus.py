@@ -41,6 +41,20 @@ def test_form_degree_overflow_is_zero(catalog):
         al.AForm(a, -1, {})
 
 
+def test_matrix_form_keys_are_read_like_form_keys(catalog):
+    a = catalog["so3_action"]
+    eye = np.eye(3)
+    for make in (al.AForm, lambda a, k, e: al.MatrixForm(a, k, 3, e)):
+        with pytest.raises(ShapeMismatchError, match="does not match degree"):
+            make(a, 2, {(0,): eye})
+        with pytest.raises(ShapeMismatchError, match="nonnegative"):
+            make(a, -1, {})
+    w = al.MatrixForm(a, 2, 3, {(1, 0): eye, (0, 1): 2 * eye, (2, 2): eye})
+    assert list(w.coeffs) == [(0, 1)]
+    assert [f.constant_value() for f in w.coeff((1, 0)).flat] \
+        == (-eye).ravel().tolist()
+
+
 def test_form_mixing_algebroids_rejected(catalog):
     u = al.AForm(catalog["sl2"], 1, {(0,): 1.0})
     v = al.AForm(catalog["so3"], 1, {(0,): 1.0})

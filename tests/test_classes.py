@@ -17,6 +17,7 @@ from algebroidlab.connections import AConnection, bundle_rank
 from algebroidlab.errors import (
     AlgebroidMismatchError,
     BadOrderError,
+    NotInvertibleError,
     ShapeMismatchError,
 )
 from algebroidlab.fields import (
@@ -732,6 +733,12 @@ def test_modular_values_weight_rescale(catalog):
     assert np.allclose(plain, [1.0])
     shifted = al.modular_values(a, (2.0,), weight=parse_field(a.chart, "x1"))
     assert np.allclose(shifted, [2.0])
+
+
+def test_modular_values_refuse_a_weight_vanishing_at_the_point(catalog):
+    a = catalog["so3_action"]
+    with pytest.raises(NotInvertibleError, match="weight vanishes"):
+        al.modular_values(a, (0, 0, 0), weight=parse_field(a.chart, "x1"))
 
 
 def test_action_modular_cocycle_over_two_pi(catalog):

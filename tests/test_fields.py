@@ -16,6 +16,7 @@ from algebroidlab.fields import (
     MAX_EXPONENT,
     Chart,
     ScalarField,
+    _join,
     _split,
     _split_values,
     as_field,
@@ -337,10 +338,9 @@ def test_field_matrix_products_match_chained_sums(mats):
         assert bits(flat[i, j]) == bits(want)
 
 
-# Products and ``dot`` multiply packed monomial keys; this reference works
-# on exponent tuples and shares no code with them. An exponent above the
-# limit raises when it would be in a result, so each case asserts either bit
-# equality with the reference or that error.
+# A reference for products, powers and ``dot`` that shares no code with
+# them. An exponent above the limit raises when it would be in a result, so
+# each case asserts either bit equality with the reference or that error.
 
 def ref_product(a, b):
     out = {}
@@ -585,6 +585,28 @@ def test_products_past_the_limit_raise_and_never_carry():
     tiny = parse_field(CHART2, "1e-170*x1^20000")
     assert (tiny * tiny).is_zero()
     assert dot(CHART2, [(x, x), (-x, x)]).is_zero()
+
+
+def test_split_arrays_past_the_limit_raise_and_never_carry():
+    # over a zero anchor and bracket, the curvature of these symbols would
+    # hold x1^40000, and its product with x1^30000 x1^70000, not x1^4464*x2
+    a = al.build_algebroid(CHART2, 2, np.zeros((2, 2)), np.zeros((2, 2, 2)))
+    symbols = np.zeros((2, 2, 2), dtype=object)
+    symbols[0, 0, 1] = symbols[1, 1, 0] = "x1^20000"
+    conn = al.build_connection(a, "A", symbols)
+    with pytest.raises(ExponentTooLargeError,
+                       match=r"^exponent 40000 is above the limit 32767$"):
+        al.curvature(conn)
+    big = ScalarField._of(CHART2, {(40000, 0): 1.0})
+    with pytest.raises(ExponentTooLargeError,
+                       match=r"^exponent 70000 is above the limit 32767$"):
+        big * parse_field(CHART2, "x1^30000")
+    # a monomial whose coefficients are all zero is not in any field
+    parts = {(0, 0): np.array([1.0, 0.0]), (40000, 0): np.zeros(2)}
+    assert [f.coeffs for f in _join(CHART2, parts)] == [{(0, 0): 1.0}, {}]
+    parts[40000, 0] = np.array([0.0, 2.0])
+    with pytest.raises(ExponentTooLargeError):
+        _join(CHART2, parts)
 
 
 def test_powers_past_the_limit_raise_before_multiplying():
