@@ -405,7 +405,11 @@ class TransformationData:
         for f in self.fields:
             if f.chart != self.chart:
                 raise DimensionMismatchError("action fields on mixed charts")
-        _check_constants(self.constants, self.jacobi_tol, self.jacobi_tol)
+        # given constants are the bracket of an algebroid, which must be
+        # exactly antisymmetric; an isotropy algebra's (linearize_at sets
+        # kernel_basis) are so up to jacobi_tol
+        anti_tol = 0.0 if self.kernel_basis is None else self.jacobi_tol
+        _check_constants(self.constants, anti_tol, self.jacobi_tol)
 
     @property
     def algebra_dim(self):
@@ -640,11 +644,10 @@ def catalog_build(kind, params):
     kind is one of lie_algebra, tangent, poisson, transformation,
     lie_algebra_bundle. params is a dict; field entries may be expression
     strings, numbers, or ScalarFields. Constant structure data must pass
-    _check_constants, a lie_algebra's with exact antisymmetry. A
-    lie_algebra_bundle must satisfy Jacobi exactly, up to 1e-10 in
-    _certificate of its Jacobi defect polynomials: the largest sum of
-    absolute coefficients over the entries, which bounds the defect at
-    every point of [-1, 1]^m.
+    _check_constants with exact antisymmetry. A lie_algebra_bundle must
+    satisfy Jacobi exactly, up to 1e-10 in _certificate of its Jacobi
+    defect polynomials: the largest sum of absolute coefficients over the
+    entries, which bounds the defect at every point of [-1, 1]^m.
     """
     params = _Spec(params, "%s params" % (kind,))
     if kind == "lie_algebra":

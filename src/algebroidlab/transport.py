@@ -20,15 +20,15 @@ cubic cells through the nodes.
 
 Transport does not step v in Python. The equation is linear, so one RK4
 step is a matrix, the stability polynomial of the method at -h M(t)
-(Hairer, Norsett & Wanner, Solving ODEs I, IV.2). Per block of steps,
-M(t) is formed at all RK4 nodes (step starts and midpoints) with one power
-sum, and every step map I + D_k by the RK4 stages applied to v = I in
-stacked matmuls. The maps are multiplied together in fixed chunks of
-_CHUNK steps, counted from the start of the segment, and the chunk
-products are applied to v in order. This reorders the per-vector RK4
-arithmetic, so results move by roundoff against stepping v itself, but
-not with the block size. The transport matrix's t-coefficients come from
-the symbols split by chart monomial, with no field arithmetic.
+(Hairer, Norsett & Wanner, Solving ODEs I, IV.2). M's t-coefficients come
+from the symbols split by chart monomial, for all segments in one pass
+with no field arithmetic. Per block of steps, one contraction with a table
+of powers of t gives -M at every RK4 node (step starts and midpoints), and
+the RK4 stages applied to v = I give every step map I + D_k in stacked
+matmuls. The maps are multiplied in fixed chunks of _CHUNK steps, counted
+from the start of the segment, and the chunk products applied to v in
+order. This reorders the per-vector RK4 arithmetic, so results move by
+roundoff against stepping v itself, but not with the block size.
 """
 
 from __future__ import annotations
@@ -371,46 +371,45 @@ class TransportResult:
     tol: float = None
 
 
-def _segment_matrices(conn, path):
-    """Per segment, dense t-coefficient arrays of the transport matrix,
-    index [power of t, u, w]: the symbols split by chart monomial, each
-    monomial's coefficients times that monomial's power of the base curve,
-    then times the frame coefficients."""
-    algebroid = conn.algebroid
-    m = algebroid.dimension
-    parts = _split(algebroid.chart, conn.symbols)
-    symbols = np.array(list(parts.values()))
-    out = []
-    for row in path._table:
-        gamma, coeffs = row[:m], row[m:]
-        powers = []
-        for exps in parts:
-            p = np.ones(1)
-            for g, e in zip(gamma, exps):
-                for _ in range(e):
-                    p = np.convolve(p, g)
-            powers.append(p)
-        width = max(len(p) for p in powers)
-        powers = np.array([np.pad(p, (0, width - len(p))) for p in powers])
-        # the symbols along the path, [power of t, s, u, w]
-        along = np.einsum("ed,eswu->dsuw", powers, symbols)
-        mats = np.zeros((width + coeffs.shape[1] - 1, conn.q, conn.q))
-        for j in range(coeffs.shape[1]):
-            mats[j:j + width] += np.einsum("s,dsuw->duw", coeffs[:, j], along)
-        degree = max(np.flatnonzero(mats.any(axis=(1, 2))), default=0)
-        out.append(mats[:degree + 1])
+def _polymul(a, b):
+    """Row-wise product of stacks of polynomials, in np.convolve's order."""
+    out = np.zeros((len(a), a.shape[1] + b.shape[1] - 1))
+    for j in range(a.shape[1]):
+        out[:, j:j + b.shape[1]] += a[:, j:j + 1] * b
     return out
 
 
+def _segment_matrices(conn, path):
+    """Dense t-coefficient arrays of the transport matrix, index [segment,
+    power of t, u, w], for every segment at once: the symbols split by chart
+    monomial, each monomial's coefficients times that monomial's power of
+    the base curve, then times the frame coefficients."""
+    m = conn.algebroid.dimension
+    parts = _split(conn.algebroid.chart, conn.symbols)
+    gamma, coeffs = path._table[:, :m], path._table[:, m:]
+    width = (gamma.shape[2] - 1) * max(map(sum, parts)) + 1
+    # each monomial's power of the base curve, [segment, monomial, power]
+    powers = np.zeros((len(gamma), len(parts), width))
+    for k, exps in enumerate(parts):
+        p = np.ones((len(gamma), 1))
+        for i in np.repeat(np.arange(m), exps):
+            p = _polymul(p, gamma[:, i])
+        powers[:, k, :p.shape[1]] = p
+    # the symbols along the path, [segment, power of t, s, u, w]
+    along = np.einsum("ned,eswu->ndsuw", powers, [*parts.values()])
+    mats = np.zeros((len(gamma), width + coeffs.shape[2] - 1, conn.q, conn.q))
+    for j, a in enumerate(coeffs.transpose(2, 0, 1)):
+        mats[:, j:j + width] += np.einsum("ns,ndsuw->nduw", a, along)
+    degree = max(np.flatnonzero(mats.any(axis=(0, 2, 3))), default=0)
+    return mats[:, :degree + 1]
+
+
 def _neg_matrices(c, ts):
-    """-M(t) at each of the times ts, M(t) summed from the constant term up
-    with the powers of t built by repeated products."""
-    total = np.zeros((len(ts),) + c.shape[1:])
-    power = np.ones(len(ts))
-    for cd in c:
-        total = total + power[:, None, None] * cd
-        power = power * ts
-    return -total
+    """-M(t) at each of the times ts: the powers of t by running products,
+    contracted with M's t-coefficients from the constant term up."""
+    powers = np.ones((len(ts), len(c)))
+    powers[:, 1:] = ts[:, None]
+    return -np.einsum("nd,duw->nuw", powers.cumprod(axis=1), c)
 
 
 def _step_maps(ends, mids, h):
@@ -452,13 +451,10 @@ def _integrate(conn, path, v0, n_steps, seg_mats):
     # a non-finite result is refused by the caller
     with np.errstate(over="ignore", invalid="ignore"):
         for (t0, t1), c in zip(path.segments, seg_mats):
-            t0, t1 = float(t0), float(t1)
             n = max(1, math.ceil(n_steps * (t1 - t0)))
             h = (t1 - t0) / n
             # step starts by a running sum from t0, each t + h rounded once
-            ts = np.full(n + 1, h)
-            ts[0] = t0
-            ts = np.cumsum(ts)
+            ts = np.concatenate(([t0], np.full(n, h))).cumsum()
             for lo in range(0, n, block):
                 hi = min(lo + block, n)
                 d = _step_maps(_neg_matrices(c, ts[lo:hi + 1]),
@@ -475,8 +471,9 @@ def parallel_transport(conn, path, v0, n_steps=200, tol=None,
 
     n_steps is the coarse step count over [0, 1]; ValueError unless
     1 <= n_steps and 2 * n_steps <= max_steps, or when tol is given and is
-    not a finite number >= 0. A non-finite v0 is refused; a result that
-    overflows raises ToleranceNotMetError.
+    not a finite number >= 0. A non-finite v0 is refused. A result that
+    overflows raises ToleranceNotMetError, and so does an estimate above a
+    tol that is below the result's roundoff, eps times its largest entry.
 
     Every RK4 step is formed as a q x q matrix, so a run costs O(q^3) per
     step whatever v0 is: one vector costs as much as a frame of q columns.
@@ -506,10 +503,13 @@ def parallel_transport(conn, path, v0, n_steps=200, tol=None,
         err = float(np.max(np.abs(fine - coarse), initial=0.0)) / 15.0
         if tol is None or err <= tol:
             return TransportResult(fine, fine_count, err, tol)
-        if 4 * n > max_steps:
+        # no doubling can be relied on to meet a tol below the roundoff
+        floor = np.finfo(float).eps * float(np.max(np.abs(fine), initial=0.0))
+        if tol < floor or 4 * n > max_steps:
             raise ToleranceNotMetError(
-                "transport error estimate %.3e above tolerance %.3e "
-                "at %d steps" % (err, tol, 2 * n))
+                "transport error estimate %.3e above tolerance %.3e at %d "
+                "steps; the result's roundoff is %.3e"
+                % (err, tol, 2 * n, floor))
         coarse = fine
         n *= 2
 

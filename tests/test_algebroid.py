@@ -118,6 +118,18 @@ def test_lie_algebra_constants_are_antisymmetric_exactly():
         al.catalog_build("lie_algebra", {"constants": constants})
 
 
+def test_transformation_constants_are_antisymmetric_exactly():
+    # the constants' own check reports the defect, not build_algebroid's
+    # entry check that used to follow a tolerant one
+    constants = np.zeros((3, 3, 3))
+    constants[0, 1, 2] = 1e-13
+    with pytest.raises(AntisymmetryViolationError,
+                       match=r"^constants not antisymmetric "
+                             r"\(defect 1\.000e-13\)$"):
+        al.catalog_build("transformation", {
+            "dimension": 1, "constants": constants, "fields": [["0"]] * 3})
+
+
 def test_structure_constants_above_the_size_limit_are_refused():
     big = np.zeros((_MAX_SIZE + 1,) * 3)
     with pytest.raises(ShapeMismatchError):

@@ -442,6 +442,11 @@ def test_transport_tolerance_failure_raises(catalog):
     with pytest.raises(ToleranceNotMetError):
         al.parallel_transport(conn, path, np.array([1.0, 0.0, 0.0]),
                               n_steps=10, tol=1e-30, max_steps=100)
+    # a tol above the roundoff that the step limit leaves out of reach
+    with pytest.raises(ToleranceNotMetError,
+                       match="above tolerance 1.000e-13 at 80 steps"):
+        al.parallel_transport(conn, path, np.array([1.0, 0.0, 0.0]),
+                              n_steps=10, tol=1e-13, max_steps=100)
 
 
 def test_transport_rejects_step_counts_out_of_range(catalog):
@@ -472,7 +477,8 @@ def test_transport_rejects_bad_tolerances(catalog):
             al.parallel_transport(conn, path, np.eye(3), tol=tol)
         with pytest.raises(ValueError):
             al.holonomy_matrix(conn, path, tol=tol)
-    # zero is a tolerance: refinement runs, and gives up at max_steps
+    # zero is a tolerance, below the roundoff of any nonzero result:
+    # refinement runs, and gives up at the first finer result
     with pytest.raises(ToleranceNotMetError):
         al.parallel_transport(conn, path, np.eye(3), n_steps=4, tol=0.0,
                               max_steps=16)
@@ -506,12 +512,15 @@ def test_transport_of_huge_vectors_fails_quietly_and_fast(catalog):
                                match="overflows a double at 400 steps"):
                 al.parallel_transport(conn, path, [1e308], tol=tol)
         # a rotation keeps 1e308 entries finite, but the roundoff of such
-        # entries is far above an absolute tol of 1e-10: refinement runs to
-        # max_steps and gives up (the per-vector recurrence overflowed in
-        # its stages, warned, and took seconds)
+        # entries is far above an absolute tol of 1e-10: refinement gives up
+        # at the first finer result (it used to run to max_steps; the
+        # per-vector recurrence overflowed in its stages, warned, and took
+        # seconds)
         so3 = catalog["so3_action"]
         loop = al.constant_path(so3, (2.0 * np.pi, 0.0, 0.0), (1.0, 0.0, 0.0))
-        with pytest.raises(ToleranceNotMetError, match="at 204800 steps"):
+        with pytest.raises(ToleranceNotMetError,
+                           match=r"tolerance 1\.000e-10 at 400 steps; "
+                                 r"the result's roundoff is 2\.2"):
             al.parallel_transport(al.compatible_connection(so3)[0], loop,
                                   np.full(3, 1e308), tol=1e-10)
     assert caught == []
@@ -548,17 +557,27 @@ def test_tangency_check_samples_every_segment(catalog):
     assert al.path_from_dict(a, doc).residual == 0.0
 
 
+def power_sum(c, t):
+    """M(t) summed from the constant term up, the powers of t by repeated
+    products: the reference for the kernel's evaluator."""
+    total = np.zeros(c.shape[1:])
+    power = 1.0
+    for d in range(c.shape[0]):
+        total = total + power * c[d]
+        power *= t
+    return total
+
+
 def per_stage_integrate(path, v0, n_steps, seg_mats):
-    """RK4 with M(t) summed afresh at each stage, t advanced by t += h,
+    """RK4 with M(t) formed afresh at each stage, t advanced by t += h,
     stepping v itself: the reference for the step-map kernel."""
+    from algebroidlab.transport import _neg_matrices
 
     def matrix_at(c, t):
-        total = np.zeros(c.shape[1:])
-        power = 1.0
-        for d in range(c.shape[0]):
-            total = total + power * c[d]
-            power *= t
-        return total
+        # the kernel's evaluator, which gives each time the same M in any
+        # batch (test_generator_does_not_depend_on_the_batch), so that the
+        # stages differ from the kernel's by their order alone
+        return -_neg_matrices(c, np.array([t]))[0]
 
     v = np.array(v0, dtype=float)
     total = 0
@@ -629,6 +648,105 @@ def test_step_maps_are_one_rk4_step_from_the_identity():
             want, want_steps = per_stage_integrate(path, np.eye(q), 1, mats)
             assert steps == want_steps == 1
             assert np.array_equal(got, want)
+
+
+def random_generators(rng, q, degree):
+    """A random table of M's t-coefficients, some entries exactly zero."""
+    c = rng.normal(scale=rng.choice([1e-3, 1.0, 1e3]), size=(degree + 1, q, q))
+    c[rng.random(c.shape) < 0.2] = 0.0
+    return c
+
+
+def test_generator_does_not_depend_on_the_batch():
+    # each time's -M is the same bits alone, in a batch and in any split of
+    # it, so the block size cannot change a transport
+    from algebroidlab.transport import _neg_matrices
+
+    rng = rng_for("generator_batch")
+    for q in (1, 2, 3, 6):
+        for degree in (0, 1, 3, 8):
+            c = random_generators(rng, q, degree)
+            ts = np.sort(rng.uniform(0.0, 1.0, 97))
+            whole = _neg_matrices(c, ts)
+            assert whole.shape == (97, q, q)
+            for i in range(97):
+                assert np.array_equal(_neg_matrices(c, ts[i:i + 1])[0],
+                                      whole[i])
+            split = [_neg_matrices(c, part) for part in np.split(ts, [5, 6, 60])]
+            assert np.array_equal(np.concatenate(split), whole)
+
+
+def test_generator_matches_the_power_sum():
+    # the contraction sums the same products as the power sum, within
+    # roundoff of the sum of their absolute values
+    from algebroidlab.transport import _neg_matrices
+
+    rng = rng_for("generator_power_sum")
+    for q in (1, 2, 3, 6):
+        for degree in (0, 1, 3, 8):
+            c = random_generators(rng, q, degree)
+            ts = rng.uniform(0.0, 1.0, 50)
+            got = _neg_matrices(c, ts)
+            for t, m in zip(ts, got):
+                scale = power_sum(np.abs(c), t)
+                assert np.all(np.abs(m + power_sum(c, t)) <= 1e-15 * scale)
+
+
+def per_segment_matrices(conn, path):
+    """Per segment, the t-coefficients of M by np.convolve, one chart
+    monomial and one frame coefficient at a time: the reference for the
+    stacked _segment_matrices."""
+    from algebroidlab.fields import _split
+
+    m = conn.algebroid.dimension
+    parts = _split(conn.algebroid.chart, conn.symbols)
+    # room for the highest monomial's power of gamma times a coefficient
+    width = (max(map(sum, parts)) + 1) * (path._table.shape[2] - 1) + 1
+    out = []
+    for row in path._table:
+        gamma, coeffs = row[:m], row[m:]
+        mats = np.zeros((width, conn.q, conn.q))
+        for exps, sym in parts.items():
+            p = np.ones(1)
+            for g, e in zip(gamma, exps):
+                for _ in range(e):
+                    p = np.convolve(p, g)
+            for a, gamma_s in zip(coeffs, sym):
+                pa = np.convolve(p, a)
+                mats[:len(pa)] += pa[:, None, None] * gamma_s.T
+        out.append(mats)
+    return out
+
+
+def test_segment_matrices_of_a_concatenated_path():
+    # a cubic loop on two segments, then a quadratic one, on one table;
+    # symbols with products of coordinates and a square
+    from algebroidlab.transport import _segment_matrices
+
+    a, cubic = tangent3_loop()
+    quadratic = al.APath(a, [(0.0, 1.0,
+                              ["0.25 + t - t^2", "-0.5", "2*t - 2*t^2"],
+                              ["1 - 2*t", "0", "2 - 4*t"])])
+    path = al.concat_paths(cubic, quadratic)
+    assert len(path.segments) == 3
+    symbols = random_symbols(a, "A", 7, degree=1)
+    extra = al.parse_field(a.chart, "x1*x2 - 0.5*x3^2 + x1*x2*x3")
+    symbols[0, 1, 2] = symbols[0, 1, 2] + extra
+    symbols[2, 0, 0] = symbols[2, 0, 0] - extra
+    conn = al.build_connection(a, "A", symbols)
+    got = _segment_matrices(conn, path)
+    want = per_segment_matrices(conn, path)
+    assert got.shape[0] == 3 and got.shape[2:] == (3, 3)
+    for k in range(3):
+        # the reference keeps room above the highest power of t there is
+        assert not want[k][got.shape[1]:].any()
+        ref = want[k][:got.shape[1]]
+        scale = max(1.0, np.max(np.abs(ref)))
+        assert np.max(np.abs(got[k] - ref)) <= 1e-14 * scale
+    # M is of degree 5 in t on the quadratic loop and of 10 on the cubic
+    # one's segments; the stack pads the quadratic's with exact zeros
+    degrees = [np.flatnonzero(x.any(axis=(1, 2))).max() for x in got]
+    assert degrees == [10, 10, 5]
 
 
 def test_constant_generator_transport_is_a_taylor_power(catalog):
