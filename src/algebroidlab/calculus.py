@@ -5,7 +5,7 @@ resolved by sign on lookup. The differential follows the Cartan convention
 with no combinatorial prefactor, and the wedge uses the determinant
 (shuffle-sum) convention. Chart forms are forms of the chart's tangent
 algebroid (unit anchor, zero bracket), so the same differential is the
-de Rham one on them.
+de Rham one on them, and the same wedge pulls them back by the anchor.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import itertools
 
 import numpy as np
 
-from .algebroid import LieAlgebroid, Section
+from .algebroid import LieAlgebroid
 from .errors import (
     AlgebroidMismatchError,
     DimensionMismatchError,
@@ -62,21 +62,6 @@ def _read_entries(algebroid, degree, entries, read, is_zero):
             value = -value
         coeffs[skey] = coeffs[skey] + value if skey in coeffs else value
     return degree, {k: v for k, v in coeffs.items() if not is_zero(v)}
-
-
-def _poly_det(rows):
-    """Determinant of a small square matrix of scalar fields."""
-    n = len(rows)
-    if n == 0:
-        return None
-    chart = rows[0][0].chart
-    total = ScalarField(chart)
-    for perm in itertools.permutations(range(n)):
-        term = ScalarField.constant(chart, float(perm_sign(perm)))
-        for i in range(n):
-            term = term * rows[i][perm[i]]
-        total = total + term
-    return total
 
 
 class AForm:
@@ -131,23 +116,6 @@ class AForm:
         return self.scale(f)
 
     __rmul__ = __mul__
-
-    def __call__(self, *sections):
-        if len(sections) != self.degree:
-            raise ShapeMismatchError(
-                "form of degree %d applied to %d sections"
-                % (self.degree, len(sections)))
-        chart = self.algebroid.chart
-        if self.degree == 0:
-            return self.coeffs.get((), ScalarField(chart))
-        for sec in sections:
-            if sec.algebroid is not self.algebroid:
-                raise AlgebroidMismatchError("section of a different algebroid")
-        total = ScalarField(chart)
-        for key, f in self.coeffs.items():
-            det = _poly_det([[sec.coeffs[s] for s in key] for sec in sections])
-            total = total + f * det
-        return total
 
     def is_zero(self):
         return not self.coeffs
@@ -248,14 +216,17 @@ def CoordForm(chart, degree, entries=None):
 
 
 def anchor_pullback(algebroid, form):
-    """Pull a chart form back to the algebroid through the anchor."""
-    tangent = _tangent(algebroid.chart)
-    if form.algebroid is not tangent:
+    """Pull a chart form back through the anchor: w_I dx^I goes to w_I
+    times the wedge, in the order of I, of rho*dx^i = sum_s rho_s^i e^s."""
+    if form.algebroid is not _tangent(algebroid.chart):
         raise DimensionMismatchError("form is not a chart form of this chart")
-    rows = [Section(tangent, row) for row in algebroid.anchor]
-    return AForm(algebroid, form.degree, {
-        key: form(*[rows[s] for s in key])
-        for key in itertools.combinations(range(algebroid.rank), form.degree)})
+    dx = [AForm(algebroid, 1, dict(enumerate(column)))
+          for column in algebroid.anchor.T]
+    one = AForm(algebroid, 0, {(): 1.0})
+    out = AForm(algebroid, form.degree)
+    for key, f in form.coeffs.items():
+        out = out + functools.reduce(wedge, [dx[i] for i in key], one).scale(f)
+    return out
 
 
 class MatrixForm:

@@ -75,14 +75,10 @@ def connection_matrix(conn, section):
     """Matrix of nabla_section on the bundle frame, columns are inputs."""
     if section.algebroid is not conn.algebroid:
         raise AlgebroidMismatchError("section of a different algebroid")
-    chart = conn.algebroid.chart
-    q = conn.q
-    omega = np.empty((q, q), dtype=object)
-    for u in range(q):
-        for t in range(q):
-            omega[u, t] = dot(chart, zip(section.coeffs,
-                                         conn.symbols[:, t, u]))
-    return omega
+    if not conn.algebroid.rank:   # the tangent algebroid of a point
+        return np.empty((0, 0), dtype=object)
+    # omega[u, t] = sum_s a_s Gamma[s, t, u]
+    return _mat_dot(zip(section.coeffs, conn.symbols.transpose(0, 2, 1)))
 
 
 class TensorSection:
@@ -171,14 +167,6 @@ def torsion(conn):
     return TensorSection(a, "A", 1, 2, comps)
 
 
-def torsion_applied(conn, alpha, beta):
-    """Torsion evaluated through the derivative operator and the bracket."""
-    a = conn.algebroid
-    return (a_derivative(conn, alpha, beta)
-            - a_derivative(conn, beta, alpha)
-            - bracket_sections(a, alpha, beta))
-
-
 def curvature(conn):
     """Curvature as a matrix-valued 2-form, the Cartan formula on the
     connection matrices of the frame (the n = 0 family of
@@ -190,17 +178,6 @@ def curvature(conn):
 
 
 local_curvature = curvature   # kept: perfbench/workloads.py calls it
-
-
-def curvature_applied(conn, alpha, beta, target):
-    """Curvature through second derivatives, usable as an oracle."""
-    a = conn.algebroid
-    first = a_derivative(conn, beta, target)
-    second = a_derivative(conn, alpha, target)
-    out = a_derivative(conn, alpha, first)
-    out = out - a_derivative(conn, beta, second)
-    br = bracket_sections(a, alpha, beta)
-    return out - a_derivative(conn, br, target)
 
 
 def _frame_matrices(conn):
@@ -339,10 +316,6 @@ class FrameChange:
         self.matrix = out
         self.inverse = inv
         self.det = d
-
-    @classmethod
-    def identity(cls, chart, n):
-        return cls(chart, np.eye(n))
 
 
 def transform_symbols(conn, change):

@@ -34,6 +34,7 @@ roundoff against stepping v itself, but not with the block size.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -319,8 +320,10 @@ def lift_base_path(algebroid, base, grid=64):
     velocity or anchor value that overflows a double at a node is refused.
     """
     def is_piece(x):
+        # numpy's ints and floats are Reals; bools of both kinds reach
+        # _bound, which refuses them
         return (isinstance(x, (tuple, list)) and len(x) == 3
-                and isinstance(x[0], (int, float, np.bool_)))
+                and isinstance(x[0], (numbers.Real, np.bool_)))
 
     m = algebroid.dimension
     base = list(base)
@@ -471,7 +474,8 @@ def parallel_transport(conn, path, v0, n_steps=200, tol=None,
 
     n_steps is the coarse step count over [0, 1]; ValueError unless
     1 <= n_steps and 2 * n_steps <= max_steps, or when tol is given and is
-    not a finite number >= 0. A non-finite v0 is refused. A result that
+    not a finite number >= 0. v0 of a shape other than (q,) or (q, k), or
+    not finite, is refused with ShapeMismatchError. A result that
     overflows raises ToleranceNotMetError, and so does an estimate above a
     tol that is below the result's roundoff, eps times its largest entry.
 
@@ -481,10 +485,10 @@ def parallel_transport(conn, path, v0, n_steps=200, tol=None,
     if path.algebroid is not conn.algebroid:
         raise AlgebroidMismatchError("path over a different algebroid")
     v0 = np.asarray(v0, dtype=float)
-    if v0.shape[0] != conn.q:
+    if v0.ndim not in (1, 2) or v0.shape[0] != conn.q:
         raise ShapeMismatchError(
-            "initial vector has length %d, bundle rank is %d"
-            % (v0.shape[0], conn.q))
+            "initial vector has shape %s, not (%d,) or (%d, k)"
+            % (v0.shape, conn.q, conn.q))
     if not np.all(np.isfinite(v0)):
         raise ShapeMismatchError("initial vector must be finite")
     n = int(n_steps)

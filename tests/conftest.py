@@ -110,19 +110,24 @@ def rng_for(tag):
 
 
 def random_symbols(algebroid, bundle, seed, degree=0):
-    """Random polynomial connection symbols, entries uniform in [-1, 1]."""
+    """Random polynomial connection symbols of degree 0, 1 or 2, every
+    monomial's coefficient uniform in [-1, 1]."""
     rng = np.random.default_rng(np.random.Philox(seed))
     q = al.connections.bundle_rank(algebroid, bundle)
     r = algebroid.rank
     m = algebroid.dimension
+    eye = np.eye(m, dtype=int)
+    # constant, then linear, then quadratic, so each degree extends the
+    # draws of the one below
+    monos = [np.zeros(m, dtype=int)] + list(eye[:m if degree >= 1 else 0])
+    if degree >= 2:
+        monos += [eye[i] + eye[j]
+                  for i, j in itertools.combinations_with_replacement(
+                      range(m), 2)]
     sym = np.empty((r, q, q), dtype=object)
     for idx in np.ndindex(r, q, q):
-        poly = {(0,) * m: float(rng.uniform(-1.0, 1.0))}
-        for i in range(m if degree >= 1 else 0):
-            e = [0] * m
-            e[i] = 1
-            poly[tuple(e)] = float(rng.uniform(-1.0, 1.0))
-        sym[idx] = ScalarField(algebroid.chart, poly)
+        sym[idx] = ScalarField(algebroid.chart, {
+            tuple(map(int, e)): float(rng.uniform(-1.0, 1.0)) for e in monos})
     return sym
 
 

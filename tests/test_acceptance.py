@@ -35,6 +35,7 @@ from conftest import (
     rng_for,
     sl3_constants,
 )
+from oracles import curvature_applied, torsion_applied
 
 DATA = Path(__file__).parent / "data"
 
@@ -113,7 +114,7 @@ def test_criterion_3(catalog):
     worst = 0.0
     for s in range(3):
         for t in range(3):
-            op = al.torsion_applied(conn, frames[s], frames[t])
+            op = torsion_applied(conn, frames[s], frames[t])
             for p in pts:
                 coord = np.array([T.comps[u, s, t].evaluate(p)
                                   for u in range(3)])
@@ -129,8 +130,7 @@ def test_criterion_3(catalog):
         for t in range(s + 1, 3):
             mat = R.coeff((s, t))
             for u in range(3):
-                op = al.curvature_applied(conn, frames[s], frames[t],
-                                          frames[u])
+                op = curvature_applied(conn, frames[s], frames[t], frames[u])
                 for p in pts:
                     coord = np.array([mat[v, u].evaluate(p)
                                       for v in range(3)])
@@ -156,8 +156,8 @@ def test_criterion_3(catalog):
     T = al.torsion(conn)
 
     def alg_piece(u, v, w):
-        r1 = al.curvature_applied(conn, u, v, w)
-        r2 = al.torsion_applied(conn, al.torsion_applied(conn, u, v), w)
+        r1 = curvature_applied(conn, u, v, w)
+        r2 = torsion_applied(conn, torsion_applied(conn, u, v), w)
         r3 = tensor_apply2(al.a_derivative(conn, u, T), v, w)
         return r1 - r2 - r3
 
@@ -171,9 +171,9 @@ def test_criterion_3(catalog):
     x, y, z, g = (random_section(a, rng) for _ in range(4))
 
     def diff_piece(u, v, w):
-        r1 = al.a_derivative(conn, u, al.curvature_applied(conn, v, w, g))
-        r2 = al.curvature_applied(conn, v, w, al.a_derivative(conn, u, g))
-        r3 = al.curvature_applied(conn, al.bracket_sections(a, u, v), w, g)
+        r1 = al.a_derivative(conn, u, curvature_applied(conn, v, w, g))
+        r2 = curvature_applied(conn, v, w, al.a_derivative(conn, u, g))
+        r3 = curvature_applied(conn, al.bracket_sections(a, u, v), w, g)
         return r1 - r2 - r3
 
     total = diff_piece(x, y, z) + diff_piece(y, z, x) + diff_piece(z, x, y)

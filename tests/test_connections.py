@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import algebroidlab as al
-from algebroidlab.connections import FrameChange, bundle_rank
+from algebroidlab.connections import BUNDLES, FrameChange, bundle_rank
 from algebroidlab.fields import Chart, ScalarField, parse_field
 from algebroidlab.errors import (
     BundleMismatchError,
@@ -15,6 +15,7 @@ from algebroidlab.errors import (
     ShapeMismatchError,
 )
 from conftest import EPS3, random_section, random_symbols, rng_for
+from oracles import curvature_applied, torsion_applied
 
 
 def test_bundle_ranks(catalog):
@@ -38,6 +39,33 @@ def test_build_connection_rejects_foreign_chart(catalog):
     symbols[0, 1, 2] = ScalarField.constant(Chart(2), 1.0)
     with pytest.raises(DimensionMismatchError):
         al.build_connection(a, "A", symbols)
+
+
+def test_connection_matrix_is_the_symbols_contracted_with_the_section(catalog):
+    # omega[u, t] = sum_s a_s Gamma[s, t, u], the sum in order of s
+    a = catalog["so3_action"]
+    rng = rng_for("connection_matrix")
+    for bundle in ("A", "E"):
+        conn = al.build_connection(a, bundle, random_symbols(a, bundle, 3,
+                                                             degree=1))
+        sec = random_section(a, rng)
+        omega = al.connection_matrix(conn, sec)
+        assert omega.shape == (conn.q, conn.q)
+        for u, t in np.ndindex(conn.q, conn.q):
+            want = ScalarField(a.chart)
+            for s in range(a.rank):
+                want = want + sec.coeffs[s] * conn.symbols[s, t, u]
+            assert omega[u, t].coeffs == want.coeffs
+
+
+def test_connection_matrix_of_rank_zero():
+    # the tangent algebroid of a point, the one algebroid of rank 0, has
+    # no frame: an empty matrix on every bundle
+    point = al.CoordForm(Chart(0), 0).algebroid
+    for bundle in BUNDLES:
+        conn = al.build_connection(point, bundle, np.empty((0, 0, 0)))
+        omega = al.connection_matrix(conn, al.Section(point, []))
+        assert omega.shape == (0, 0) and omega.dtype == object
 
 
 def test_flat_connection_is_directional_derivative(catalog):
@@ -121,7 +149,7 @@ def test_torsion_oracle_random_connection(catalog):
     worst = 0.0
     for s in range(3):
         for t in range(3):
-            op = al.torsion_applied(conn, frames[s], frames[t])
+            op = torsion_applied(conn, frames[s], frames[t])
             for p in pts:
                 coord = np.array([T.comps[u, s, t].evaluate(p)
                                   for u in range(3)])
@@ -140,7 +168,7 @@ def test_curvature_oracle_random_connection(catalog):
         for t in range(s + 1, 3):
             mat = R.coeff((s, t))
             for u in range(3):
-                op = al.curvature_applied(conn, frames[s], frames[t], frames[u])
+                op = curvature_applied(conn, frames[s], frames[t], frames[u])
                 for p in pts:
                     coord = np.array([mat[v, u].evaluate(p) for v in range(3)])
                     worst = max(worst,
@@ -190,7 +218,7 @@ def test_curvature_dual_aff1_pinned(catalog):
     frames = a.frame_sections()
     want = np.zeros((2, 2))
     for u in range(2):
-        op = al.curvature_applied(conn, frames[0], frames[1], frames[u])
+        op = curvature_applied(conn, frames[0], frames[1], frames[u])
         want[:, u] = op.evaluate(p)
     assert np.allclose(got, want, atol=1e-12)
     assert np.max(np.abs(got)) == 0.0
@@ -217,8 +245,8 @@ def test_algebraic_bianchi(catalog):
     T = al.torsion(conn)
 
     def piece(u, v, w):
-        r1 = al.curvature_applied(conn, u, v, w)
-        r2 = al.torsion_applied(conn, al.torsion_applied(conn, u, v), w)
+        r1 = curvature_applied(conn, u, v, w)
+        r2 = torsion_applied(conn, torsion_applied(conn, u, v), w)
         r3 = tensor_apply2(a, al.a_derivative(conn, u, T), v, w)
         return r1 - r2 - r3
 
@@ -235,9 +263,9 @@ def test_differential_bianchi(catalog):
     x, y, z, g = (random_section(a, rng) for _ in range(4))
 
     def piece(u, v, w):
-        r1 = al.a_derivative(conn, u, al.curvature_applied(conn, v, w, g))
-        r2 = al.curvature_applied(conn, v, w, al.a_derivative(conn, u, g))
-        r3 = al.curvature_applied(conn, al.bracket_sections(a, u, v), w, g)
+        r1 = al.a_derivative(conn, u, curvature_applied(conn, v, w, g))
+        r2 = curvature_applied(conn, v, w, al.a_derivative(conn, u, g))
+        r3 = curvature_applied(conn, al.bracket_sections(a, u, v), w, g)
         return r1 - r2 - r3
 
     total = piece(x, y, z) + piece(y, z, x) + piece(z, x, y)
@@ -455,7 +483,7 @@ def test_curvature_oracle_on_bundle_e(catalog):
         for s, t in itertools.combinations(range(3), 2):
             mat = R.coeff((s, t))
             for u in range(6):
-                op = al.curvature_applied(conn, frames[s], frames[t], units[u])
+                op = curvature_applied(conn, frames[s], frames[t], units[u])
                 for p in pts:
                     want = op.evaluate(p)
                     got = np.array([mat[v, u].evaluate(p) for v in range(6)])

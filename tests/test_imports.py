@@ -32,8 +32,8 @@ EXPORTS = {
     "connections": (
         "AConnection FrameChange TensorSection a_derivative basic_connection "
         "build_connection compatible_connection connection_matrix curvature "
-        "curvature_applied flat_metric_connection local_curvature torsion "
-        "torsion_applied transform_algebroid transform_symbols"),
+        "flat_metric_connection local_curvature torsion transform_algebroid "
+        "transform_symbols"),
     "fields": "Chart ScalarField parse_field",
     "specio": (
         "algebroid_from_dict algebroid_to_dict load_algebroid path_from_dict "

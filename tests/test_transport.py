@@ -300,6 +300,22 @@ def test_lift_refuses_bool_piece_bounds(catalog):
             al.lift_base_path(a, [(t0, t1, ["0", "0", "1"])])
 
 
+def test_lift_reads_numpy_number_piece_bounds(catalog):
+    # numpy ints and floats bound pieces as Python numbers do; they used to
+    # fall through to the single-curve branch and fail there
+    a = catalog["so3_action"]
+    pieces = circle_pieces(n_seg=8)
+    want = al.lift_base_path(a, pieces)
+    mixed = [(np.int64(0) if t0 == 0.0 else np.float32(t0),
+              np.int64(1) if t1 == 1.0 else np.float64(t1), gs)
+             for t0, t1, gs in pieces]
+    got = al.lift_base_path(a, mixed)
+    assert np.array_equal(got.segments, want.segments)
+    assert np.array_equal(got._table, want._table)
+    lift = al.lift_base_path(a, [(np.int64(0), 1.0, ["1", "0", "0"])])
+    assert lift.residual == 0.0
+
+
 def test_lift_tangent_algebroid_is_velocity(catalog):
     a = catalog["tangent2"]
     lift = al.lift_base_path(a, ["t", "t*t"])
@@ -422,6 +438,22 @@ def test_transport_input_checks(catalog):
     other = bracket_conn(catalog["so3_action"])
     with pytest.raises(AlgebroidMismatchError):
         al.parallel_transport(other, arc, np.array([1.0, 2.0, 3.0]))
+
+
+def test_transport_refuses_vectors_of_other_shapes(catalog):
+    # a 0-d vector used to raise a bare IndexError, a (q, 2, 2) one a numpy
+    # ValueError, and a (q, q, q) one was transported along its second axis
+    a = catalog["so3_action"]
+    conn = bracket_conn(a)
+    path = al.constant_path(a, (0.5, -1.0, 1.0), (1.0, -2.0, 2.0))
+    for bad in (np.float64(1.0), np.ones((3, 2, 2)), np.ones((3, 3, 3)),
+                np.ones((2, 3))):
+        with pytest.raises(ShapeMismatchError, match="not \\(3,\\) or"):
+            al.parallel_transport(conn, path, bad)
+    frame = al.parallel_transport(conn, path, np.eye(3)).value
+    for k in range(3):
+        column = al.parallel_transport(conn, path, np.eye(3)[:, k]).value
+        assert np.max(np.abs(frame[:, k] - column)) <= 1e-14
 
 
 def test_transport_refines_to_tolerance(catalog):
@@ -718,16 +750,22 @@ def per_segment_matrices(conn, path):
     return out
 
 
-def test_segment_matrices_of_a_concatenated_path():
-    # a cubic loop on two segments, then a quadratic one, on one table;
-    # symbols with products of coordinates and a square
-    from algebroidlab.transport import _segment_matrices
-
+def cubic_then_quadratic():
+    """tangent3_loop's cubic loop on [0, 1/2], then a quadratic loop from
+    the same point on [1/2, 1], on one table: three segments, the frame
+    coefficients jumping at t = 1/2."""
     a, cubic = tangent3_loop()
     quadratic = al.APath(a, [(0.0, 1.0,
                               ["0.25 + t - t^2", "-0.5", "2*t - 2*t^2"],
                               ["1 - 2*t", "0", "2 - 4*t"])])
-    path = al.concat_paths(cubic, quadratic)
+    return a, al.concat_paths(cubic, quadratic)
+
+
+def test_segment_matrices_of_a_concatenated_path():
+    # symbols with products of coordinates and a square
+    from algebroidlab.transport import _segment_matrices
+
+    a, path = cubic_then_quadratic()
     assert len(path.segments) == 3
     symbols = random_symbols(a, "A", 7, degree=1)
     extra = al.parse_field(a.chart, "x1*x2 - 0.5*x3^2 + x1*x2*x3")
@@ -747,6 +785,48 @@ def test_segment_matrices_of_a_concatenated_path():
     # one's segments; the stack pads the quadratic's with exact zeros
     degrees = [np.flatnonzero(x.any(axis=(1, 2))).max() for x in got]
     assert degrees == [10, 10, 5]
+
+
+def classical_rk4(conn, path, v0, n):
+    """Classical RK4 on each vector of v0, n steps a segment, with
+    M[u][w](t) = sum_s a_s(t) Gamma[s][w][u](gamma(t)) formed from the
+    path's base point and frame coefficients and ScalarField.evaluate
+    alone: a reference that reads none of the kernel's tables."""
+    def matrix_at(t):
+        point = path.base_at(t)
+        gamma = np.array([[[f.evaluate(point) for f in row] for row in mat]
+                          for mat in conn.symbols])
+        return np.einsum("s,swu->uw", path.coeff_at(t), gamma)
+
+    v = np.array(v0, dtype=float)
+    for t0, t1 in path.segments:
+        # M at every stage time; the segment's last one is read one ulp
+        # inside it, where the path evaluates this segment's polynomials
+        ts = t0 + (t1 - t0) * np.arange(2 * n + 1) / (2 * n)
+        ts[-1] = np.nextafter(t1, t0)
+        ms = [matrix_at(t) for t in ts]
+        h = (t1 - t0) / n
+        for k in range(n):
+            m1, m2, m4 = ms[2 * k:2 * k + 3]
+            k1 = -(m1 @ v)
+            k2 = -(m2 @ (v + 0.5 * h * k1))
+            k3 = -(m2 @ (v + 0.5 * h * k2))
+            k4 = -(m4 @ (v + h * k3))
+            v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return v
+
+
+def test_transport_matches_an_independent_rk4():
+    # degree-2 symbols along cubic and quadratic base curves give M of
+    # degree 8 in t with a jump at t = 1/2; 2,000 steps a segment put the
+    # reference's own error below the roundoff of either run (about 1e-12)
+    a, path = cubic_then_quadratic()
+    conn = al.build_connection(a, "A", random_symbols(a, "A", 13, degree=2))
+    v0 = np.column_stack((np.eye(3), [0.3, -1.0, 2.0]))
+    res = al.parallel_transport(conn, path, v0, tol=1e-12)
+    assert res.error <= 1e-12
+    want = classical_rk4(conn, path, v0, 2000)
+    assert np.max(np.abs(res.value - want)) <= 1e-11 * np.max(np.abs(want))
 
 
 def test_constant_generator_transport_is_a_taylor_power(catalog):
