@@ -23,7 +23,6 @@ from .errors import (
     ShapeMismatchError,
 )
 from .fields import ScalarField, _field_array, as_field, dot, perm_sign
-from .sampling import max_abs
 
 
 def _normalize_key(key, bound):
@@ -119,9 +118,6 @@ class AForm:
 
     def is_zero(self):
         return not self.coeffs
-
-    def max_abs_coeff(self):
-        return max_abs(v.max_abs_coeff() for v in self.coeffs.values())
 
     def __repr__(self):
         body = ", ".join("%r: %s" % (k, v) for k, v in sorted(self.coeffs.items()))
@@ -253,13 +249,6 @@ class MatrixForm:
             return self.zero_matrix()
         mat = self.coeffs[skey]
         return mat if sign > 0 else -mat
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def max_abs_coeff(self):
-        return max_abs(entry.max_abs_coeff()
-                       for mat in self.coeffs.values() for entry in mat.flat)
 
 
 def _matrix_is_zero(mat):

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebroid import _certificate
 from .calculus import AForm, _mat_dot, differential
 from .connections import (
     _BLOCK,
@@ -454,13 +455,12 @@ class CocycleSection:
 
 
 def _closedness_residual(form):
+    """The certificate of d(form): its largest sum of absolute coefficients,
+    which bounds d(form) on [-1, 1]^m; over a point, its largest value."""
     d = differential(form)
-    if not d.coeffs:
-        return 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        return max_abs(_split_values(
-            _split(form.algebroid.chart, np.array(list(d.coeffs.values()))),
-            seeded_points(20, form.algebroid.dimension, 0)))
+    with np.errstate(over="ignore"):
+        return _certificate(_split(form.algebroid.chart, np.array(
+            list(d.coeffs.values()), dtype=object)).values())
 
 
 def secondary_class(algebroid, k):

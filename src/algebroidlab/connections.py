@@ -14,7 +14,7 @@ import operator
 
 import numpy as np
 
-from .algebroid import Section, anchor_apply, bracket_sections
+from .algebroid import Section, anchor_apply, bracket_sections, build_algebroid
 from .calculus import MatrixForm, _apply_to_matrix, _mat_dot
 from .errors import (
     AlgebroidMismatchError,
@@ -32,7 +32,6 @@ from .fields import (
     as_field,
     dot,
 )
-from .sampling import max_abs
 
 BUNDLES = ("A", "TM", "T*M", "E")
 
@@ -98,9 +97,6 @@ class TensorSection:
 
     def evaluate(self, p):
         return _values(self.comps, p)
-
-    def max_abs_coeff(self):
-        return max_abs(f.max_abs_coeff() for f in self.comps.flat)
 
     def __sub__(self, other):
         if (other.algebroid is not self.algebroid
@@ -349,8 +345,6 @@ def transform_symbols(conn, change):
 
 def transform_algebroid(algebroid, change):
     """Anchor and bracket data of the same algebroid in a new frame."""
-    from .algebroid import build_algebroid
-
     a = algebroid
     if change.size != a.rank or change.chart != a.chart:
         raise ShapeMismatchError("frame change does not fit the algebroid")

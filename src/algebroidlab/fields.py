@@ -379,30 +379,15 @@ def dot(chart, pairs, start=None):
     return ScalarField._of(chart, total)
 
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[+\-*^]))")
-
-
-def _tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            raise ExpressionSyntaxError(
-                "unexpected character %r at position %d" % (text[pos], pos))
-        if m.lastgroup == "num":
-            tokens.append(("num", m.group("num"), m.start("num")))
-        elif m.lastgroup == "name":
-            tokens.append(("name", m.group("name"), m.start("name")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
-    return tokens
+# the grammar, built from named pieces: a term is an optional sign, then
+# factors joined by '*', each a number or a coordinate name with an optional
+# '^' integer power, then space
+_NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_NAME = r"[A-Za-z_][A-Za-z_0-9]*"
+_POWER = r"\s*\^\s*(\d+)"
+_FACTOR = re.compile(r"(%s)|(%s)(?:%s)?" % (_NUMBER, _NAME, _POWER))
+_TERM = re.compile(r"([+-])?\s*(?:{0})(?:\s*\*\s*(?:{0}))*\s*".format(
+    _FACTOR.pattern))
 
 
 def parse_field(chart, text):
@@ -410,77 +395,51 @@ def parse_field(chart, text):
 
     Grammar: terms joined by '+'/'-'; a term is '*'-separated factors, each a
     numeric literal or a coordinate name with an optional '^' integer power.
-    Whitespace is ignored. Scientific notation is accepted so that printed
-    fields re-parse exactly.
+    Whitespace may surround every sign, factor, '*' and '^'. Scientific
+    notation is accepted so that printed fields re-parse exactly.
+
+    Terms are read one match at a time from the start of the text, so when a
+    text has several faults, the first in the text is raised: "y + (" raises
+    UnknownVariableError. The finite check of the coefficients follows the
+    whole text, and then the check of the accumulated exponents.
     """
     if not isinstance(text, str):
         raise ExpressionSyntaxError(
             "%s is not an expression" % reprlib.repr(text))
-    tokens = _tokenize(text)
-    if not tokens:
+    pos, end = len(text) - len(text.lstrip()), len(text)
+    if pos == end:
         raise ExpressionSyntaxError("empty expression")
     labels = {name: i for i, name in enumerate(chart.labels)}
     m = chart.dimension
     result = {}
-    i = 0
-    n = len(tokens)
-
-    def fail(msg, tok=None):
-        where = tok[2] if tok else "end of input"
-        raise ExpressionSyntaxError("%s (at %s)" % (msg, where))
-
-    first = True
-    while i < n:
-        sign = 1.0
-        if tokens[i][0] == "op" and tokens[i][1] in "+-":
-            if tokens[i][1] == "-":
-                sign = -1.0
-            i += 1
-        elif not first:
-            fail("expected '+' or '-' between terms", tokens[i])
-        first = False
-        coeff = sign
+    while pos < end:
+        term = _TERM.match(text, pos)
+        # every term after the first needs its sign
+        if term is None or result and not term.group(1):
+            rest = text[pos:].rstrip()
+            if rest in ("+", "-") or rest == "*" and result:
+                raise ExpressionSyntaxError(
+                    "term is missing a factor (at end of input)")
+            raise ExpressionSyntaxError("cannot read a term (at %d)" % pos)
+        coeff = -1.0 if term.group(1) == "-" else 1.0
         exps = [0] * m
-        expect_factor = True
-        while i < n:
-            if not expect_factor:
-                if tokens[i][0] == "op" and tokens[i][1] == "*":
-                    i += 1
-                    expect_factor = True
-                    continue
-                break
-            kind, value, _pos = tokens[i]
-            if kind == "num":
-                coeff *= float(value)
-                i += 1
-            elif kind == "name":
-                if value not in labels:
-                    raise UnknownVariableError(
-                        "unknown variable %r on this chart" % value)
-                power = 1
-                i += 1
-                if i < n and tokens[i][0] == "op" and tokens[i][1] == "^":
-                    i += 1
-                    if i >= n or tokens[i][0] != "num":
-                        fail("'^' must be followed by an integer", tokens[i - 1])
-                    ptext = tokens[i][1]
-                    if not ptext.isdigit():
-                        fail("power must be a non-negative integer", tokens[i])
-                    # refuse a long power before int() reads it
-                    if len(ptext.lstrip("0")) > len(str(MAX_EXPONENT)):
-                        raise ExponentTooLargeError(
-                            "power above the limit %d (at %d)"
-                            % (MAX_EXPONENT, tokens[i][2]))
-                    power = int(ptext)
-                    i += 1
-                exps[labels[value]] += power
-            else:
-                fail("unexpected operator %r" % value, tokens[i])
-            expect_factor = False
-        if expect_factor:
-            fail("term is missing a factor")
+        for factor in _FACTOR.finditer(text, pos, term.end()):
+            number, name, power = factor.groups()
+            if number:
+                coeff *= float(number)
+                continue
+            if name not in labels:
+                raise UnknownVariableError(
+                    "unknown variable %r on this chart" % name)
+            # refuse a long power before int() reads it
+            if power and len(power.lstrip("0")) > len(str(MAX_EXPONENT)):
+                raise ExponentTooLargeError(
+                    "power above the limit %d (at %d)"
+                    % (MAX_EXPONENT, factor.start(3)))
+            exps[labels[name]] += int(power) if power else 1
         key = tuple(exps)
         result[key] = result.get(key, 0.0) + coeff
+        pos = term.end()
     if not all(math.isfinite(c) for c in result.values()):
         raise ExpressionSyntaxError("coefficient is not a finite number")
     # the constructor's rules: a term that cancels drops out, and one that

@@ -60,6 +60,8 @@ RESIDUAL_GRID = 256
 _BLOCK_ENTRIES = 2 ** 16
 # step maps composed into one product before it is applied
 _CHUNK = 16
+# entries of one array of a lift, the bound of classes' engine arrays
+_MAX_LIFT = 1 << 26
 
 
 def _table(rows):
@@ -124,6 +126,20 @@ def _bound(t):
     return float(t)
 
 
+def _check_tiling(bounds, what):
+    """Refuse (t0, t1) bounds, in order of t0, that do not tile [0, 1] to
+    1e-12: each t1 above its t0, the first t0 at 0, the last t1 at 1 and
+    each t1 at the next t0. what names them in the error."""
+    t0, t1 = bounds[:, 0], bounds[:, 1]
+    if not (t1 > t0).all():
+        raise ShapeMismatchError("%s must end after they start" % what)
+    if abs(t0[0]) > 1e-12 or abs(t1[-1] - 1.0) > 1e-12:
+        raise ShapeMismatchError("%s must cover [0, 1]" % what)
+    if not (np.abs(t1[:-1] - t0[1:]) <= 1e-12).all():
+        raise ShapeMismatchError(
+            "%s leave a gap or overlap in [0, 1]" % what)
+
+
 class APath:
     """Piecewise polynomial path in the algebroid over its base curve.
 
@@ -165,11 +181,7 @@ class APath:
         return path
 
     def _check(self, algebroid, bounds, table):
-        t0, t1 = bounds[:, 0], bounds[:, 1]
-        if not (t1 > t0).all():
-            raise ShapeMismatchError("segment endpoints out of order")
-        if abs(t0[0]) > 1e-12 or abs(t1[-1] - 1.0) > 1e-12:
-            raise ShapeMismatchError("segments must cover [0, 1]")
+        _check_tiling(bounds, "segments")
         self.algebroid = algebroid
         self.segments = bounds
         self._table = table
@@ -178,17 +190,13 @@ class APath:
         with np.errstate(over="ignore", invalid="ignore"):
             if len(bounds) > 1:
                 # each segment's base point at its end against the next
-                # one's at its start; the first bad joint names the error
+                # one's at its start
                 joint = np.arange(len(bounds) - 1)
-                left = self._eval(t1[:-1], joint)[0][:, :m]
-                right = self._eval(t0[1:], joint + 1)[0][:, :m]
-                gaps = np.abs(t1[:-1] - t0[1:]) > 1e-12
-                bad = gaps | ~(np.abs(left - right) <= JOINT_TOL).all(axis=1)
-                if bad.any():
-                    if gaps[bad.argmax()]:
-                        raise ShapeMismatchError(
-                            "segments leave a gap in [0, 1]")
-                    raise NotTangentError("base curve jumps at a segment joint")
+                left = self._eval(bounds[:-1, 1], joint)[0][:, :m]
+                right = self._eval(bounds[1:, 0], joint + 1)[0][:, :m]
+                if not (np.abs(left - right) <= JOINT_TOL).all():
+                    raise NotTangentError(
+                        "base curve jumps at a segment joint")
             self.residual = self._tangency_residual()
         if not self.residual <= PATH_TOL:
             raise NotTangentError(
@@ -314,10 +322,12 @@ def lift_base_path(algebroid, base, grid=64):
     """Lift a base curve to an A-path by least squares at grid nodes.
 
     base is either a list of m polynomials in t covering [0, 1], or a list
-    of (t0, t1, [polynomials]) pieces. Coefficients at the nodes are the
-    minimum-norm solutions of the anchor system; between nodes they are
-    interpolated by a cubic through the four nearest nodes. A base curve,
-    velocity or anchor value that overflows a double at a node is refused.
+    of (t0, t1, [polynomials]) pieces that tile [0, 1], as the segments of
+    an APath must. Coefficients at the nodes are the minimum-norm solutions
+    of the anchor system; between nodes they are interpolated by a cubic
+    through the four nearest nodes. A grid whose arrays would pass 2^26
+    entries is refused before any is allocated, and a base curve, velocity
+    or anchor value that overflows a double at a node is refused.
     """
     def is_piece(x):
         # numpy's ints and floats are Reals; bools of both kinds reach
@@ -337,12 +347,20 @@ def lift_base_path(algebroid, base, grid=64):
         if len(gs) != m:
             raise ShapeMismatchError("base curve needs %d components, got %d"
                                      % (m, len(gs)))
+    _check_tiling(np.array([p[:2] for p in pieces]), "pieces")
     starts = np.array([p[0] for p in pieces])
+    curve = _table([gs for _t0, _t1, gs in pieces])
     grid = int(grid)
     if grid < 4:
         raise ShapeMismatchError("grid must have at least 4 cells")
+    # per node: the anchor stack, the path's table and the node itself
+    r = algebroid.rank
+    if (grid + 1) * max(r * m, (m + r) * max(curve.shape[2], 4), 1) \
+            > _MAX_LIFT:
+        raise ShapeMismatchError(
+            "grid of %d cells needs arrays of more than %d entries"
+            % (grid, _MAX_LIFT))
     nodes = np.linspace(0.0, 1.0, grid + 1)
-    curve = _table([gs for _t0, _t1, gs in pieces])
     # an overflow at a node is refused before the SVD; one in the cubic
     # cells leaves a non-finite residual, which the path check refuses
     with np.errstate(over="ignore", invalid="ignore"):
@@ -359,8 +377,7 @@ def lift_base_path(algebroid, base, grid=64):
     bounds = bounds[bounds[:, 1] - bounds[:, 0] >= 1e-12]
     mids = 0.5 * (bounds[:, 0] + bounds[:, 1])
     # each span's piece of the base curve and cubic cell, one degree for all
-    table = np.zeros((len(bounds), m + algebroid.rank,
-                      max(curve.shape[2], 4)))
+    table = np.zeros((len(bounds), m + r, max(curve.shape[2], 4)))
     table[:, :m, :curve.shape[2]] = curve[_segment_of(starts, mids)]
     table[:, m:, :4] = cells[np.minimum((mids * grid).astype(int), grid - 1)]
     return APath._from_table(algebroid, bounds, table)

@@ -530,6 +530,41 @@ def test_exponent_above_the_limit_is_an_error_document(tmp_path):
         assert doc == {"error": "exponent 40000 is above the limit 32767"}
 
 
+def test_bracket_entry_faults_are_error_documents(tmp_path):
+    # listed opposite orientations must agree once repeats are summed, and
+    # every index must name a frame section; both spec forms read entries
+    def entry(s, t, u, value):
+        return {"s": s, "t": t, "u": u, "value": value}
+
+    cases = [
+        ([entry(1, 2, 2, "x1"), entry(2, 1, 2, "x1")],
+         "entries (1,2,2) and (2,1,2) are not opposite"),
+        # the first two agree with the third only before the repeat is added
+        ([entry(1, 2, 1, "x1"), entry(1, 2, 1, "1"), entry(2, 1, 1, "-x1")],
+         "entries (1,2,1) and (2,1,1) are not opposite"),
+        ([entry(1, 3, 1, "1")], "bracket index out of range in {'s': 1, "
+         "'t': 3, 'u': 1, 'value': '1'}"),
+        ([entry(0, 1, 1, "1")], "bracket index out of range in {'s': 0, "
+         "'t': 1, 'u': 1, 'value': '1'}"),
+        # repeats that agree once summed are a valid bracket
+        ([entry(1, 2, 1, "x1"), entry(1, 2, 1, "1"),
+          entry(2, 1, 1, "-x1 - 1")], None),
+    ]
+    for bracket, error in cases:
+        specs = [{"dimension": 1, "rank": 2, "anchor": [["0"], ["0"]],
+                  "bracket": bracket},
+                 {"kind": "lie_algebra_bundle", "params": {
+                     "dimension": 1, "rank": 2, "bracket": bracket}}]
+        for spec in specs:
+            path = tmp_path / "spec.json"
+            path.write_text(json.dumps(spec))
+            code, doc = run_doc(["validate", "--spec", path])
+            if error is None:
+                assert code == 0 and doc["results"]["pass"] is True
+            else:
+                assert code == 1 and doc == {"error": error}
+
+
 def test_bundle_spec_with_entry_list(tmp_path):
     spec = tmp_path / "bundle.json"
     spec.write_text(json.dumps({

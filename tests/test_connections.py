@@ -467,6 +467,43 @@ def test_transform_symbols_equivariance(catalog):
     assert worst < 1e-9
 
 
+@pytest.mark.parametrize("bundle", ["E", "TM", "T*M"])
+def test_transform_symbols_equivariance_off_bundle_a(catalog, bundle):
+    # only the bundle frame moves: the derivative of a (1, 0) tensor in the
+    # new frame, pushed back through the change, is the old-frame result
+    a = catalog["so3_action"]
+    q = bundle_rank(a, bundle)
+    conn = al.build_connection(a, bundle,
+                               random_symbols(a, bundle, 17, degree=1))
+    x = a.chart.labels
+    # unipotent, with a linear polynomial above the diagonal
+    change = FrameChange(a.chart, [
+        ["1" if j == i else "0" if j < i else "%s - %d" % (x[(i + j) % 3], j)
+         for j in range(q)] for i in range(q)])
+    conn2 = al.build_connection(
+        a, bundle, al.transform_symbols(conn, change).symbols)
+    rng = rng_for("equivariance " + bundle)
+    alpha = random_section(a, rng)
+    new_comps = [ScalarField(a.chart, {(0, 0, 0): float(rng.integers(-2, 3)),
+                                       (1, 0, 1): float(rng.integers(-2, 3))})
+                 for _ in range(q)]
+    mat, inv = change.matrix, change.inverse
+
+    def push(comps, frame):
+        return [sum((comps[u] * frame[u, w] for u in range(q)),
+                    ScalarField(a.chart)) for w in range(q)]
+
+    old = al.a_derivative(conn, alpha, al.TensorSection(
+        a, bundle, 1, 0, push(new_comps, mat)))
+    new = al.a_derivative(conn2, alpha,
+                          al.TensorSection(a, bundle, 1, 0, new_comps))
+    back = push(list(old.comps), inv)
+    scale = max(f.max_abs_coeff() for f in new.comps)
+    assert scale > 1.0
+    for w in range(q):
+        assert (back[w] - new.comps[w]).max_abs_coeff() <= 1e-12 * scale
+
+
 def test_curvature_oracle_on_bundle_e(catalog):
     # q = 6 bundle slots against r = 3 direction slots, so a mix-up of the
     # two shows. The basic connection of an action is flat; a random

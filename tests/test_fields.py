@@ -642,6 +642,33 @@ def test_parse_round_trips_or_raises_parse_errors(text):
     assert parse_field(chart, f.to_string()) == f
 
 
+@pytest.mark.parametrize("text, error, msg", [
+    # the first fault in the text is raised, wherever a later one is
+    ("y + (", UnknownVariableError, "unknown variable 'y' on this chart"),
+    ("x1 + ( + y", ExpressionSyntaxError, "cannot read a term (at 3)"),
+    ("x1^400000 + y", ExponentTooLargeError,
+     "power above the limit 32767 (at 3)"),
+    ("y^400000", UnknownVariableError, "unknown variable 'y' on this chart"),
+    # a sign, or a '*' after a factor, with nothing to follow it
+    ("x1 *  ", ExpressionSyntaxError,
+     "term is missing a factor (at end of input)"),
+    (" - ", ExpressionSyntaxError,
+     "term is missing a factor (at end of input)"),
+    ("*", ExpressionSyntaxError, "cannot read a term (at 0)"),
+    ("x1^2.5", ExpressionSyntaxError, "cannot read a term (at 4)"),
+    ("   ", ExpressionSyntaxError, "empty expression"),
+])
+def test_parse_raises_the_first_fault(text, error, msg):
+    with pytest.raises(error) as exc:
+        parse_field(CHART2, text)
+    assert str(exc.value) == msg
+
+
+def test_parse_reads_space_around_every_operator():
+    f = parse_field(CHART2, "\t- 2 * x1 ^ 2*x2+ .5e1 ")
+    assert list(f.coeffs.items()) == [((2, 1), -2.0), ((0, 0), 5.0)]
+
+
 # ----------------------------------------------------- field-array coercer
 
 def _coercer_callers():

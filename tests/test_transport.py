@@ -1,5 +1,6 @@
 """A-paths, lifting, parallel transport, holonomy."""
 
+import re
 import time
 import warnings
 from pathlib import Path
@@ -420,6 +421,34 @@ def test_path_segment_validation(catalog):
         al.APath(a, [(0.0, 1.0, ["0", "0"], ["0"])])
     with pytest.raises(NotTangentError):
         al.APath(a, [(0.0, 0.5, *still), (0.5, 1.0, ["1", "1"], ["0", "0"])])
+
+
+@pytest.mark.parametrize("pieces, msg", [
+    ([(0.0, 0.3), (0.5, 1.0)], "pieces leave a gap or overlap in [0, 1]"),
+    ([(0.0, 0.8)], "pieces must cover [0, 1]"),
+    ([(0.2, 1.0)], "pieces must cover [0, 1]"),
+    ([(0.0, 0.6), (0.4, 1.0)], "pieces leave a gap or overlap in [0, 1]"),
+    ([(0.0, 0.5), (0.5, 0.2), (0.2, 1.0)],
+     "pieces must end after they start"),
+])
+def test_lift_refuses_pieces_that_do_not_tile(catalog, pieces, msg):
+    # APath refuses the same faults in segment bounds
+    a = catalog["tangent2"]
+    with pytest.raises(ShapeMismatchError, match=re.escape(msg)):
+        al.lift_base_path(a, [(t0, t1, ["t", "0"]) for t0, t1 in pieces])
+    with pytest.raises(ShapeMismatchError,
+                       match=re.escape(msg.replace("pieces", "segments"))):
+        al.APath(a, [(t0, t1, ["t", "0"], ["1", "0"]) for t0, t1 in pieces])
+
+
+def test_lift_refuses_a_grid_past_the_array_limit(catalog):
+    # refused before any node is allocated: a point's lift included, whose
+    # anchor stack has no entries
+    point = al.CoordForm(al.Chart(0), 0).algebroid
+    for a, base in ((catalog["tangent2"], ["t", "0"]), (point, [])):
+        with pytest.raises(ShapeMismatchError, match="more than 67108864"):
+            al.lift_base_path(a, base, grid=10 ** 15)
+    assert al.lift_base_path(point, [], grid=8).segments.shape == (8, 2)
 
 
 def test_holonomy_needs_a_loop(catalog):
