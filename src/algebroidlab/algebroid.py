@@ -170,13 +170,18 @@ class _Spec(dict):
         raise ShapeMismatchError("%s: missing key %r" % (self.what, key))
 
 
-def _bounded(n, what):
+def _integer(n, what):
     """n as an int, refused unless it is an integral number other than a
-    bool, and above _MAX_SIZE before anything is allocated."""
+    bool."""
     if isinstance(n, bool) or not (isinstance(n, (int, np.integer)) or
                                    isinstance(n, float) and n.is_integer()):
         raise ShapeMismatchError("%s must be an integer, got %r" % (what, n))
-    n = int(n)
+    return int(n)
+
+
+def _bounded(n, what):
+    """_integer(n), refused above _MAX_SIZE before anything is allocated."""
+    n = _integer(n, what)
     if n > _MAX_SIZE:
         raise ShapeMismatchError("%s %d is above the limit of %d"
                                  % (what, n, _MAX_SIZE))
@@ -364,7 +369,8 @@ def _kernel_basis(b):
 
 
 def isotropy_at(algebroid, p, tol=1e-9):
-    """Kernel of the anchor at p with its induced Lie algebra structure."""
+    """Kernel of the anchor at p with its induced Lie algebra structure,
+    the constants exactly antisymmetric: c[a, b] averaged with -c[b, a]."""
     p = algebroid.chart.check_point(p)
     b = algebroid.anchor_matrix_at(p)
     kernel = _kernel_basis(b)
@@ -378,6 +384,7 @@ def isotropy_at(algebroid, p, tol=1e-9):
         raise NotClosedError(
             "kernel bracket leaves the kernel (residual %.3e)" % residual)
     constants = np.einsum("abu,uc->abc", w, kernel)
+    constants = 0.5 * (constants - constants.transpose(1, 0, 2))
     return IsotropyData(kernel, constants, residual)
 
 
@@ -405,26 +412,22 @@ class TransformationData:
         for f in self.fields:
             if f.chart != self.chart:
                 raise DimensionMismatchError("action fields on mixed charts")
-        # given constants are the bracket of an algebroid, which must be
-        # exactly antisymmetric; an isotropy algebra's (linearize_at sets
-        # kernel_basis) are so up to jacobi_tol
-        anti_tol = 0.0 if self.kernel_basis is None else self.jacobi_tol
-        _check_constants(self.constants, anti_tol, self.jacobi_tol)
+        _check_constants(self.constants, self.jacobi_tol)
 
     @property
     def algebra_dim(self):
         return self.constants.shape[0]
 
 
-def _check_constants(c, anti_tol, jacobi_tol):
-    """Raise unless constant structure data are antisymmetric and Jacobi.
+def _check_constants(c, jacobi_tol):
+    """Raise unless constant data are exactly antisymmetric and Jacobi.
 
     Non-finite entries give a NaN or infinite defect, which fails too. The
     size is checked first: the Jacobi defect tensor has n**4 entries.
     """
     _bounded(c.shape[0], "rank")
     anti = max_abs(c + np.swapaxes(c, 0, 1))
-    if not anti <= anti_tol:
+    if not anti <= 0.0:
         raise AntisymmetryViolationError(
             "constants not antisymmetric (defect %.3e)" % anti)
     worst = max_abs(constants_jacobiator(c))
@@ -644,10 +647,10 @@ def catalog_build(kind, params):
     kind is one of lie_algebra, tangent, poisson, transformation,
     lie_algebra_bundle. params is a dict; field entries may be expression
     strings, numbers, or ScalarFields. Constant structure data must pass
-    _check_constants with exact antisymmetry. A lie_algebra_bundle must
-    satisfy Jacobi exactly, up to 1e-10 in _certificate of its Jacobi
-    defect polynomials: the largest sum of absolute coefficients over the
-    entries, which bounds the defect at every point of [-1, 1]^m.
+    _check_constants. A lie_algebra_bundle must satisfy Jacobi exactly, up
+    to 1e-10 in _certificate of its Jacobi defect polynomials: the largest
+    sum of absolute coefficients over the entries, which bounds the defect
+    at every point of [-1, 1]^m.
     """
     params = _Spec(params, "%s params" % (kind,))
     if kind == "lie_algebra":
@@ -655,7 +658,7 @@ def catalog_build(kind, params):
         n = constants.shape[0]
         if constants.shape != (n, n, n):
             raise ShapeMismatchError("constants must be (n, n, n)")
-        _check_constants(constants, 0.0, 1e-10)
+        _check_constants(constants, 1e-10)
         chart = Chart(0)
         anchor = [[] for _ in range(n)]
         meta = {"kind": kind, "params": {"constants": constants.tolist()}}
@@ -699,8 +702,7 @@ def catalog_build(kind, params):
                     "dimension": chart.dimension,
                     "constants": data.constants.tolist(),
                     "fields": [[c.to_string() for c in f.comps]
-                               for f in data.fields]},
-                "data": data}
+                               for f in data.fields]}}
         return build_algebroid(chart, data.algebra_dim, anchor,
                                data.constants, meta)
 

@@ -40,8 +40,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _ReportEncoder(json.JSONEncoder):
-    """17-significant-digit floats, non-finite ones as strings; everything
-    else as the default encoder."""
+    """17-significant-digit floats, non-finite ones as strings, numpy arrays
+    and scalars as their Python values; the rest as the default encoder."""
+
+    def default(self, o):
+        if isinstance(o, (np.ndarray, np.generic)):
+            return o.tolist()
+        return super().default(o)
 
     def iterencode(self, o, _one_shot=False):
         markers = {} if self.check_circular else None
@@ -56,25 +61,8 @@ class _ReportEncoder(json.JSONEncoder):
         return make(o, 0)
 
 
-def _plain(x):
-    if isinstance(x, dict):
-        return {str(k): _plain(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_plain(v) for v in x]
-    if isinstance(x, np.ndarray):
-        return _plain(x.tolist())
-    if isinstance(x, (bool, np.bool_)):
-        return bool(x)
-    if isinstance(x, (int, np.integer)):
-        return int(x)
-    if isinstance(x, (float, np.floating)):
-        return float(x)
-    return x
-
-
 def _emit(doc):
-    text = json.dumps(_plain(doc), cls=_ReportEncoder,
-                      sort_keys=True, indent=2)
+    text = json.dumps(doc, cls=_ReportEncoder, sort_keys=True, indent=2)
     sys.stdout.write(text + "\n")
 
 

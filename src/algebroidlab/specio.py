@@ -11,7 +11,7 @@ File format (1-based indices at this boundary only):
     {"s": 1, "t": 2, "u": 3, "value": "-1"},
     ...
   ],
-  "metadata": {"kind": ..., "params": ...}  // optional
+  "metadata": {"name": ...}                 // optional; carried, never read
 }
 
 Bracket entries list c[s][t][u]; the (t, s, u) entry is filled in with the
@@ -26,11 +26,7 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
-
 from .algebroid import (
-    TransformationData,
-    VectorField,
     _Spec,
     _bounded,
     _bracket_entries,
@@ -62,15 +58,7 @@ def algebroid_from_dict(data):
     anchor = _field_array(chart, anchor_rows, (r, m), "anchor")
 
     tensor = _bracket_from_entries(chart, r, data.get("bracket", []))
-
-    metadata = data.get("metadata") or {}
-    if metadata.get("kind") == "transformation" and "params" in metadata:
-        params = _Spec(metadata["params"], "transformation metadata params")
-        constants = np.asarray(params["constants"], dtype=float)
-        fields = [VectorField(chart, row) for row in params["fields"]]
-        metadata = dict(metadata)
-        metadata["data"] = TransformationData(constants, fields, chart=chart)
-    return build_algebroid(chart, r, anchor, tensor, metadata)
+    return build_algebroid(chart, r, anchor, tensor, data.get("metadata"))
 
 
 def algebroid_to_dict(algebroid):
@@ -81,9 +69,8 @@ def algebroid_to_dict(algebroid):
         "anchor": [[f.to_string() for f in row] for row in algebroid.anchor],
         "bracket": _bracket_entries(algebroid),
     }
-    meta = {k: v for k, v in algebroid.metadata.items() if k != "data"}
-    if meta:
-        out["metadata"] = meta
+    if algebroid.metadata:
+        out["metadata"] = dict(algebroid.metadata)
     return out
 
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebroid import _anchor_jacobian
+from .algebroid import _anchor_jacobian, _integer
 from .errors import (
     AlgebroidMismatchError,
     NotAFixedPointError,
@@ -325,9 +325,10 @@ def lift_base_path(algebroid, base, grid=64):
     of (t0, t1, [polynomials]) pieces that tile [0, 1], as the segments of
     an APath must. Coefficients at the nodes are the minimum-norm solutions
     of the anchor system; between nodes they are interpolated by a cubic
-    through the four nearest nodes. A grid whose arrays would pass 2^26
-    entries is refused before any is allocated, and a base curve, velocity
-    or anchor value that overflows a double at a node is refused.
+    through the four nearest nodes. A grid that is not an integral number
+    of at least 4 cells, or whose arrays would pass 2^26 entries, is refused
+    before any is allocated; a base curve, velocity or anchor value that
+    overflows a double at a node is refused.
     """
     def is_piece(x):
         # numpy's ints and floats are Reals; bools of both kinds reach
@@ -350,7 +351,7 @@ def lift_base_path(algebroid, base, grid=64):
     _check_tiling(np.array([p[:2] for p in pieces]), "pieces")
     starts = np.array([p[0] for p in pieces])
     curve = _table([gs for _t0, _t1, gs in pieces])
-    grid = int(grid)
+    grid = _integer(grid, "grid")
     if grid < 4:
         raise ShapeMismatchError("grid must have at least 4 cells")
     # per node: the anchor stack, the path's table and the node itself
@@ -571,19 +572,16 @@ def _expm(a):
 
 
 def fixed_point_holonomy(algebroid, v):
-    """Holonomy of a constant algebra loop at a fixed point of the action.
+    """Holonomy of a constant loop at the chart origin, a zero of the anchor.
 
     Returns the pair (adjoint part, linearized base part), the matrix
-    exponentials of ad_v and of the anchor Jacobian contracted with v.
+    exponentials of ad_v and of the anchor Jacobian contracted with v: only
+    the anchor and bracket at the origin are read, whatever the spec was.
     Along constant_path(algebroid, v, origin), the A-holonomy of the
     bracket connection is the inverse of the adjoint part, and the
     holonomy of compatible_connection's TM mate equals the base part.
     An element whose exponential overflows a double is refused.
     """
-    data = algebroid.metadata.get("data")
-    if algebroid.metadata.get("kind") != "transformation" or data is None:
-        raise ShapeMismatchError(
-            "fixed point holonomy needs a transformation algebroid")
     m = algebroid.dimension
     r = algebroid.rank
     v = np.asarray(v, dtype=float)

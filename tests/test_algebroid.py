@@ -378,7 +378,7 @@ def test_linearize_rotation_origin(catalog):
 def test_linearize_scaling_origin(catalog):
     data = al.linearize_at(catalog["scaling"], (0.0,))
     assert data.constants.shape == (1, 1, 1)
-    assert abs(data.constants[0, 0, 0]) < 1e-12
+    assert data.constants[0, 0, 0] == 0.0
     comp = data.fields[0].comps[0]
     x = ScalarField.coordinate(data.chart, 0)
     assert (comp - x).is_zero()
@@ -389,6 +389,34 @@ def test_linearized_data_is_an_action(catalog):
     data = al.linearize_at(catalog["so3_action"], (0.0, 0.0, 0.0))
     lin = al.catalog_build("transformation", {"data": data})
     assert al.validate(lin, n_samples=20, seed=0).passed
+
+
+def test_linearized_data_after_a_frame_change_is_an_action():
+    # after a constant unipotent frame change the isotropy bracket at a
+    # generic point carries roundoff; isotropy_at makes its constants
+    # exactly antisymmetric, so the builder takes them
+    a = al.load_algebroid(DATA / "so3_action.json")
+    a = al.transform_algebroid(a, al.FrameChange(
+        a.chart, [["1", "2", "0"], ["0", "1", "-3"], ["0", "0", "1"]]))
+    for p in rng_for("linearize_frame_change").uniform(-1.0, 1.0, (40, 3)):
+        data = al.linearize_at(a, p)
+        assert np.array_equal(data.constants,
+                              -data.constants.transpose(1, 0, 2))
+        lin = al.catalog_build("transformation", {"data": data})
+        assert al.validate(lin, n_samples=5, seed=0).passed
+
+
+def test_metadata_is_carried_unread():
+    # metadata is never read, so a transformation kind with bad params
+    # builds nothing and comes back as given
+    meta = {"name": "x", "kind": "transformation",
+            "params": {"constants": "bad", "fields": [[None]]},
+            "notes": [1, 2.5, True, None]}
+    spec = {"dimension": 1, "rank": 1, "anchor": [["x1"]], "metadata": meta}
+    a = al.algebroid_from_dict(json.loads(json.dumps(spec)))
+    assert a.metadata == meta
+    assert al.algebroid_to_dict(a)["metadata"] == meta
+    assert al.algebroid_from_dict(al.algebroid_to_dict(a)).metadata == meta
 
 
 def test_catalog_shortcut_metadata(catalog):

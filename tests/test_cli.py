@@ -240,9 +240,6 @@ def test_numbers_too_large_for_a_double_are_error_documents(tmp_path):
     specs = [
         {"kind": "lie_algebra", "params": {"constants": [[[huge]]]}},
         {"dimension": 1, "rank": 1, "anchor": [[huge]]},
-        {"dimension": 1, "rank": 1, "anchor": [["x1"]],
-         "metadata": {"kind": "transformation", "params": {
-             "constants": [[[huge]]], "fields": [["x1"]]}}},
     ]
     for i, spec in enumerate(specs):
         path = tmp_path / ("huge%d.json" % i)
@@ -268,9 +265,6 @@ def test_non_number_entries_are_error_documents(tmp_path, entry):
         {"dimension": 1, "rank": 1, "anchor": [[entry]]},
         {"dimension": 1, "rank": 2, "anchor": [["x1"], ["0"]],
          "bracket": [{"s": 1, "t": 2, "u": 2, "value": entry}]},
-        {"dimension": 1, "rank": 1, "anchor": [["x1"]],
-         "metadata": {"kind": "transformation", "params": {
-             "constants": [[[0]]], "fields": [[entry]]}}},
         {"kind": "poisson", "params": {
             "dimension": 2, "bivector": [["0", entry], ["-x1", "0"]]}},
         {"kind": "transformation", "params": {
@@ -347,12 +341,8 @@ def test_bools_and_fractions_are_not_integers(tmp_path, spec, segment, want):
     ({"dimension": 1, "rank": 2, "anchor": [["x1"], ["0"]],
       "bracket": [{"s": 1, "t": 2, "value": "1"}]},
      "bracket entry: missing key 'u'"),
-    ({"dimension": 1, "rank": 1, "anchor": [["x1"]],
-      "metadata": {"kind": "transformation", "params": {"fields": [["x1"]]}}},
-     "transformation metadata params: missing key 'constants'"),
 ], ids=["lie_algebra", "tangent", "poisson", "bivector", "transformation",
-        "lie_algebra_bundle", "dimension", "rank", "bracket_entry",
-        "metadata"])
+        "lie_algebra_bundle", "dimension", "rank", "bracket_entry"])
 def test_missing_keys_are_named(tmp_path, spec, want):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))

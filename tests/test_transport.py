@@ -135,9 +135,30 @@ def test_fixed_point_holonomy_rejects_moving_origin():
         al.fixed_point_holonomy(a, [1.0])
 
 
-def test_fixed_point_holonomy_needs_transformation_kind(catalog):
-    with pytest.raises(ShapeMismatchError):
-        al.fixed_point_holonomy(catalog["so3"], V)
+def test_fixed_point_holonomy_of_any_algebroid_at_a_zero_of_the_anchor(
+        catalog):
+    # only the anchor and bracket at the origin are read: the generic-format
+    # file gives the catalog action's pair bit for bit, and a Lie algebra, a
+    # linear Poisson structure, a frame change and a bundle work the same
+    loaded = al.load_algebroid(DATA / "so3_action.json")
+    got = al.fixed_point_holonomy(loaded, V)
+    want = al.fixed_point_holonomy(catalog["so3_action"], V)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    transformed = al.transform_algebroid(loaded, al.FrameChange(
+        loaded.chart, [["1", "x1", "0"], ["0", "1", "0"], ["0", "0", "1"]]))
+    bundle = al.catalog_build("lie_algebra_bundle", {
+        "dimension": 1, "rank": 2,
+        "bracket": [{"s": 1, "t": 2, "u": 2, "value": "1 + x1"}]})
+    cases = {"so3_action.json": (loaded, V), "so3": (catalog["so3"], V),
+             "dual_so3": (catalog["dual_so3"], V),
+             "transformed": (transformed, V), "bundle": (bundle, [0.6, -0.4])}
+    for name, (a, v) in cases.items():
+        adp, jacp = al.fixed_point_holonomy(a, v)
+        assert jacp.shape == (a.dimension, a.dimension), name
+        origin = tuple(0.0 for _ in range(a.dimension))
+        hol = al.holonomy_matrix(bracket_conn(a),
+                                 al.constant_path(a, v, origin), n_steps=500)
+        assert np.max(np.abs(adp @ hol - np.eye(a.rank))) < 1e-10, name
 
 
 def test_fixed_point_holonomy_rejects_non_finite_element(catalog):
@@ -449,6 +470,25 @@ def test_lift_refuses_a_grid_past_the_array_limit(catalog):
         with pytest.raises(ShapeMismatchError, match="more than 67108864"):
             al.lift_base_path(a, base, grid=10 ** 15)
     assert al.lift_base_path(point, [], grid=8).segments.shape == (8, 2)
+
+
+@pytest.mark.parametrize("grid", [float("inf"), float("nan"), 4.9, "64", True],
+                         ids=["inf", "nan", "fraction", "text", "bool"])
+def test_lift_grid_must_be_an_integer(catalog, grid):
+    # refused by name before the array bound, never cut to an int
+    with pytest.raises(ShapeMismatchError,
+                       match="grid must be an integer, got %s"
+                       % re.escape(repr(grid))):
+        al.lift_base_path(catalog["tangent2"], ["t", "0"], grid=grid)
+
+
+def test_lift_grid_may_be_an_integral_float_or_numpy_int(catalog):
+    a = catalog["tangent2"]
+    want = al.lift_base_path(a, ["t", "t^2"], grid=64)
+    for grid in (64.0, np.int64(64), np.float64(64.0)):
+        got = al.lift_base_path(a, ["t", "t^2"], grid=grid)
+        assert np.array_equal(got.segments, want.segments)
+        assert np.array_equal(got._table, want._table)
 
 
 def test_holonomy_needs_a_loop(catalog):
