@@ -633,6 +633,18 @@ def _bracket_from_entries(chart, rank, entries):
     return tensor
 
 
+def _constants(data):
+    """Structure constants as an (n, n, n) float array, n the length of
+    data, bounded before anything is allocated. Each entry is read as a
+    bracket entry is: a number or a constant expression, over Chart(0)."""
+    try:
+        n = _bounded(len(data), "rank")
+    except TypeError:   # a number or another value without a length
+        n = 0
+    return _split(Chart(0), _field_array(Chart(0), data, (n,) * 3,
+                                         "(n, n, n) constants"))[()]
+
+
 def _bracket_entries(algebroid):
     """The file format's 1-based entry list of the bracket, s < t."""
     r = algebroid.rank
@@ -654,11 +666,9 @@ def catalog_build(kind, params):
     """
     params = _Spec(params, "%s params" % (kind,))
     if kind == "lie_algebra":
-        constants = np.asarray(params["constants"], dtype=float)
-        n = constants.shape[0]
-        if constants.shape != (n, n, n):
-            raise ShapeMismatchError("constants must be (n, n, n)")
+        constants = _constants(params["constants"])
         _check_constants(constants, 1e-10)
+        n = len(constants)
         chart = Chart(0)
         anchor = [[] for _ in range(n)]
         meta = {"kind": kind, "params": {"constants": constants.tolist()}}
@@ -692,7 +702,7 @@ def catalog_build(kind, params):
         if data is None:
             m = _bounded(params["dimension"], "dimension")
             chart = Chart(m)
-            constants = np.asarray(params["constants"], dtype=float)
+            constants = _constants(params["constants"])
             fields = [VectorField(chart, row) for row in params["fields"]]
             data = TransformationData(constants, fields, chart=chart)
         chart = data.chart

@@ -76,10 +76,7 @@ def _read_json(path):
 def _parse_point(text, dimension):
     if text is None or text.strip() == "":
         return (0.0,) * dimension
-    point = tuple(float(v) for v in text.split(","))
-    if not all(math.isfinite(v) for v in point):
-        raise UsageError("--point coordinates must be finite")
-    return point
+    return tuple(float(v) for v in text.split(","))
 
 
 # ------------------------------------------------------------- subcommands

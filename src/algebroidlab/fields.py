@@ -489,10 +489,10 @@ def _field_array(chart, data, shape, what):
     """Object array of the given shape holding as_field of each entry of
     nested data (lists, arrays, fields, expressions or numbers).
 
-    Finite integer or float data of the right shape become constant fields
-    in one pass. Anything else goes entry by entry, in C order, through
-    as_field, which raises the errors; each distinct expression text is
-    parsed once per call, and its entries share the one field.
+    Finite integer or float data of the right shape, with no bool among
+    them, become constant fields in one pass. Anything else goes entry by
+    entry, in C order, through as_field, which raises the errors; each
+    distinct expression text is parsed once, its entries sharing one field.
     """
     shape = tuple(shape)
     try:
@@ -500,7 +500,9 @@ def _field_array(chart, data, shape, what):
     except (ValueError, OverflowError):   # ragged, or an int past a double
         arr = None
     if (arr is not None and arr.dtype.kind in "iuf" and arr.shape == shape
-            and np.isfinite(arr).all()):
+            and np.isfinite(arr).all()
+            and (isinstance(data, np.ndarray) or {bool, np.bool_}.isdisjoint(
+                map(type, np.asarray(data, object).flat)))):
         key = (0,) * chart.dimension
         zero = ScalarField._of(chart, {})
         return np.fromiter(

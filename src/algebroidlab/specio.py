@@ -16,7 +16,8 @@ File format (1-based indices at this boundary only):
 
 Bracket entries list c[s][t][u]; the (t, s, u) entry is filled in with the
 opposite sign automatically. Listing both orientations is allowed as long
-as they agree.
+as they agree. An entry is a number or an expression text; true, false,
+null and objects are refused wherever they sit. metadata is an object.
 
 A document may instead give top-level "kind" and "params", which are fed
 to the catalog builder (dimension/rank/anchor/bracket are then ignored).
@@ -35,19 +36,19 @@ from .algebroid import (
     build_algebroid,
     catalog_build,
 )
+from .errors import ShapeMismatchError
 from .fields import Chart, _field_array
 
 
 def algebroid_from_dict(data):
+    data = _Spec(data, "algebroid spec")
+    extra = data.get("metadata", {})
+    if not isinstance(extra, dict):
+        raise ShapeMismatchError("metadata must be a JSON object")
     if "kind" in data:
         built = catalog_build(data["kind"], data.get("params", {}))
-        extra = data.get("metadata")
-        if extra:
-            merged = dict(extra)
-            merged.update(built.metadata)
-            built.metadata = merged
+        built.metadata = {**extra, **built.metadata}
         return built
-    data = _Spec(data, "algebroid spec")
     m = _bounded(data["dimension"], "dimension")
     r = _positive_rank(data["rank"])
     labels = data.get("labels")
@@ -58,7 +59,7 @@ def algebroid_from_dict(data):
     anchor = _field_array(chart, anchor_rows, (r, m), "anchor")
 
     tensor = _bracket_from_entries(chart, r, data.get("bracket", []))
-    return build_algebroid(chart, r, anchor, tensor, data.get("metadata"))
+    return build_algebroid(chart, r, anchor, tensor, extra)
 
 
 def algebroid_to_dict(algebroid):

@@ -2,7 +2,10 @@
 
 A path is a list of segments (t0, t1, gamma, coeffs) in a single global
 parameter t running over [0, 1]; gamma gives the base curve components
-and coeffs the frame coefficients of the path, all polynomials in t.
+and coeffs the frame coefficients of the path, all polynomials in t. Each
+polynomial of a segment, lift piece or clock change is a field, expression
+text or finite number, all read in one fields._field_array call; a bool,
+None or list entry is refused wherever it sits.
 Transport integrates dv/dt = -M(t) v with classical RK4, where
 M[u][w](t) = sum_s a_s(t) Gamma[s][w][u](gamma(t)); the reported result
 always comes from the finer of an N vs 2N Richardson pair.
@@ -48,7 +51,7 @@ from .errors import (
     ShapeMismatchError,
     ToleranceNotMetError,
 )
-from .fields import Chart, _split, _split_values, as_field
+from .fields import Chart, _field_array, _split, _split_values
 from .sampling import max_abs
 
 T_CHART = Chart(1, ("t",))
@@ -62,18 +65,6 @@ _BLOCK_ENTRIES = 2 ** 16
 _CHUNK = 16
 # entries of one array of a lift, the bound of classes' engine arrays
 _MAX_LIFT = 1 << 26
-
-
-def _table(rows):
-    """Dense coefficient table of equal-length lists (or array rows) of
-    1-variable polynomials: index [list, polynomial, power of t]."""
-    deg = max((e[0] for fs in rows for f in fs for e in f.coeffs), default=0)
-    out = np.zeros((len(rows), len(rows[0]) if len(rows) else 0, deg + 1))
-    for i, fs in enumerate(rows):
-        for j, f in enumerate(fs):
-            for e, c in f.coeffs.items():
-                out[i, j, e[0]] = c
-    return out
 
 
 def _segment_of(starts, ts):
@@ -119,11 +110,32 @@ def _compose1(table, m, g, rate):
     return out
 
 
-def _bound(t):
-    """A segment or piece bound as a float; a bool is not a number here."""
-    if isinstance(t, (bool, np.bool_)):
-        raise ShapeMismatchError("segment bounds must be numbers")
-    return float(t)
+def _pieces(pieces, lists, what):
+    """Bounds, in order of t0, and dense table [piece, polynomial, power of
+    t] of (t0, t1, list, ...) pieces, lists giving each list's name and
+    length. One fields._field_array call reads every entry, so each distinct
+    expression text is parsed once; what names the pieces in errors."""
+    sizes = [n for _, n in lists]
+    bounds, rows = [], []
+    for p in pieces:
+        if len(p) != 2 + len(sizes) or [
+                len(x) if isinstance(x, (list, tuple, np.ndarray)) else -1
+                for x in p[2:]] != sizes:
+            raise ShapeMismatchError("%s must be (t0, t1, %s)" % (
+                what, ", ".join("%s[%d]" % name_n for name_n in lists)))
+        if not {bool, np.bool_}.isdisjoint(map(type, p[:2])):
+            raise ShapeMismatchError("segment bounds must be numbers")
+        bounds.append((float(p[0]), float(p[1])))
+        rows.append([f for x in p[2:] for f in x])
+    if not rows:
+        raise ShapeMismatchError("no %s given" % what)
+    fields = _field_array(T_CHART, rows, (len(rows), sum(sizes)), what)
+    parts = _split(T_CHART, fields)
+    table = np.zeros(fields.shape + (max(parts)[0] + 1,))
+    for (e,), c in parts.items():
+        table[..., e] = c
+    order = np.argsort([t0 for t0, _ in bounds], kind="stable")
+    return np.array(bounds)[order], table[order]
 
 
 def _check_tiling(bounds, what):
@@ -146,34 +158,19 @@ class APath:
     A path is its segment bounds, segments[k] = (t0, t1) in order of t0,
     and one dense table of the segments' polynomials, [segment, gamma then
     coeffs, power of t], that every evaluation reads by Horner's rule at a
-    whole array of times.
+    whole array of times. gamma has m and coeffs rank entries, each a field
+    on T_CHART, an expression text or a finite number, never a bool.
     """
 
     __slots__ = ("algebroid", "segments", "residual", "_table")
 
     def __init__(self, algebroid, segments):
-        m = algebroid.dimension
-        r = algebroid.rank
-        bounds, rows = [], []
-        for t0, t1, gamma, coeffs in segments:
-            gamma = [as_field(T_CHART, g) for g in gamma]
-            coeffs = [as_field(T_CHART, a) for a in coeffs]
-            if len(gamma) != m:
-                raise ShapeMismatchError(
-                    "base curve needs %d components, got %d" % (m, len(gamma)))
-            if len(coeffs) != r:
-                raise ShapeMismatchError(
-                    "path needs %d coefficients, got %d" % (r, len(coeffs)))
-            bounds.append((_bound(t0), _bound(t1)))
-            rows.append(gamma + coeffs)
-        if not rows:
-            raise ShapeMismatchError("path needs at least one segment")
-        order = sorted(range(len(rows)), key=lambda k: bounds[k][0])
-        self._check(algebroid, np.array(bounds)[order],
-                    _table([rows[k] for k in order]))
+        self._check(algebroid, *_pieces(
+            segments, (("gamma", algebroid.dimension),
+                       ("coeffs", algebroid.rank)), "segments"))
 
     @classmethod
-    def _from_table(cls, algebroid, bounds, table):
+    def _of(cls, algebroid, bounds, table):
         """Path from segment bounds in order of t0 and their table, checked
         as the constructor checks the segments it converts."""
         path = object.__new__(cls)
@@ -232,15 +229,14 @@ class APath:
 
 def constant_path(algebroid, coeffs, point):
     """Path sitting at one base point with constant frame coefficients."""
-    point = algebroid.chart.check_point(point)
-    gamma = [float(x) for x in point]
-    return APath(algebroid, [(0.0, 1.0, gamma, [float(c) for c in coeffs])])
+    return APath(algebroid,
+                 [(0.0, 1.0, algebroid.chart.check_point(point), coeffs)])
 
 
 def reverse_path(path):
     """Run a path backwards; coefficients flip sign with the time reversal."""
     m = path.algebroid.dimension
-    return APath._from_table(
+    return APath._of(
         path.algebroid, 1.0 - path.segments[::-1, ::-1],
         _compose1(path._table[::-1], m, [1.0, -1.0], [-1.0]))
 
@@ -249,8 +245,6 @@ def concat_paths(first, second):
     """Traverse first then second on a common [0, 1] clock."""
     if first.algebroid is not second.algebroid:
         raise AlgebroidMismatchError("paths over different algebroids")
-    if not max_abs(first.base_at(1.0) - second.base_at(0.0)) <= JOINT_TOL:
-        raise NotTangentError("second path does not start where the first ends")
     m = first.algebroid.dimension
     tables = [_compose1(first._table, m, [0.0, 2.0], [2.0]),
               _compose1(second._table, m, [-1.0, 2.0], [2.0])]
@@ -259,7 +253,7 @@ def concat_paths(first, second):
         [np.pad(x, ((0, 0), (0, 0), (0, width - x.shape[2]))) for x in tables])
     bounds = np.concatenate((first.segments / 2.0,
                              (second.segments + 1.0) / 2.0))
-    return APath._from_table(first.algebroid, bounds, table)
+    return APath._of(first.algebroid, bounds, table)
 
 
 def reparametrize_path(path, phi):
@@ -267,12 +261,12 @@ def reparametrize_path(path, phi):
     if len(path.segments) != 1:
         raise ShapeMismatchError(
             "clock changes are supported on single-segment paths")
-    phi = as_field(T_CHART, phi)
-    if abs(phi.evaluate((0.0,))) > 1e-12 or abs(phi.evaluate((1.0,)) - 1.0) > 1e-12:
+    g = _pieces([(0.0, 1.0, [phi])], (("clock change", 1),),
+                "clock changes")[1][0, 0]
+    if not (abs(g[0]) <= 1e-12 and abs(sum(g.tolist()) - 1.0) <= 1e-12):
         raise ShapeMismatchError("clock change must fix the endpoints")
-    g = _table([[phi]])[0, 0]
     rate = g[1:] * np.arange(1, len(g))
-    return APath._from_table(
+    return APath._of(
         path.algebroid, path.segments,
         _compose1(path._table, path.algebroid.dimension, g, rate))
 
@@ -323,34 +317,27 @@ def lift_base_path(algebroid, base, grid=64):
 
     base is either a list of m polynomials in t covering [0, 1], or a list
     of (t0, t1, [polynomials]) pieces that tile [0, 1], as the segments of
-    an APath must. Coefficients at the nodes are the minimum-norm solutions
-    of the anchor system; between nodes they are interpolated by a cubic
-    through the four nearest nodes. A grid that is not an integral number
-    of at least 4 cells, or whose arrays would pass 2^26 entries, is refused
-    before any is allocated; a base curve, velocity or anchor value that
-    overflows a double at a node is refused.
+    an APath must; the polynomials are read as a segment's are.
+    Coefficients at the nodes are the minimum-norm solutions of the anchor
+    system; between nodes they are interpolated by a cubic through the four
+    nearest nodes. A grid that is not an integral number of at least 4
+    cells, or whose arrays would pass 2^26 entries, is refused before any is
+    allocated; a base curve, velocity or anchor value that overflows a
+    double at a node is refused.
     """
     def is_piece(x):
         # numpy's ints and floats are Reals; bools of both kinds reach
-        # _bound, which refuses them
+        # _pieces, which refuses them
         return (isinstance(x, (tuple, list)) and len(x) == 3
                 and isinstance(x[0], (numbers.Real, np.bool_)))
 
     m = algebroid.dimension
     base = list(base)
-    if base and all(is_piece(x) for x in base):
-        pieces = [(_bound(t0), _bound(t1), [as_field(T_CHART, g) for g in gs])
-                  for t0, t1, gs in base]
-    else:
-        pieces = [(0.0, 1.0, [as_field(T_CHART, g) for g in base])]
-    pieces.sort(key=lambda seg: seg[0])
-    for _t0, _t1, gs in pieces:
-        if len(gs) != m:
-            raise ShapeMismatchError("base curve needs %d components, got %d"
-                                     % (m, len(gs)))
-    _check_tiling(np.array([p[:2] for p in pieces]), "pieces")
-    starts = np.array([p[0] for p in pieces])
-    curve = _table([gs for _t0, _t1, gs in pieces])
+    if not (base and all(is_piece(x) for x in base)):
+        base = [(0.0, 1.0, base)]
+    bounds, curve = _pieces(base, (("base curve", m),), "pieces")
+    _check_tiling(bounds, "pieces")
+    starts = bounds[:, 0]
     grid = _integer(grid, "grid")
     if grid < 4:
         raise ShapeMismatchError("grid must have at least 4 cells")
@@ -381,7 +368,7 @@ def lift_base_path(algebroid, base, grid=64):
     table = np.zeros((len(bounds), m + r, max(curve.shape[2], 4)))
     table[:, :m, :curve.shape[2]] = curve[_segment_of(starts, mids)]
     table[:, m:, :4] = cells[np.minimum((mids * grid).astype(int), grid - 1)]
-    return APath._from_table(algebroid, bounds, table)
+    return APath._of(algebroid, bounds, table)
 
 
 @dataclass

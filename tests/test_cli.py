@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -171,6 +172,27 @@ def test_error_documents(tmp_path):
         code, doc = run_doc(["validate", "--spec", tmp_path / name])
         assert code == 1
         assert doc == {"error": "rank must be positive"}
+    # structure constants that are no (n, n, n) array, and metadata that is
+    # no JSON object, in generic and catalog documents
+    tangent = {"kind": "tangent", "params": {"dimension": 1}}
+    generic = {"dimension": 1, "rank": 1, "anchor": [["x1"]]}
+    bad_specs = [
+        {"kind": "lie_algebra", "params": {"constants": 5}},
+        {"kind": "transformation", "params": {
+            "dimension": 1, "constants": 5, "fields": [["x1"]]}},
+        {"kind": "lie_algebra", "params": {
+            "constants": [[[0, 0], [0]], [[0, 0], [0, 0]]]}},
+        {"kind": "lie_algebra", "params": {"constants": [[[True]]]}},
+        {"kind": "lie_algebra", "params": {"constants": [[["1"]]]}},
+    ] + [dict(doc, metadata=meta) for doc in (tangent, generic)
+         for meta in (5, "abc", [["a", 1]], None)]
+    for i, spec in enumerate(bad_specs):
+        path = tmp_path / ("bad%d.json" % i)
+        path.write_text(json.dumps(spec))
+        code, doc = run_doc(["validate", "--spec", path])
+        assert code == 1 and set(doc) == {"error"}, (spec, doc)
+        if "metadata" in spec:
+            assert doc == {"error": "metadata must be a JSON object"}
     cases = [
         ["nonsense", "--spec", DATA / "aff1.json"],
         ["validate", "--spec", DATA / "missing.json"],
@@ -261,6 +283,7 @@ def test_non_number_entries_are_error_documents(tmp_path, entry):
     # a JSON entry is read as a field, an expression or a number, never as
     # the text of its Python value; each report is one error document
     want = {"error": "%s is not a field, expression or number" % (entry,)}
+    numeric = [[[0, 0], [0, entry]], [[0, -1], [0, 0]]]
     specs = [
         {"dimension": 1, "rank": 1, "anchor": [[entry]]},
         {"dimension": 1, "rank": 2, "anchor": [["x1"], ["0"]],
@@ -272,17 +295,29 @@ def test_non_number_entries_are_error_documents(tmp_path, entry):
         {"kind": "lie_algebra_bundle", "params": {
             "dimension": 1, "rank": 2,
             "bracket": [{"s": 1, "t": 2, "u": 2, "value": entry}]}},
+        # among numbers, where true must not be read as 1: the constants
+        # are those of aff(1) when it is
+        {"dimension": 2, "rank": 1, "anchor": [[0.5, entry]]},
+        {"kind": "lie_algebra_bundle", "params": {
+            "dimension": 1, "rank": 2, "bracket": numeric}},
+        {"kind": "poisson", "params": {
+            "dimension": 2, "bivector": [[0, entry], [-1, 0]]}},
+        {"kind": "lie_algebra", "params": {"constants": numeric}},
+        {"kind": "transformation", "params": {
+            "dimension": 1, "constants": numeric,
+            "fields": [["0"], ["0"]]}},
     ]
     for i, spec in enumerate(specs):
         path = tmp_path / ("spec%d.json" % i)
         path.write_text(json.dumps(spec))
         code, doc = run_doc(["validate", "--spec", path])
         assert (code, doc) == (1, want), spec
-    for key in ("gamma", "coeffs"):
-        seg = {"t0": 0, "t1": 1, "gamma": ["0", "0", "1"],
-               "coeffs": ["0", "0", "0"]}
+    for key, seg in itertools.product(("gamma", "coeffs"), (
+            {"gamma": ["0", "0", "1"], "coeffs": ["0", "0", "0"]},
+            {"gamma": [0, 0, 1], "coeffs": [0, 0, 0]})):
+        seg = dict(seg, t0=0, t1=1)
         seg[key] = [entry] + seg[key][1:]
-        path = tmp_path / ("path_%s.json" % key)
+        path = tmp_path / "path.json"
         path.write_text(json.dumps({"segments": [seg]}))
         code, doc = run_doc(["transport", "--spec", DATA / "so3_action.json",
                              "--path", path])

@@ -14,6 +14,7 @@ import algebroidlab as al
 from algebroidlab.errors import (
     AlgebroidMismatchError,
     DimensionMismatchError,
+    ExpressionSyntaxError,
     NotAFixedPointError,
     NotALoopError,
     NotTangentError,
@@ -206,11 +207,11 @@ def lift_nodes(a, pieces, grid):
     """The lift's anchor systems b^T x = gamma' at the grid nodes, stacked:
     (nodes, dimension, rank) matrices and (nodes, dimension) velocities."""
     from algebroidlab.fields import _split, _split_values
-    from algebroidlab.transport import _horner, _table
+    from algebroidlab.transport import _horner, _pieces
 
     nodes = np.linspace(0.0, 1.0, grid + 1)
-    points, vel = _horner(_table([gs for _t0, _t1, gs in pieces]),
-                          [p[0] for p in pieces], nodes)
+    bounds, curve = _pieces(pieces, (("base curve", a.dimension),), "pieces")
+    points, vel = _horner(curve, bounds[:, 0], nodes)
     b = _split_values(_split(a.chart, a.anchor), points)
     return b.transpose(0, 2, 1), vel
 
@@ -314,12 +315,17 @@ def test_lift_rejects_radial_path(catalog):
 
 
 def test_lift_refuses_bool_piece_bounds(catalog):
-    # False and True are not the bounds 0 and 1, as in APath
+    # False and True are not the bounds 0 and 1, as in APath, nor the
+    # numbers 0 and 1 among a piece's polynomials
     a = catalog["so3_action"]
     for t0, t1 in ((False, True), (np.False_, np.True_), (0.0, True)):
         with pytest.raises(ShapeMismatchError,
                            match="segment bounds must be numbers"):
             al.lift_base_path(a, [(t0, t1, ["0", "0", "1"])])
+    for curve in ([0, 0, True], [0.0, np.True_, 1.0]):
+        with pytest.raises(ExpressionSyntaxError,
+                           match="True_? is not a field"):
+            al.lift_base_path(a, [(0.0, 1.0, curve)])
 
 
 def test_lift_reads_numpy_number_piece_bounds(catalog):
@@ -361,6 +367,9 @@ def test_constant_path_needs_isotropy_coefficients(catalog):
         al.constant_path(a, (0.0, 0.0, 2.0 * np.pi), (1.0, 0.0, 0.0))
     with pytest.raises(DimensionMismatchError):
         al.constant_path(a, (2.0 * np.pi, 0.0, 0.0), (np.nan, 0.0, 0.0))
+    # True is not the coefficient 1
+    with pytest.raises(ExpressionSyntaxError, match="True is not a field"):
+        al.constant_path(a, [True, 0, 0], (1.0, 0.0, 0.0))
     path = al.constant_path(a, (2.0 * np.pi, 0.0, 0.0), (1.0, 0.0, 0.0))
     assert path.residual == 0.0
     hol = al.holonomy_matrix(bracket_conn(a), path, n_steps=500)
@@ -420,6 +429,8 @@ def test_reparametrize_rejects_bad_clocks(catalog):
         al.reparametrize_path(arc, "t*t + 1")
     with pytest.raises(ShapeMismatchError):
         al.reparametrize_path(arc, "0.5*t")
+    with pytest.raises(ExpressionSyntaxError, match="True is not a field"):
+        al.reparametrize_path(arc, True)
     loop = al.concat_paths(arc, al.reverse_path(arc))
     with pytest.raises(ShapeMismatchError):
         al.reparametrize_path(loop, "t*t")
@@ -440,6 +451,10 @@ def test_path_segment_validation(catalog):
         al.APath(a, [(0.0, 1.0, ["0"], ["0", "0"])])
     with pytest.raises(ShapeMismatchError):
         al.APath(a, [(0.0, 1.0, ["0", "0"], ["0"])])
+    # a 3-item segment, and a text that is not a list of polynomials
+    for seg in ((0.0, 1.0, ["0", "0"]), (0.0, 1.0, "00", ["0", "0"])):
+        with pytest.raises(ShapeMismatchError, match="segments must be"):
+            al.APath(a, [seg])
     with pytest.raises(NotTangentError):
         al.APath(a, [(0.0, 0.5, *still), (0.5, 1.0, ["1", "1"], ["0", "0"])])
 
