@@ -20,7 +20,7 @@ from .errors import *  # noqa: F401,F403
 # submodule -> the public names it lends the package
 _EXPORTS = {
     "algebroid": (
-        "IsotropyData", "LieAlgebroid", "Section", "TransformationData",
+        "IsotropyData", "LieAlgebroid", "Linearization", "Section",
         "ValidationReport", "VectorField", "anchor_apply", "anchor_rank_at",
         "bracket_sections", "build_algebroid", "catalog_build",
         "constants_jacobiator", "isotropy_at", "linearize_at", "validate",

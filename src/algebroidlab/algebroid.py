@@ -351,6 +351,8 @@ def anchor_rank_at(algebroid, p):
 
 
 IsotropyData = namedtuple("IsotropyData", ["basis", "constants", "residual"])
+Linearization = namedtuple(
+    "Linearization", ["algebroid", "isotropy", "normal_basis", "jacobi_tol"])
 
 
 def _kernel_basis(b):
@@ -386,54 +388,6 @@ def isotropy_at(algebroid, p, tol=1e-9):
     constants = np.einsum("abu,uc->abc", w, kernel)
     constants = 0.5 * (constants - constants.transpose(1, 0, 2))
     return IsotropyData(kernel, constants, residual)
-
-
-@dataclass
-class TransformationData:
-    """A Lie algebra action: constants plus one vector field per generator."""
-
-    constants: np.ndarray
-    fields: list
-    chart: Chart = None
-    kernel_basis: np.ndarray = None
-    normal_basis: np.ndarray = None
-    jacobi_tol: float = 1e-12
-
-    def __post_init__(self):
-        self.constants = np.asarray(self.constants, dtype=float)
-        n = self.constants.shape[0]
-        if self.constants.shape != (n, n, n):
-            raise ShapeMismatchError("structure constants must be (n, n, n)")
-        if len(self.fields) != n:
-            raise ShapeMismatchError(
-                "need %d action fields, got %d" % (n, len(self.fields)))
-        if self.chart is None:
-            self.chart = self.fields[0].chart if self.fields else Chart(0)
-        for f in self.fields:
-            if f.chart != self.chart:
-                raise DimensionMismatchError("action fields on mixed charts")
-        _check_constants(self.constants, self.jacobi_tol)
-
-    @property
-    def algebra_dim(self):
-        return self.constants.shape[0]
-
-
-def _check_constants(c, jacobi_tol):
-    """Raise unless constant data are exactly antisymmetric and Jacobi.
-
-    Non-finite entries give a NaN or infinite defect, which fails too. The
-    size is checked first: the Jacobi defect tensor has n**4 entries.
-    """
-    _bounded(c.shape[0], "rank")
-    anti = max_abs(c + np.swapaxes(c, 0, 1))
-    if not anti <= 0.0:
-        raise AntisymmetryViolationError(
-            "constants not antisymmetric (defect %.3e)" % anti)
-    worst = max_abs(constants_jacobiator(c))
-    if not worst <= jacobi_tol:
-        raise JacobiViolationError(
-            "structure constants fail Jacobi (defect %.3e)" % worst)
 
 
 def constants_jacobiator(c):
@@ -548,19 +502,37 @@ def _certificate(parts):
     return 0.0 if total is None else max_abs(total)
 
 
+def _check_jacobi(c, tol):
+    """Raise unless the bracket c, split by chart monomial ({(): constants}
+    for constant data), satisfies Jacobi over a zero anchor up to tol in
+    _certificate of its Jacobi defect polynomials, which bounds the defect
+    at every point of [-1, 1]^m. A NaN or infinite defect fails too."""
+    worst = _certificate(jacobi for _g, _anchor, jacobi, _anti
+                         in _axiom_defects(c, {}))
+    if not worst <= tol:
+        raise JacobiViolationError(
+            "bracket fails Jacobi (certified defect %.3e)" % worst)
+
+
 def _anchor_jacobian(algebroid, p):
     """Anchor partials d_j rho_s^i at p, an (r, m, m) array [s, i, j]."""
     return _values(_partials(algebroid.anchor, algebroid.dimension), p)
 
 
 def linearize_at(algebroid, p, tol=1e-9):
-    """Isotropy algebra plus its linearized action on the normal space at p.
+    """The isotropy algebra at p acting linearly on the normal space there,
+    as a Linearization(algebroid, isotropy, normal_basis, jacobi_tol).
 
     The normal space is the quotient of the chart tangent by the anchor
     image, realized by the coordinate directions that extend the image to a
-    full basis (taken in order, orthonormalized). The action matrices are
-    the anchor Jacobians of the kernel generators compressed to that
-    complement.
+    full basis (taken in order, orthonormalized): the columns of
+    normal_basis. algebroid is the linear transformation algebroid on
+    Chart(normal dimension) whose rank is the isotropy dimension: its
+    anchor rows are the anchor Jacobians of the kernel generators
+    compressed to that complement, its bracket the isotropy constants; at
+    a regular point its rank is 0. isotropy is what isotropy_at(algebroid,
+    p, tol) returns. Its constants must satisfy Jacobi up to jacobi_tol =
+    max(1e-12, 10 * closure residual).
     """
     p = algebroid.chart.check_point(p)
     iso = isotropy_at(algebroid, p, tol=tol)
@@ -586,20 +558,22 @@ def linearize_at(algebroid, p, tol=1e-9):
 
     n_dim = normal.shape[1]
     k = iso.basis.shape[1]
+    jacobi_tol = max(1e-12, 10 * iso.residual)
+    _check_jacobi({(): iso.constants}, jacobi_tol)
     jac_s = _anchor_jacobian(algebroid, p)
     jac = sum((iso.basis[s, :, None, None] * jac_s[s]
                for s in range(algebroid.rank)), np.zeros((k, m, m)))
-    normal_chart = Chart(n_dim)
-    # act[i, j] is the coefficient of normal coordinate j in component i
+    chart = Chart(n_dim)
+    # row i of the compressed Jacobian holds the coefficients of the normal
+    # coordinates in anchor component i
     units = [tuple(e) for e in np.eye(n_dim, dtype=int).tolist()]
-    fields = []
-    for a in range(k):
-        act = normal.T @ jac[a] @ normal if n_dim else np.zeros((0, 0))
-        fields.append(VectorField(normal_chart, [
-            ScalarField(normal_chart, dict(zip(units, row))) for row in act]))
-    return TransformationData(iso.constants, fields, chart=normal_chart,
-                              kernel_basis=iso.basis, normal_basis=normal,
-                              jacobi_tol=max(1e-12, 10 * iso.residual))
+    anchor = np.fromiter(
+        (ScalarField(chart, dict(zip(units, row)))
+         for a in range(k) for row in normal.T @ jac[a] @ normal),
+        object, k * n_dim).reshape(k, n_dim)
+    bracket = _field_array(chart, iso.constants, (k,) * 3, "constants")
+    return Linearization(LieAlgebroid(chart, k, anchor, bracket), iso,
+                         normal, jacobi_tol)
 
 
 def _bracket_from_entries(chart, rank, entries):
@@ -658,21 +632,21 @@ def catalog_build(kind, params):
 
     kind is one of lie_algebra, tangent, poisson, transformation,
     lie_algebra_bundle. params is a dict; field entries may be expression
-    strings, numbers, or ScalarFields. Constant structure data must pass
-    _check_constants. A lie_algebra_bundle must satisfy Jacobi exactly, up
-    to 1e-10 in _certificate of its Jacobi defect polynomials: the largest
-    sum of absolute coefficients over the entries, which bounds the defect
-    at every point of [-1, 1]^m.
+    strings, numbers, or ScalarFields. build_algebroid checks that the
+    bracket is exactly antisymmetric; then _check_jacobi refuses a bracket
+    whose certified Jacobi defect, the largest sum of absolute coefficients
+    over the entries of the defect polynomials, is above 1e-10 for
+    lie_algebra and lie_algebra_bundle and 1e-12 for the constants of a
+    transformation algebroid, whose anchor validate checks.
     """
     params = _Spec(params, "%s params" % (kind,))
     if kind == "lie_algebra":
         constants = _constants(params["constants"])
-        _check_constants(constants, 1e-10)
         n = len(constants)
-        chart = Chart(0)
-        anchor = [[] for _ in range(n)]
         meta = {"kind": kind, "params": {"constants": constants.tolist()}}
-        return build_algebroid(chart, n, anchor, constants, meta)
+        a = build_algebroid(Chart(0), n, [[]] * n, constants, meta)
+        _check_jacobi({(): constants}, 1e-10)
+        return a
 
     if kind == "tangent":
         m = _bounded(params["dimension"], "dimension")
@@ -698,23 +672,17 @@ def catalog_build(kind, params):
         return build_algebroid(chart, m, rows, bracket, meta)
 
     if kind == "transformation":
-        data = params.get("data")
-        if data is None:
-            m = _bounded(params["dimension"], "dimension")
-            chart = Chart(m)
-            constants = _constants(params["constants"])
-            fields = [VectorField(chart, row) for row in params["fields"]]
-            data = TransformationData(constants, fields, chart=chart)
-        chart = data.chart
-        anchor = [f.comps for f in data.fields]
-        meta = {"kind": kind,
-                "params": {
-                    "dimension": chart.dimension,
-                    "constants": data.constants.tolist(),
-                    "fields": [[c.to_string() for c in f.comps]
-                               for f in data.fields]}}
-        return build_algebroid(chart, data.algebra_dim, anchor,
-                               data.constants, meta)
+        m = _bounded(params["dimension"], "dimension")
+        chart = Chart(m)
+        constants = _constants(params["constants"])
+        n = len(constants)
+        rows = _field_array(chart, params["fields"], (n, m), "action fields")
+        meta = {"kind": kind, "params": {
+            "dimension": m, "constants": constants.tolist(),
+            "fields": [[f.to_string() for f in row] for row in rows]}}
+        a = build_algebroid(chart, n, rows, constants, meta)
+        _check_jacobi({(): constants}, 1e-12)
+        return a
 
     if kind == "lie_algebra_bundle":
         m = _bounded(params["dimension"], "dimension")
@@ -725,12 +693,7 @@ def catalog_build(kind, params):
                                              for e in bracket):
             bracket = _bracket_from_entries(chart, r, bracket)
         a = build_algebroid(chart, r, [[0.0] * m for _ in range(r)], bracket)
-        # the anchor is zero; Jacobi holds exactly up to the certificate
-        worst = _certificate(jacobi for _g, _anchor, jacobi, _anti
-                             in _axiom_defects(_split(chart, a.bracket), {}))
-        if not worst <= 1e-10:
-            raise JacobiViolationError(
-                "bracket fails Jacobi (certified defect %.3e)" % worst)
+        _check_jacobi(_split(chart, a.bracket), 1e-10)
         a.metadata = {"kind": kind, "params": {
             "dimension": m, "rank": r, "bracket": _bracket_entries(a)}}
         return a

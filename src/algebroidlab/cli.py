@@ -133,17 +133,18 @@ def _cmd_linearize(a, args):
 
     p = _parse_point(args.point, a.dimension)
     tol = args.tol if args.tol is not None else 1e-9
-    data = linearize_at(a, p, tol=tol)
+    lin = linearize_at(a, p, tol=tol)
     results = {
-        "isotropy_dimension": data.algebra_dim,
-        "normal_dimension": data.chart.dimension,
-        "constants": data.constants,
-        "fields": [[c.to_string() for c in f.comps] for f in data.fields],
-        "kernel_basis": data.kernel_basis,
-        "normal_basis": data.normal_basis,
+        "isotropy_dimension": lin.algebroid.rank,
+        "normal_dimension": lin.algebroid.dimension,
+        "constants": lin.isotropy.constants,
+        "fields": [[f.to_string() for f in row]
+                   for row in lin.algebroid.anchor],
+        "kernel_basis": lin.isotropy.basis,
+        "normal_basis": lin.normal_basis,
         "point": list(p),
     }
-    return results, {}, {"jacobi": data.jacobi_tol}, 0
+    return results, {}, {"jacobi": lin.jacobi_tol}, 0
 
 
 def _entries(names, items):

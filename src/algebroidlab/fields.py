@@ -67,14 +67,31 @@ class Chart:
         return "Chart(%d)" % self.dimension
 
     def check_point(self, p):
-        p = tuple(map(float, p))
+        p = _numbers(p, "point coordinates", DimensionMismatchError)
         if len(p) != self.dimension:
             raise DimensionMismatchError(
                 "point has length %d, chart dimension is %d"
                 % (len(p), self.dimension))
-        if not all(map(math.isfinite, p)):
-            raise DimensionMismatchError("point coordinates must be finite")
         return p
+
+
+# number types read by one set test, without the abstract numbers.Real one
+_NUMBER_TYPES = frozenset((float, int, np.float64, np.int64))
+
+
+def _numbers(values, what, error):
+    """values, an iterable of finite real numbers, as a tuple of floats;
+    error("<what> must be numbers") if one is a bool, a text or no real
+    number, error("<what> must be finite") if one is inf or NaN."""
+    values = tuple(values)
+    if not _NUMBER_TYPES.issuperset(map(type, values)) and not all(
+            isinstance(v, numbers.Real) and not isinstance(v, bool)
+            for v in values):
+        raise error("%s must be numbers" % what)
+    values = tuple(map(float, values))
+    if not all(map(math.isfinite, values)):
+        raise error("%s must be finite" % what)
+    return values
 
 
 def _fmt(x):

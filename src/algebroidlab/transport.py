@@ -37,7 +37,6 @@ roundoff against stepping v itself, but not with the block size.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +50,7 @@ from .errors import (
     ShapeMismatchError,
     ToleranceNotMetError,
 )
-from .fields import Chart, _field_array, _split, _split_values
+from .fields import Chart, _field_array, _numbers, _split, _split_values
 from .sampling import max_abs
 
 T_CHART = Chart(1, ("t",))
@@ -123,9 +122,7 @@ def _pieces(pieces, lists, what):
                 for x in p[2:]] != sizes:
             raise ShapeMismatchError("%s must be (t0, t1, %s)" % (
                 what, ", ".join("%s[%d]" % name_n for name_n in lists)))
-        if not {bool, np.bool_}.isdisjoint(map(type, p[:2])):
-            raise ShapeMismatchError("segment bounds must be numbers")
-        bounds.append((float(p[0]), float(p[1])))
+        bounds.append(_numbers(p[:2], "segment bounds", ShapeMismatchError))
         rows.append([f for x in p[2:] for f in x])
     if not rows:
         raise ShapeMismatchError("no %s given" % what)
@@ -325,15 +322,12 @@ def lift_base_path(algebroid, base, grid=64):
     allocated; a base curve, velocity or anchor value that overflows a
     double at a node is refused.
     """
-    def is_piece(x):
-        # numpy's ints and floats are Reals; bools of both kinds reach
-        # _pieces, which refuses them
-        return (isinstance(x, (tuple, list)) and len(x) == 3
-                and isinstance(x[0], (numbers.Real, np.bool_)))
-
     m = algebroid.dimension
     base = list(base)
-    if not (base and all(is_piece(x) for x in base)):
+    # a polynomial is no list, so a list of 3-item lists is a list of
+    # pieces, whose bounds _pieces reads
+    if not (base and all(isinstance(x, (tuple, list)) and len(x) == 3
+                         for x in base)):
         base = [(0.0, 1.0, base)]
     bounds, curve = _pieces(base, (("base curve", m),), "pieces")
     _check_tiling(bounds, "pieces")
@@ -489,13 +483,13 @@ def parallel_transport(conn, path, v0, n_steps=200, tol=None,
     """
     if path.algebroid is not conn.algebroid:
         raise AlgebroidMismatchError("path over a different algebroid")
-    v0 = np.asarray(v0, dtype=float)
+    v0 = np.asarray(v0, dtype=object)
     if v0.ndim not in (1, 2) or v0.shape[0] != conn.q:
         raise ShapeMismatchError(
             "initial vector has shape %s, not (%d,) or (%d, k)"
             % (v0.shape, conn.q, conn.q))
-    if not np.all(np.isfinite(v0)):
-        raise ShapeMismatchError("initial vector must be finite")
+    v0 = np.array(_numbers(v0.flat, "initial vector", ShapeMismatchError),
+                  dtype=float).reshape(v0.shape)
     n = int(n_steps)
     if not (1 <= n and 2 * n <= max_steps):
         raise ValueError("n_steps must be at least 1 and at most %d, got %d"
@@ -571,11 +565,10 @@ def fixed_point_holonomy(algebroid, v):
     """
     m = algebroid.dimension
     r = algebroid.rank
-    v = np.asarray(v, dtype=float)
+    v = np.asarray(v, dtype=object)
     if v.shape != (r,):
         raise ShapeMismatchError("algebra element must have length %d" % r)
-    if not np.all(np.isfinite(v)):
-        raise ShapeMismatchError("algebra element must be finite")
+    v = np.array(_numbers(v, "algebra element", ShapeMismatchError))
     origin = tuple(0.0 for _ in range(m))
     worst = max_abs(algebroid.anchor_matrix_at(origin).flat)
     if not worst <= 1e-12:

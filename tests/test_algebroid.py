@@ -113,19 +113,16 @@ def test_lie_algebra_constants_are_antisymmetric_exactly():
     constants = np.zeros((3, 3, 3))
     constants[0, 1, 2] = 1e-13
     with pytest.raises(AntisymmetryViolationError,
-                       match=r"^constants not antisymmetric "
-                             r"\(defect 1\.000e-13\)$"):
+                       match=r"^c\[0,1,2\] \+ c\[1,0,2\] is not zero$"):
         al.catalog_build("lie_algebra", {"constants": constants})
 
 
 def test_transformation_constants_are_antisymmetric_exactly():
-    # the constants' own check reports the defect, not build_algebroid's
-    # entry check that used to follow a tolerant one
+    # build_algebroid's exact entry check is the only antisymmetry check
     constants = np.zeros((3, 3, 3))
     constants[0, 1, 2] = 1e-13
     with pytest.raises(AntisymmetryViolationError,
-                       match=r"^constants not antisymmetric "
-                             r"\(defect 1\.000e-13\)$"):
+                       match=r"^c\[0,1,2\] \+ c\[1,0,2\] is not zero$"):
         al.catalog_build("transformation", {
             "dimension": 1, "constants": constants, "fields": [["0"]] * 3})
 
@@ -134,8 +131,9 @@ def test_structure_constants_above_the_size_limit_are_refused():
     big = np.zeros((_MAX_SIZE + 1,) * 3)
     with pytest.raises(ShapeMismatchError):
         al.catalog_build("lie_algebra", {"constants": big})
-    with pytest.raises(ShapeMismatchError):
-        al.TransformationData(big, [al.VectorField(Chart(0), [])] * len(big))
+    with pytest.raises(ShapeMismatchError, match="above the limit"):
+        al.catalog_build("transformation", {
+            "dimension": 0, "constants": big, "fields": [[]] * len(big)})
 
 
 def test_validate_at_explicit_points(catalog):
@@ -365,44 +363,63 @@ def test_isotropy_rejects_non_subalgebra():
 
 def test_linearize_rotation_origin(catalog):
     a = catalog["so3_action"]
-    data = al.linearize_at(a, (0.0, 0.0, 0.0))
-    assert np.allclose(data.constants, -EPS3, atol=1e-12)
-    assert len(data.fields) == 3
+    lin = al.linearize_at(a, (0.0, 0.0, 0.0))
+    assert np.allclose(lin.isotropy.constants, -EPS3, atol=1e-12)
+    assert lin.algebroid.rank == lin.algebroid.dimension == 3
+    assert np.array_equal(lin.algebroid.bracket_at((0.0, 0.0, 0.0)),
+                          lin.isotropy.constants)
     # the action fields are already linear, so linearization returns them
-    for field, row in zip(data.fields, SO3_ACTION_FIELDS):
-        expected = [parse_field(field.chart, text) for text in row]
-        for got, want in zip(field.comps, expected):
-            assert (got - want).is_zero()
+    for fields, row in zip(lin.algebroid.anchor, SO3_ACTION_FIELDS):
+        for got, text in zip(fields, row):
+            assert (got - parse_field(got.chart, text)).is_zero()
 
 
 def test_linearize_scaling_origin(catalog):
-    data = al.linearize_at(catalog["scaling"], (0.0,))
-    assert data.constants.shape == (1, 1, 1)
-    assert data.constants[0, 0, 0] == 0.0
-    comp = data.fields[0].comps[0]
-    x = ScalarField.coordinate(data.chart, 0)
-    assert (comp - x).is_zero()
+    lin = al.linearize_at(catalog["scaling"], (0.0,))
+    assert lin.isotropy.constants.shape == (1, 1, 1)
+    assert lin.isotropy.constants[0, 0, 0] == 0.0
+    assert lin.algebroid.bracket[0, 0, 0].is_zero()
+    x = ScalarField.coordinate(lin.algebroid.chart, 0)
+    assert (lin.algebroid.anchor[0, 0] - x).is_zero()
 
 
 def test_linearized_data_is_an_action(catalog):
-    # the output feeds straight back into the transformation builder
-    data = al.linearize_at(catalog["so3_action"], (0.0, 0.0, 0.0))
-    lin = al.catalog_build("transformation", {"data": data})
-    assert al.validate(lin, n_samples=20, seed=0).passed
+    # the linearization is an algebroid that validate takes as it is
+    lin = al.linearize_at(catalog["so3_action"], (0.0, 0.0, 0.0))
+    assert al.validate(lin.algebroid, n_samples=20, seed=0).passed
+
+
+def test_linearization_at_a_regular_point_is_an_algebroid(catalog):
+    # no isotropy and no normal space: a rank-0 algebroid over a point
+    lin = al.linearize_at(catalog["tangent2"], (0.3, 0.1))
+    assert (lin.algebroid.rank, lin.algebroid.dimension) == (0, 0)
+    assert lin.isotropy.basis.shape == (2, 0)
+    assert lin.normal_basis.shape == (2, 0) and lin.jacobi_tol == 1e-12
+    assert al.validate(lin.algebroid).passed
+    # on the unit sphere of so3_action, rotations about x1 fix (1, 0, 0)
+    # and act trivially on the radial direction
+    lin = al.linearize_at(catalog["so3_action"], (1.0, 0.0, 0.0))
+    a = lin.algebroid
+    assert (a.rank, a.dimension) == (1, 1)
+    assert np.array_equal(lin.isotropy.basis, [[1.0], [0.0], [0.0]])
+    assert np.array_equal(lin.normal_basis, [[1.0], [0.0], [0.0]])
+    assert a.anchor[0, 0].is_zero() and a.bracket[0, 0, 0].is_zero()
+    assert al.validate(a).passed
 
 
 def test_linearized_data_after_a_frame_change_is_an_action():
     # after a constant unipotent frame change the isotropy bracket at a
     # generic point carries roundoff; isotropy_at makes its constants
-    # exactly antisymmetric, so the builder takes them
+    # exactly antisymmetric, so build_algebroid takes the linearization's
+    # anchor and bracket
     a = al.load_algebroid(DATA / "so3_action.json")
     a = al.transform_algebroid(a, al.FrameChange(
         a.chart, [["1", "2", "0"], ["0", "1", "-3"], ["0", "0", "1"]]))
     for p in rng_for("linearize_frame_change").uniform(-1.0, 1.0, (40, 3)):
-        data = al.linearize_at(a, p)
-        assert np.array_equal(data.constants,
-                              -data.constants.transpose(1, 0, 2))
-        lin = al.catalog_build("transformation", {"data": data})
+        lin = al.linearize_at(a, p).algebroid
+        c = lin.bracket_at((0.0,) * lin.dimension)
+        assert np.array_equal(c, -c.transpose(1, 0, 2))
+        lin = al.build_algebroid(lin.chart, lin.rank, lin.anchor, lin.bracket)
         assert al.validate(lin, n_samples=5, seed=0).passed
 
 
@@ -733,6 +750,38 @@ def test_bundle_certificate_refuses_overflow_without_warnings():
         with pytest.raises(JacobiViolationError,
                            match="defect (nan|inf)"):
             bundle(1, entries, rank=3)
+
+
+def test_each_kind_keeps_its_jacobi_tolerance():
+    # [e1, e2] = 1e-11 e4 and [e4, e3] = e4: J(e1, e2, e3) = 1e-11 e4 is
+    # within the 1e-10 of lie_algebra and lie_algebra_bundle and above the
+    # 1e-12 of a transformation algebroid's constants
+    c = np.zeros((4, 4, 4))
+    c[0, 1, 3], c[1, 0, 3] = 1e-11, -1e-11
+    c[3, 2, 3], c[2, 3, 3] = 1.0, -1.0
+    assert max_abs(al.constants_jacobiator(c)) == 1e-11
+    al.catalog_build("lie_algebra", {"constants": c})
+    bundle(1, [{"s": 1, "t": 2, "u": 4, "value": 1e-11},
+               {"s": 4, "t": 3, "u": 4, "value": 1}])
+    with pytest.raises(JacobiViolationError,
+                       match=r"^bracket fails Jacobi \(certified defect "
+                             r"1\.000e-11\)$"):
+        al.catalog_build("transformation", {
+            "dimension": 1, "constants": c, "fields": [[0]] * 4})
+    # linearize_at allows max(1e-12, 10 x closure residual): the same
+    # constants as the isotropy of e2..e5 at 0 are refused, and taken
+    # once [e3, e4] leaves the kernel by 1e-10
+    c5 = np.zeros((5, 5, 5))
+    c5[1:, 1:, 1:] = c
+    anchor = [["1"], ["x1"], ["0"], ["0"], ["0"]]
+    a = al.build_algebroid(Chart(1), 5, anchor, c5)
+    with pytest.raises(JacobiViolationError, match="defect 1.000e-11"):
+        al.linearize_at(a, (0.0,))
+    c5[2, 3, 0], c5[3, 2, 0] = 1e-10, -1e-10
+    lin = al.linearize_at(al.build_algebroid(Chart(1), 5, anchor, c5), (0.0,))
+    assert np.array_equal(lin.isotropy.basis, np.eye(5)[:, 1:])
+    assert lin.isotropy.residual == 1e-10 and lin.jacobi_tol == 1e-9
+    assert np.array_equal(lin.isotropy.constants, c)
 
 
 def test_certificate_bounds_every_sampled_value():

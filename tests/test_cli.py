@@ -90,6 +90,104 @@ def test_linearize_at_origin():
     assert c[0, 1, 2] == -1 and c[1, 2, 0] == -1 and c[2, 0, 1] == -1
 
 
+# the linearize reports at a regular point of tangent2 and at a point of
+# so3_action's unit sphere, pinned as text: they do not change with the
+# type linearize_at returns
+LINEARIZE_TANGENT2_REGULAR = """\
+{
+  "command": "linearize",
+  "input_digest": "ad6cfdc9f6cdff5eff3387bd8791dc6df436f11627baaf4ee777163eed9cc749",
+  "residuals": {},
+  "results": {
+    "constants": [],
+    "fields": [],
+    "isotropy_dimension": 0,
+    "kernel_basis": [
+      [],
+      []
+    ],
+    "normal_basis": [
+      [],
+      []
+    ],
+    "normal_dimension": 0,
+    "point": [
+      0.29999999999999999,
+      0.10000000000000001
+    ]
+  },
+  "schema": "algebroidlab/1",
+  "seed": 0,
+  "tolerances": {
+    "jacobi": 9.9999999999999998e-13
+  }
+}
+"""
+LINEARIZE_SO3_SPHERE = """\
+{
+  "command": "linearize",
+  "input_digest": "aac26f3b086beb170bc5d6c477e265fe86d5c19ec4937449ce4d909155ee6f6c",
+  "residuals": {},
+  "results": {
+    "constants": [
+      [
+        [
+          0
+        ]
+      ]
+    ],
+    "fields": [
+      [
+        "0"
+      ]
+    ],
+    "isotropy_dimension": 1,
+    "kernel_basis": [
+      [
+        1
+      ],
+      [
+        0
+      ],
+      [
+        0
+      ]
+    ],
+    "normal_basis": [
+      [
+        1
+      ],
+      [
+        0
+      ],
+      [
+        0
+      ]
+    ],
+    "normal_dimension": 1,
+    "point": [
+      1,
+      0,
+      0
+    ]
+  },
+  "schema": "algebroidlab/1",
+  "seed": 0,
+  "tolerances": {
+    "jacobi": 9.9999999999999998e-13
+  }
+}
+"""
+
+
+def test_linearize_reports_at_regular_and_orbit_points():
+    for spec, point, want in (
+            ("tangent2.json", "0.3,0.1", LINEARIZE_TANGENT2_REGULAR),
+            ("so3_action.json", "1,0,0", LINEARIZE_SO3_SPHERE)):
+        assert run(["linearize", "--spec", DATA / spec, "--point", point]) \
+            == (0, want)
+
+
 def test_differential_lists_frame_duals():
     code, doc = run_doc(["differential", "--spec", DATA / "aff1.json"])
     assert code == 0
@@ -491,7 +589,7 @@ def test_overflowing_constants_are_an_error_document_without_warnings(
     assert proc.returncode == 1
     assert proc.stderr == ""
     assert json.loads(proc.stdout) == {
-        "error": "structure constants fail Jacobi (defect nan)"}
+        "error": "bracket fails Jacobi (certified defect nan)"}
 
 
 def test_cli_import_loads_no_scipy():

@@ -181,6 +181,24 @@ def test_check_point_rejects_wrong_length():
         CHART2.check_point((1.0,))
 
 
+def test_check_point_reads_only_numbers(catalog):
+    # True is not the coordinate 1, nor "0" the coordinate 0: each is
+    # refused where a point is read, as in every field array
+    so3 = catalog["so3_action"]
+    for bad in ((True, "0", 0), (1.0, np.False_, 0.0), ("1", 0, 0),
+                (1.0, None, 0.0), (1.0, [0.0], 0.0)):
+        with pytest.raises(DimensionMismatchError,
+                           match="^point coordinates must be numbers$"):
+            al.anchor_rank_at(so3, bad)
+    with pytest.raises(DimensionMismatchError, match="numbers"):
+        parse_field(CHART2, "x1").evaluate((1.0, "2"))
+    # numpy's and Python's ints, floats and fractions are numbers
+    for good in ((1, 0, 0), (np.int32(1), np.float32(0.0), Fraction(0)),
+                 np.array([1.0, 0.0, 0.0]), [np.int64(1), 0.0, -0.0]):
+        assert CHART2.check_point(good[:2]) == (1.0, 0.0)
+        assert al.anchor_rank_at(so3, good) == 2
+
+
 def test_non_integral_exponents_and_powers_are_rejected():
     with pytest.raises(DimensionMismatchError):
         ScalarField(CHART2, {(1.5, 0): 1.0})

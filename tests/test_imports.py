@@ -20,7 +20,7 @@ DATA = ROOT / "tests" / "data"
 # the package's public names and where they live
 EXPORTS = {
     "algebroid": (
-        "IsotropyData LieAlgebroid Section TransformationData "
+        "IsotropyData LieAlgebroid Linearization Section "
         "ValidationReport VectorField anchor_apply anchor_rank_at "
         "bracket_sections build_algebroid catalog_build constants_jacobiator "
         "isotropy_at linearize_at validate vector_field_bracket"),

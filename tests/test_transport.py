@@ -614,6 +614,50 @@ def test_transport_refuses_non_finite_vectors(catalog):
     assert time.perf_counter() - start < 1.0
 
 
+def test_transport_reads_only_numbers(catalog):
+    # numpy read "1" and True as 1.0 in an initial vector or a frame
+    a = catalog["so3_action"]
+    conn = al.compatible_connection(a)[0]
+    path = al.constant_path(a, (2.0 * np.pi, 0.0, 0.0), (1.0, 0.0, 0.0))
+    for bad in (["1", True, "0"], [1.0, np.True_, 0.0], [1.0, None, 0.0],
+                [[1, 0, 0], [0, True, 0], [0, 0, 1]]):
+        with pytest.raises(ShapeMismatchError,
+                           match="^initial vector must be numbers$"):
+            al.parallel_transport(conn, path, bad)
+    frame = [[1, 0, 0], [0, np.int32(1), 0], [0, 0, np.float32(1.0)]]
+    want = al.parallel_transport(conn, path, np.eye(3)).value
+    assert np.array_equal(al.parallel_transport(conn, path, frame).value, want)
+
+
+def test_fixed_point_holonomy_reads_only_numbers(catalog):
+    a = catalog["so3_action"]
+    for bad in (["1", True, "0"], [np.True_, 0.0, 0.0], [0.5, "0", 0.0]):
+        with pytest.raises(ShapeMismatchError,
+                           match="^algebra element must be numbers$"):
+            al.fixed_point_holonomy(a, bad)
+    want = al.fixed_point_holonomy(a, [1.0, 0.0, 0.0])
+    for good in ([1, 0, 0], np.array([1, 0, 0]), (np.float32(1.0), 0, -0.0)):
+        got = al.fixed_point_holonomy(a, good)
+        assert all(np.array_equal(x, y) for x, y in zip(got, want))
+
+
+def test_path_segment_bounds_are_numbers(catalog):
+    # a text bound such as "0" was read as the number 0
+    a = catalog["so3_action"]
+    segment = {"t0": 0, "t1": 1, "gamma": ["1", "0", "0"],
+               "coeffs": ["1", "0", "0"]}
+    assert al.path_from_dict(a, {"segments": [segment]}).segments.tolist() \
+        == [[0.0, 1.0]]
+    for key, text in (("t0", "0"), ("t1", "1"), ("t1", "1.0")):
+        with pytest.raises(ShapeMismatchError,
+                           match="^segment bounds must be numbers$"):
+            al.path_from_dict(a, {"segments": [{**segment, key: text}]})
+    for piece in (("0", 1.0, ["1", "0", "0"]), (0.0, "1", ["1", "0", "0"])):
+        with pytest.raises(ShapeMismatchError,
+                           match="^segment bounds must be numbers$"):
+            al.lift_base_path(a, [piece])
+
+
 def test_transport_of_huge_vectors_fails_quietly_and_fast(catalog):
     # e^0.7 times 1e308 overflows: refinement stops at the first finer
     # result, with or without tol
