@@ -64,7 +64,7 @@ class VectorField:
                                 for i, x in enumerate(self.comps)))
 
     def evaluate(self, p):
-        return _values(self.comps, p)
+        return _values(self.chart, self.comps, p)
 
     def __repr__(self):
         return "VectorField(%s)" % ", ".join(str(c) for c in self.comps)
@@ -116,7 +116,7 @@ class Section:
         return self + (-other)
 
     def evaluate(self, p):
-        return _values(self.coeffs, p)
+        return _values(self.algebroid.chart, self.coeffs, p)
 
     def __repr__(self):
         return "Section(%s)" % ", ".join(str(a) for a in self.coeffs)
@@ -147,13 +147,11 @@ class LieAlgebroid:
     def anchor_row(self, s):
         return VectorField(self.chart, self.anchor[s])
 
-    # check_point first: over a point the anchor has no entries to refuse
-    # a point of the wrong length
     def anchor_matrix_at(self, p):
-        return _values(self.anchor, self.chart.check_point(p))
+        return _values(self.chart, self.anchor, p)
 
     def bracket_at(self, p):
-        return _values(self.bracket, self.chart.check_point(p))
+        return _values(self.chart, self.bracket, p)
 
     def __repr__(self):
         return "LieAlgebroid(m=%d, r=%d)" % (self.dimension, self.rank)
@@ -180,19 +178,15 @@ def _integer(n, what):
 
 
 def _bounded(n, what):
-    """_integer(n), refused above _MAX_SIZE before anything is allocated."""
+    """_integer(n), refused below 0 or above _MAX_SIZE before anything is
+    allocated."""
     n = _integer(n, what)
+    if n < 0:
+        raise ShapeMismatchError("%s must not be negative" % what)
     if n > _MAX_SIZE:
         raise ShapeMismatchError("%s %d is above the limit of %d"
                                  % (what, n, _MAX_SIZE))
     return n
-
-
-def _positive_rank(rank):
-    rank = _bounded(rank, "rank")
-    if rank < 1:
-        raise ShapeMismatchError("rank must be positive")
-    return rank
 
 
 def build_algebroid(chart, rank, anchor, bracket, metadata=None):
@@ -201,7 +195,7 @@ def build_algebroid(chart, rank, anchor, bracket, metadata=None):
     The Jacobi identity and the anchor-morphism axiom are not verified here;
     use validate for that.
     """
-    rank = _positive_rank(rank)
+    rank = _bounded(rank, "rank")
     rows = _field_array(chart, anchor, (rank, chart.dimension), "anchor")
     tensor = _field_array(chart, bracket, (rank,) * 3, "bracket tensor")
     # c[s,t,u] + c[t,s,u] is zero when both have the same monomials and
@@ -347,7 +341,7 @@ def _rank(sv):
 def anchor_rank_at(algebroid, p):
     """Numerical rank of the anchor matrix at a point."""
     b = algebroid.anchor_matrix_at(p)
-    return _rank(np.linalg.svd(b, compute_uv=False)) if b.size else 0
+    return _rank(np.linalg.svd(b, compute_uv=False))
 
 
 IsotropyData = namedtuple("IsotropyData", ["basis", "constants", "residual"])
@@ -357,9 +351,6 @@ Linearization = namedtuple(
 
 def _kernel_basis(b):
     """Orthonormal basis of left null space, deterministic sign/order."""
-    r = b.shape[0]
-    if b.shape[1] == 0:
-        return np.eye(r)
     u, sv, _vt = np.linalg.svd(b)
     kernel = u[:, _rank(sv):].copy()
     for a in range(kernel.shape[1]):
@@ -376,12 +367,11 @@ def isotropy_at(algebroid, p, tol=1e-9):
     p = algebroid.chart.check_point(p)
     b = algebroid.anchor_matrix_at(p)
     kernel = _kernel_basis(b)
-    k = kernel.shape[1]
     c_p = algebroid.bracket_at(p)
     # bracket of kernel vectors, expressed back in the kernel basis
     w = np.einsum("sa,tb,stu->abu", kernel, kernel, c_p)
     proj = np.einsum("abu,uc,vc->abv", w, kernel, kernel)
-    residual = float(np.max(np.abs(w - proj))) if k else 0.0
+    residual = max_abs(w - proj)
     if not residual <= tol:
         raise NotClosedError(
             "kernel bracket leaves the kernel (residual %.3e)" % residual)
@@ -516,7 +506,8 @@ def _check_jacobi(c, tol):
 
 def _anchor_jacobian(algebroid, p):
     """Anchor partials d_j rho_s^i at p, an (r, m, m) array [s, i, j]."""
-    return _values(_partials(algebroid.anchor, algebroid.dimension), p)
+    return _values(algebroid.chart,
+                   _partials(algebroid.anchor, algebroid.dimension), p)
 
 
 def linearize_at(algebroid, p, tol=1e-9):
@@ -537,24 +528,20 @@ def linearize_at(algebroid, p, tol=1e-9):
     p = algebroid.chart.check_point(p)
     iso = isotropy_at(algebroid, p, tol=tol)
     m = algebroid.dimension
-    b = algebroid.anchor_matrix_at(p)
-    if m:
-        _u, sv, vt = np.linalg.svd(b)
-        q = list(vt[:_rank(sv)])
-        normal = []
-        for i in range(m):
-            w = np.zeros(m)
-            w[i] = 1.0
-            for col in q:
-                w = w - np.dot(col, w) * col
-            norm = np.linalg.norm(w)
-            if norm > 1e-9:
-                w = w / norm
-                q.append(w)
-                normal.append(w)
-        normal = np.array(normal).T if normal else np.zeros((m, 0))
-    else:
-        normal = np.zeros((0, 0))
+    _u, sv, vt = np.linalg.svd(algebroid.anchor_matrix_at(p))
+    q = list(vt[:_rank(sv)])
+    normal = []
+    for i in range(m):
+        w = np.zeros(m)
+        w[i] = 1.0
+        for col in q:
+            w = w - np.dot(col, w) * col
+        norm = np.linalg.norm(w)
+        if norm > 1e-9:
+            w = w / norm
+            q.append(w)
+            normal.append(w)
+    normal = np.array(normal).T if normal else np.zeros((m, 0))
 
     n_dim = normal.shape[1]
     k = iso.basis.shape[1]
@@ -686,7 +673,7 @@ def catalog_build(kind, params):
 
     if kind == "lie_algebra_bundle":
         m = _bounded(params["dimension"], "dimension")
-        r = _positive_rank(params["rank"])
+        r = _bounded(params["rank"], "rank")
         chart = Chart(m)
         bracket = params["bracket"]
         if isinstance(bracket, list) and all(isinstance(e, dict)

@@ -269,14 +269,15 @@ def _mat_dot(pairs, start=None):
     Float arrays are summed by numpy. Field matrices take one fields.dot
     per output entry, over the pairs in order and the inner index within
     each, so an entry is bit-identical to the chained sum of its products.
+    With no pairs, the result holds start's entries.
     """
     pairs = [(x, y, not isinstance(x, np.ndarray)) for x, y in pairs]
-    if pairs[0][1].dtype != object:
+    x, y, scalar = pairs[0] if pairs else (None, start, True)
+    if y.dtype != object:
         for x, y, scalar in pairs:
             term = x * y if scalar else x @ y
             start = term if start is None else start + term
         return start
-    x, y, scalar = pairs[0]
     shape = y.shape if scalar else (x.shape[0], y.shape[1])
     out = np.empty(shape, dtype=object)
     if not out.size:

@@ -525,7 +525,7 @@ def modular_theorem_check(algebroid, n_points=20, seed=0):
     m1 = secondary_class(algebroid, 1)
     theta = modular_cocycle(algebroid)
     pairs = np.array([(m1.form.coeff((s,)), theta.form.coeff((s,)))
-                      for s in range(algebroid.rank)])
+                      for s in range(algebroid.rank)]).reshape(-1, 2)
     with np.errstate(over="ignore", invalid="ignore"):
         v = _split_values(_split(algebroid.chart, pairs), pts)
         worst = max_abs(v[..., 0] - v[..., 1] / TWO_PI)

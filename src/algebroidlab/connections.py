@@ -74,10 +74,9 @@ def connection_matrix(conn, section):
     """Matrix of nabla_section on the bundle frame, columns are inputs."""
     if section.algebroid is not conn.algebroid:
         raise AlgebroidMismatchError("section of a different algebroid")
-    if not conn.algebroid.rank:   # the tangent algebroid of a point
-        return np.empty((0, 0), dtype=object)
+    zero = np.full((conn.q, conn.q), ScalarField(conn.algebroid.chart))
     # omega[u, t] = sum_s a_s Gamma[s, t, u]
-    return _mat_dot(zip(section.coeffs, conn.symbols.transpose(0, 2, 1)))
+    return _mat_dot(zip(section.coeffs, conn.symbols.transpose(0, 2, 1)), zero)
 
 
 class TensorSection:
@@ -96,7 +95,7 @@ class TensorSection:
         self.comps = out
 
     def evaluate(self, p):
-        return _values(self.comps, p)
+        return _values(self.algebroid.chart, self.comps, p)
 
     def __sub__(self, other):
         if (other.algebroid is not self.algebroid
@@ -223,7 +222,7 @@ def _family_curvature(algebroid, omega0, etas):
              for i, j in itertools.combinations_with_replacement(
                  range(len(ws)), 2)}
     out = {t: {(0,) * m: np.zeros((len(pairs), q, q))} for t in monos.values()}
-    step = max(1, _BLOCK // (q * q))
+    step = max(1, _BLOCK // max(1, q * q))
     for lo in range(0, len(pairs), step):
         a, b = ia[lo:lo + step], ib[lo:lo + step]
         gathered = [{e: (x[a], x[b]) for e, x in w.items()} for w in ws]

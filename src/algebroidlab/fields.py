@@ -82,14 +82,19 @@ _NUMBER_TYPES = frozenset((float, int, np.float64, np.int64))
 def _numbers(values, what, error):
     """values, an iterable of finite real numbers, as a tuple of floats;
     error("<what> must be numbers") if one is a bool, a text or no real
-    number, error("<what> must be finite") if one is inf or NaN."""
+    number, error("<what> must be finite") if one is inf, NaN or an int
+    too large for a double."""
     values = tuple(values)
     if not _NUMBER_TYPES.issuperset(map(type, values)) and not all(
             isinstance(v, numbers.Real) and not isinstance(v, bool)
             for v in values):
         raise error("%s must be numbers" % what)
-    values = tuple(map(float, values))
-    if not all(map(math.isfinite, values)):
+    try:
+        values = tuple(map(float, values))
+        finite = all(map(math.isfinite, values))
+    except OverflowError:
+        finite = False
+    if not finite:
         raise error("%s must be finite" % what)
     return values
 
@@ -308,18 +313,7 @@ class ScalarField:
             for e, c in self.coeffs.items() if e[i]})
 
     def evaluate(self, p):
-        p = self.chart.check_point(p)
-        total = 0.0
-        try:
-            for e, c in self.coeffs.items():
-                term = c
-                for xi, ei in zip(p, e):
-                    if ei:
-                        term *= xi ** ei
-                total += term
-        except OverflowError:
-            raise _power_overflow() from None
-        return total
+        return _evaluate(self.coeffs, self.chart.check_point(p))
 
     def is_zero(self):
         return not self.coeffs
@@ -466,6 +460,21 @@ def parse_field(chart, text):
     return ScalarField._of(chart, coeffs)
 
 
+def _evaluate(coeffs, p):
+    """Value of a coefficient dict at a point that check_point has read."""
+    total = 0.0
+    try:
+        for e, c in coeffs.items():
+            term = c
+            for xi, ei in zip(p, e):
+                if ei:
+                    term *= xi ** ei
+            total += term
+    except OverflowError:
+        raise _power_overflow() from None
+    return total
+
+
 def _power_overflow():
     """The error for a point with a coordinate power past a double, where
     Python's float ** raises OverflowError."""
@@ -512,6 +521,8 @@ def _field_array(chart, data, shape, what):
     distinct expression text is parsed once, its entries sharing one field.
     """
     shape = tuple(shape)
+    if shape[:1] == (0,) and type(data) is list and not data:
+        data = np.zeros(shape)   # JSON writes an array with no rows as []
     try:
         arr = np.asarray(data)
     except (ValueError, OverflowError):   # ragged, or an int past a double
@@ -549,10 +560,12 @@ def _field_array(chart, data, shape, what):
     return np.fromiter(map(coerce, arr.flat), object, arr.size).reshape(shape)
 
 
-def _values(fields, p):
-    """Float array of f.evaluate(p) over an array (or list) of fields."""
+def _values(chart, fields, p):
+    """Float array of f.evaluate(p) over an array (or list) of fields on
+    chart, the point checked once."""
+    p = chart.check_point(p)
     fields = np.asarray(fields, dtype=object)
-    return np.fromiter((f.evaluate(p) for f in fields.flat), float,
+    return np.fromiter((_evaluate(f.coeffs, p) for f in fields.flat), float,
                        fields.size).reshape(fields.shape)
 
 

@@ -14,6 +14,8 @@ File format (1-based indices at this boundary only):
   "metadata": {"name": ...}                 // optional; carried, never read
 }
 
+Rank 0 is accepted, with "anchor": [] (no rows) or no anchor at all.
+
 Bracket entries list c[s][t][u]; the (t, s, u) entry is filled in with the
 opposite sign automatically. Listing both orientations is allowed as long
 as they agree. An entry is a number or an expression text; true, false,
@@ -32,7 +34,6 @@ from .algebroid import (
     _bounded,
     _bracket_entries,
     _bracket_from_entries,
-    _positive_rank,
     build_algebroid,
     catalog_build,
 )
@@ -50,7 +51,7 @@ def algebroid_from_dict(data):
         built.metadata = {**extra, **built.metadata}
         return built
     m = _bounded(data["dimension"], "dimension")
-    r = _positive_rank(data["rank"])
+    r = _bounded(data["rank"], "rank")
     labels = data.get("labels")
     chart = Chart(m, tuple(labels)) if labels else Chart(m)
     anchor_rows = data.get("anchor")

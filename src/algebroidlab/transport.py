@@ -212,8 +212,6 @@ class APath:
     def _tangency_residual(self):
         a = self.algebroid
         m = a.dimension
-        if m == 0:
-            return 0.0
         # a fixed grid, and every segment's midpoint so that no segment
         # goes unchecked however many there are
         mids = 0.5 * (self.segments[:, 0] + self.segments[:, 1])
@@ -299,11 +297,8 @@ def _min_norm(mats, rhs):
     5.5). Singular values at or below eps * max(rows, columns) times the
     largest are dropped, the cutoff of np.linalg.lstsq; a zero matrix drops
     them all and gives x = 0, as lstsq does."""
-    n, rows, cols = mats.shape
-    if not rows or not cols:
-        return np.zeros((n, cols))
     u, s, vt = np.linalg.svd(mats, full_matrices=False)
-    keep = s > np.finfo(float).eps * max(rows, cols) * s[:, :1]
+    keep = s > np.finfo(float).eps * max(mats.shape[1:]) * s[:, :1]
     y = np.divide((rhs[:, None, :] @ u)[:, 0], s, out=np.zeros_like(s),
                   where=keep)
     return (y[:, None, :] @ vt)[:, 0]
@@ -535,9 +530,7 @@ def _expm(a):
     least that brings the infinity norm to at most 1/2, squared s times
     (Golub-Van Loan, Matrix Computations, Alg. 11.3.1); exp(0) = I exactly."""
     eye = np.eye(len(a))
-    if not len(a):
-        return eye
-    norm = float(np.max(np.sum(np.abs(a), axis=1)))
+    norm = float(np.max(np.sum(np.abs(a), axis=1), initial=0.0))
     s = math.frexp(norm)[1] + 1 if norm > 0.5 else 0
     a = a / 2.0 ** s
     num, den, x, c = eye.copy(), eye.copy(), eye, 1.0

@@ -407,6 +407,72 @@ def test_linearization_at_a_regular_point_is_an_algebroid(catalog):
     assert al.validate(a).passed
 
 
+def rank_zero_algebroid(kind):
+    """The linearization at (0.3, 0.1) of the rank-1 plane algebroid whose
+    anchor is d/dx1, of rank 0 over a line; or the zero bundle over the
+    plane, read from a spec."""
+    if kind == "linearization":
+        a = al.algebroid_from_dict({"dimension": 2, "rank": 1,
+                                    "anchor": [["1", "0"]]})
+        return al.linearize_at(a, (0.3, 0.1)).algebroid
+    return al.algebroid_from_dict({"dimension": 2, "rank": 0, "anchor": []})
+
+
+@pytest.mark.parametrize("kind", ["linearization", "spec"])
+def test_rank_zero_takes_the_general_path(kind):
+    # the bundle calls, the classes, transport and the JSON round trip on a
+    # rank-0 algebroid over a chart of positive dimension; the curvature
+    # divided by q * q = 0, the modular check lost its pair axis, the TM
+    # mate's connection matrix was (0, 0) and the spec was refused
+    b = rank_zero_algebroid(kind)
+    m = b.dimension
+    assert b.rank == 0 and m == {"linearization": 1, "spec": 2}[kind]
+    point = (0.5,) * m
+    assert al.anchor_rank_at(b, point) == 0
+    iso = al.isotropy_at(b, point)
+    assert iso.basis.shape == (0, 0) and iso.residual == 0.0
+    conn_a, conn_tm = al.compatible_connection(b)
+    for conn in (conn_a, conn_tm):
+        f = al.curvature(conn)
+        assert (f.degree, f.size, f.coeffs) == (2, conn.q, {})
+    report = al.modular_theorem_check(b)
+    assert report["max_deviation"] == 0.0
+    zero = al.Section(b, [])
+    assert al.connection_matrix(conn_tm, zero).shape == (m, m)
+    # the zero section moves no tensor
+    target = al.TensorSection(b, "TM", 1, 0, ["x1 * x1"] + ["1"] * (m - 1))
+    assert all(f.is_zero()
+               for f in al.a_derivative(conn_tm, zero, target).comps)
+    m1 = al.secondary_class(b, 1)
+    assert m1.form.coeffs == {} and m1.closedness_residual == 0.0
+    assert al.validate(b).passed
+    path = al.constant_path(b, [], point)
+    assert path.residual == 0.0
+    assert al.parallel_transport(conn_a, path, []).value.shape == (0,)
+    assert np.array_equal(
+        al.parallel_transport(conn_tm, path, np.eye(m)).value, np.eye(m))
+    assert al.lift_base_path(b, [str(x) for x in point]).residual == 0.0
+    adp, jacp = al.fixed_point_holonomy(b, [])
+    assert adp.shape == (0, 0) and np.array_equal(jacp, np.eye(m))
+    doc = al.algebroid_to_dict(b)
+    assert (doc["rank"], doc["anchor"], doc["bracket"]) == (0, [], [])
+    again = al.algebroid_from_dict(json.loads(json.dumps(doc)))
+    assert al.algebroid_to_dict(again) == doc
+
+
+def test_a_lie_algebra_over_a_point_is_its_own_isotropy(catalog):
+    # the anchor matrix has no columns: its left kernel is the whole frame,
+    # in the identity basis, and nothing is left of the normal space
+    a = catalog["sl2"]
+    iso = al.isotropy_at(a, ())
+    assert np.array_equal(iso.basis, np.eye(3)) and iso.residual == 0.0
+    assert np.array_equal(iso.constants, a.bracket_at(()))
+    lin = al.linearize_at(a, ())
+    assert lin.normal_basis.shape == (0, 0)
+    assert (lin.algebroid.rank, lin.algebroid.dimension) == (3, 0)
+    assert np.array_equal(lin.algebroid.bracket_at(()), a.bracket_at(()))
+
+
 def test_linearized_data_after_a_frame_change_is_an_action():
     # after a constant unipotent frame change the isotropy bracket at a
     # generic point carries roundoff; isotropy_at makes its constants

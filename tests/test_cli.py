@@ -269,7 +269,7 @@ def test_error_documents(tmp_path):
         (tmp_path / name).write_text(json.dumps(spec))
         code, doc = run_doc(["validate", "--spec", tmp_path / name])
         assert code == 1
-        assert doc == {"error": "rank must be positive"}
+        assert doc == {"error": "rank must not be negative"}
     # structure constants that are no (n, n, n) array, and metadata that is
     # no JSON object, in generic and catalog documents
     tangent = {"kind": "tangent", "params": {"dimension": 1}}

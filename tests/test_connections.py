@@ -59,13 +59,19 @@ def test_connection_matrix_is_the_symbols_contracted_with_the_section(catalog):
 
 
 def test_connection_matrix_of_rank_zero():
-    # the tangent algebroid of a point, the one algebroid of rank 0, has
-    # no frame: an empty matrix on every bundle
+    # a rank-0 algebroid has no frame, so nabla of its one section is the
+    # zero q x q matrix on every bundle: empty over a point, and of the
+    # chart's size on TM, T*M and E over the plane
     point = al.CoordForm(Chart(0), 0).algebroid
-    for bundle in BUNDLES:
-        conn = al.build_connection(point, bundle, np.empty((0, 0, 0)))
-        omega = al.connection_matrix(conn, al.Section(point, []))
-        assert omega.shape == (0, 0) and omega.dtype == object
+    plane = al.algebroid_from_dict({"dimension": 2, "rank": 0})
+    for a in (point, plane):
+        for bundle in BUNDLES:
+            q = bundle_rank(a, bundle)
+            conn = al.build_connection(a, bundle, np.empty((0, q, q)))
+            omega = al.connection_matrix(conn, al.Section(a, []))
+            assert omega.shape == (q, q) and omega.dtype == object
+            assert all(f.is_zero() and f.chart == a.chart
+                       for f in omega.flat)
 
 
 def test_flat_connection_is_directional_derivative(catalog):

@@ -641,6 +641,29 @@ def test_fixed_point_holonomy_reads_only_numbers(catalog):
         assert all(np.array_equal(x, y) for x, y in zip(got, want))
 
 
+def test_ints_too_large_for_a_double_are_not_finite(catalog):
+    # float() of a 400-digit int raises OverflowError, which escaped from
+    # each of these readers of numbers
+    a = catalog["so3_action"]
+    huge = 10 ** 400
+    with pytest.raises(DimensionMismatchError,
+                       match="^point coordinates must be finite$"):
+        al.anchor_rank_at(a, (huge, 0, 0))
+    with pytest.raises(ShapeMismatchError,
+                       match="^algebra element must be finite$"):
+        al.fixed_point_holonomy(a, [huge, 0, 0])
+    path = al.constant_path(a, [1, 0, 0], (1, 0, 0))
+    with pytest.raises(ShapeMismatchError,
+                       match="^initial vector must be finite$"):
+        al.parallel_transport(al.compatible_connection(a)[0], path,
+                              [huge, 0, 0])
+    segment = {"t0": 0, "t1": huge, "gamma": ["1", "0", "0"],
+               "coeffs": ["1", "0", "0"]}
+    with pytest.raises(ShapeMismatchError,
+                       match="^segment bounds must be finite$"):
+        al.path_from_dict(a, {"segments": [segment]})
+
+
 def test_path_segment_bounds_are_numbers(catalog):
     # a text bound such as "0" was read as the number 0
     a = catalog["so3_action"]
@@ -692,6 +715,7 @@ def test_transport_on_a_rank_zero_bundle(catalog):
     a = catalog["so3"]
     conn = al.build_connection(a, "TM", np.empty((a.rank, 0, 0)))
     path = al.constant_path(a, V, ())
+    assert path.residual == 0.0
     for tol in (None, 1e-10):
         res = al.parallel_transport(conn, path, np.zeros(0), n_steps=7,
                                     tol=tol)
