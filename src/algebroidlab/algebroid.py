@@ -10,6 +10,7 @@ Pointwise linear algebra (rank, isotropy, linearization) uses numpy.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from collections import namedtuple
@@ -30,6 +31,7 @@ from .fields import (
     Chart,
     ScalarField,
     _field_array,
+    _kept_split,
     _partials,
     _power_overflow,
     _split,
@@ -127,15 +129,26 @@ class LieAlgebroid:
 
     Sections, forms, and connections are tied to the instance that created
     them; mixing instances raises AlgebroidMismatchError even if the data
-    agree.
+    agree. The anchor and bracket arrays are read-only, and each is split
+    by chart monomial (fields._split) once, on first use, and kept.
     """
 
     def __init__(self, chart, rank, anchor, bracket, metadata=None):
+        anchor.flags.writeable = False
+        bracket.flags.writeable = False
         self.chart = chart
         self.rank = rank
         self.anchor = anchor      # (r, m) object ndarray of fields
         self.bracket = bracket    # (r, r, r) object ndarray of fields
         self.metadata = dict(metadata or {})
+
+    @functools.cached_property
+    def _anchor_split(self):
+        return _kept_split(self.chart, self.anchor)
+
+    @functools.cached_property
+    def _bracket_split(self):
+        return _kept_split(self.chart, self.bracket)
 
     @property
     def dimension(self):
@@ -297,8 +310,8 @@ def validate(algebroid, points=None, tol=1e-10, n_samples=50, seed=0):
         raise ValueError("at least one sample point is required")
     if not m:
         pts = pts[:1]
-    c = _split(chart, algebroid.bracket)
-    rho = _split(chart, algebroid.anchor)
+    c = algebroid._bracket_split
+    rho = algebroid._anchor_split
     triples = np.array(list(itertools.combinations(range(r), 3)),
                        dtype=np.int64).reshape(-1, 3)
     entries = [(np.triu_indices(r, 1), m), (tuple(triples.T), r),
@@ -680,7 +693,7 @@ def catalog_build(kind, params):
                                              for e in bracket):
             bracket = _bracket_from_entries(chart, r, bracket)
         a = build_algebroid(chart, r, [[0.0] * m for _ in range(r)], bracket)
-        _check_jacobi(_split(chart, a.bracket), 1e-10)
+        _check_jacobi(a._bracket_split, 1e-10)
         a.metadata = {"kind": kind, "params": {
             "dimension": m, "rank": r, "bracket": _bracket_entries(a)}}
         return a

@@ -76,6 +76,17 @@ class AForm:
             algebroid, degree, entries, lambda v: as_field(chart, v),
             ScalarField.is_zero)
 
+    @classmethod
+    def _of(cls, algebroid, degree, coeffs):
+        """Trusted constructor: coeffs maps sorted index tuples of length
+        degree to nonzero fields on the chart, and is stored as given."""
+        form = object.__new__(cls)
+        form.algebroid = algebroid
+        form.degree = degree
+        form.coeffs = coeffs
+        form.overflow = False
+        return form
+
     def coeff(self, key):
         """Signed component on an arbitrary index tuple."""
         skey, sign = _normalize_key(tuple(key), self.algebroid.rank)
@@ -166,9 +177,7 @@ def differential(form):
         total = dot(a.chart, pairs)
         if total.coeffs:
             out[key] = total
-    d = AForm(a, k + 1)
-    d.coeffs = out   # sorted keys and nonzero fields already
-    return d
+    return AForm._of(a, k + 1, out)
 
 
 def wedge(p_form, q_form):
@@ -238,6 +247,18 @@ class MatrixForm:
             lambda m: _field_array(algebroid.chart, m, (size, size),
                                    "matrix component"),
             _matrix_is_zero)
+
+    @classmethod
+    def _of(cls, algebroid, degree, size, coeffs):
+        """Trusted constructor: coeffs maps sorted index tuples of length
+        degree to (size, size) field arrays on the chart, none all zero,
+        and is stored as given."""
+        form = object.__new__(cls)
+        form.algebroid = algebroid
+        form.degree = degree
+        form.size = size
+        form.coeffs = coeffs
+        return form
 
     def zero_matrix(self):
         zero = ScalarField(self.algebroid.chart)

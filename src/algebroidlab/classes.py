@@ -33,7 +33,6 @@ from .calculus import AForm, _mat_dot, differential
 from .connections import (
     _BLOCK,
     _family_curvature,
-    _frame_matrices,
     basic_connection,
     bundle_rank,
     flat_metric_connection,
@@ -320,15 +319,15 @@ def _transgress(algebroid, conn0, conns, poly):
     n, k, r = len(conns), poly.k, algebroid.rank
     degree = 2 * k - n
     if degree > r or k < n:
-        out = AForm(algebroid, degree)
+        out = AForm._of(algebroid, degree, {})
         out.overflow = degree > r
         return out
     # the bound without the chart (over a point, all of it) comes first
     charts = _check_work(r, n, k, poly.q, [(0,) * algebroid.dimension])
-    omega0 = _frame_matrices(conn0)
+    omega0 = conn0._frame_matrices()
     etas = [{e: w.get(e, 0.0) - omega0.get(e, 0.0)
              for e in sorted(w.keys() | omega0.keys())}
-            for w in map(_frame_matrices, conns)]
+            for w in (c._frame_matrices() for c in conns)]
     fam = _family_curvature(algebroid, omega0, etas) if k > n else {}
     if algebroid.dimension:
         charts = _check_work(r, n, k, poly.q,
@@ -383,9 +382,9 @@ def _transgress(algebroid, conn0, conns, poly):
     scale = TWO_PI ** -k / math.factorial(k) * (-1 if n % 4 in (1, 2) else 1)
     values = (scale * values).reshape(-1, len(charts[k]))
     fields = _join(algebroid.chart, dict(zip(charts[k], values.T)))
-    return AForm(algebroid, degree, {
+    return AForm._of(algebroid, degree, {
         tuple(x for x in range(r) if mask >> x & 1): f
-        for mask, f in zip(_level(r, n, k, k), fields)})
+        for mask, f in zip(_level(r, n, k, k), fields) if f.coeffs})
 
 
 def chern_weil(algebroid, conn, poly):
@@ -464,15 +463,19 @@ def _closedness_residual(form):
 
 
 def secondary_class(algebroid, k):
-    """Secondary class representative m_k from the canonical connections."""
+    """Secondary class representative m_k from the canonical connections.
+    Above the rank it is the zero form with its overflow flag, and no
+    polynomial is built: over the zero bundle over a point, E has rank 0."""
     k = int(k)
     if k < 1 or k % 2 == 0:
         raise BadOrderError("secondary classes need odd positive order")
-    q = bundle_rank(algebroid, "E")
-    poly = InvariantPolynomial(k, q)
-    conn1 = basic_connection(algebroid)
-    conn0 = flat_metric_connection(algebroid)
-    form = transgression_form(conn1, conn0, poly)
+    if 2 * k - 1 > algebroid.rank:
+        form = AForm._of(algebroid, 2 * k - 1, {})
+        form.overflow = True
+    else:
+        form = transgression_form(
+            basic_connection(algebroid), flat_metric_connection(algebroid),
+            InvariantPolynomial(k, bundle_rank(algebroid, "E")))
     residual = _closedness_residual(form)
     if not residual <= 1e-7:
         raise ClosednessFailureError(

@@ -15,7 +15,8 @@ import operator
 import numpy as np
 
 from .algebroid import Section, anchor_apply, bracket_sections, build_algebroid
-from .calculus import MatrixForm, _apply_to_matrix, _mat_dot
+from .calculus import (MatrixForm, _apply_to_matrix, _mat_dot,
+                       _matrix_is_zero)
 from .errors import (
     AlgebroidMismatchError,
     BundleMismatchError,
@@ -26,8 +27,8 @@ from .fields import (
     ScalarField,
     _field_array,
     _join,
+    _kept_split,
     _partials,
-    _split,
     _values,
     as_field,
     dot,
@@ -49,15 +50,30 @@ def bundle_rank(algebroid, bundle):
 
 
 class AConnection:
-    """Christoffel data for one bundle over one algebroid."""
+    """Christoffel data for one bundle over one algebroid.
 
-    __slots__ = ("algebroid", "bundle", "q", "symbols")
+    The symbol array is read-only, and it is split by chart monomial once,
+    on first use, and kept (_frame_matrices).
+    """
+
+    __slots__ = ("algebroid", "bundle", "q", "symbols", "_frames")
 
     def __init__(self, algebroid, bundle, symbols):
+        symbols.flags.writeable = False
         self.algebroid = algebroid
         self.bundle = bundle
         self.q = bundle_rank(algebroid, bundle)
         self.symbols = symbols
+        self._frames = None
+
+    def _frame_matrices(self):
+        """Frame matrices of nabla split by chart monomial (fields._split):
+        out[e][s, u, t] is the x^e coefficient of Gamma[s, t, u], so that
+        sum_e out[e][s] x^e is connection_matrix(conn, e_s)."""
+        if self._frames is None:
+            self._frames = _kept_split(self.algebroid.chart,
+                                       self.symbols.transpose(0, 2, 1))
+        return self._frames
 
     def __repr__(self):
         return "AConnection(bundle=%s, q=%d)" % (self.bundle, self.q)
@@ -167,19 +183,14 @@ def curvature(conn):
     connection matrices of the frame (the n = 0 family of
     _family_curvature)."""
     a = conn.algebroid
-    fam = _family_curvature(a, _frame_matrices(conn), [])
-    return MatrixForm(a, 2, conn.q, dict(zip(
-        itertools.combinations(range(a.rank), 2), _join(a.chart, fam[()]))))
+    fam = _family_curvature(a, conn._frame_matrices(), [])
+    return MatrixForm._of(a, 2, conn.q, {
+        key: mat for key, mat in zip(itertools.combinations(range(a.rank), 2),
+                                     _join(a.chart, fam[()]))
+        if not _matrix_is_zero(mat)})
 
 
 local_curvature = curvature   # kept: perfbench/workloads.py calls it
-
-
-def _frame_matrices(conn):
-    """Frame matrices of nabla split by chart monomial (see _split):
-    out[e][s, u, t] is the x^e coefficient of Gamma[s, t, u], so that
-    sum_e out[e][s] x^e is connection_matrix(conn, e_s)."""
-    return _split(conn.algebroid.chart, conn.symbols.transpose(0, 2, 1))
 
 
 def _add_into(acc, e, term):
@@ -215,9 +226,8 @@ def _family_curvature(algebroid, omega0, etas):
     q = next(iter(omega0.values())).shape[-1]
     pairs = list(itertools.combinations(range(algebroid.rank), 2))
     ia, ib = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    negc = {e: -c for e, c in
-            _split(chart, algebroid.bracket[ia, ib]).items()}
-    anchor = _split(chart, algebroid.anchor)
+    negc = {e: -c[ia, ib] for e, c in algebroid._bracket_split.items()}
+    anchor = algebroid._anchor_split
     monos = {(i, j): tuple((i == x) + (j == x) for x in range(1, len(ws)))
              for i, j in itertools.combinations_with_replacement(
                  range(len(ws)), 2)}
@@ -270,7 +280,8 @@ class FrameChange:
     """Invertible polynomial change of a bundle frame.
 
     The determinant must be a nonzero constant so the inverse stays
-    polynomial (covers constant and unipotent triangular changes).
+    polynomial (covers constant and unipotent triangular changes). The
+    empty change, of size 0, is the identity of the empty frame: det 1.
     """
 
     __slots__ = ("chart", "size", "matrix", "inverse", "det")
@@ -279,11 +290,10 @@ class FrameChange:
         # a scalar has no length; its shape () then fails the check
         n = len(matrix) if np.iterable(matrix) else 0
         out = _field_array(chart, matrix, (n, n), "frame change")
-        if n == 0:
-            raise ShapeMismatchError("empty frame change")
-        # Faddeev-LeVerrier, n matrix products: from b = I, m = A b,
+        # Faddeev-LeVerrier, n matrix products: from c = 1, b = I, m = A b,
         # c = -tr(m) / k and b = m + c I; after step n, det A = (-1)^n c,
         # and adj A = (-1)^(n-1) b from step n - 1
+        c = ScalarField.constant(chart, 1.0)
         adj = np.eye(n)
         m = out
         for k in range(1, n + 1):
@@ -331,10 +341,11 @@ def transform_symbols(conn, change):
     mat = change.matrix
     inv = change.inverse
     # core_s = #alpha_s(a) + a Gamma_s, then Gamma'_s = core_s a^-1
-    out = np.stack([
+    # an array of no rows when the rank is 0, which np.stack refuses
+    out = np.array([
         _mat_dot([(_mat_dot([(mat, conn.symbols[s])],
                             _apply_to_matrix(a.anchor_row(s), mat)), inv)])
-        for s in range(r)])
+        for s in range(r)], dtype=object).reshape(r, q, q)
     if conn.bundle != "A":
         return AConnection(a, conn.bundle, out)
     # on bundle A the direction slot moves too
@@ -354,12 +365,11 @@ def transform_algebroid(algebroid, change):
     frames = [Section(a, list(mat[sp, :])) for sp in range(r)]
     pairs = list(itertools.combinations(range(r), 2))
     bracket = np.full((r, r, r), ScalarField(a.chart), dtype=object)
-    if pairs:
-        brs = np.array([bracket_sections(a, frames[sp], frames[tp]).coeffs
-                        for sp, tp in pairs], dtype=object)
-        for (sp, tp), row in zip(pairs, _mat_dot([(brs, inv)])):
-            bracket[sp, tp] = row
-            bracket[tp, sp] = -row
+    brs = np.array([bracket_sections(a, frames[sp], frames[tp]).coeffs
+                    for sp, tp in pairs], dtype=object)
+    for (sp, tp), row in zip(pairs, _mat_dot([(brs, inv)])):
+        bracket[sp, tp] = row
+        bracket[tp, sp] = -row
     meta = dict(a.metadata)
     meta.pop("kind", None)
     meta.pop("params", None)

@@ -588,6 +588,15 @@ def _split(chart, fields):
                            fields.size).reshape(fields.shape) for e in keys}
 
 
+def _kept_split(chart, fields):
+    """_split(chart, fields) with read-only arrays, so that a split kept
+    beside its read-only fields cannot go stale."""
+    parts = _split(chart, fields)
+    for x in parts.values():
+        x.flags.writeable = False
+    return parts
+
+
 def _split_values(parts, points):
     """Values of a split array (see _split) at each row of an (n, m) array
     of points, shape (n,) + the array's shape: per monomial, in the split's

@@ -217,7 +217,7 @@ class APath:
         mids = 0.5 * (self.segments[:, 0] + self.segments[:, 1])
         val, der = self._eval(
             np.concatenate((np.linspace(0.0, 1.0, RESIDUAL_GRID), mids)))
-        b = _split_values(_split(a.chart, a.anchor), val[:, :m])
+        b = _split_values(a._anchor_split, val[:, :m])
         return max_abs(
             (np.einsum("ns,nsi->ni", val[:, m:], b) - der[:, :m]).ravel())
 
@@ -342,7 +342,7 @@ def lift_base_path(algebroid, base, grid=64):
     # cells leaves a non-finite residual, which the path check refuses
     with np.errstate(over="ignore", invalid="ignore"):
         points, vel = _horner(curve, starts, nodes)
-        b = _split_values(_split(algebroid.chart, algebroid.anchor), points)
+        b = _split_values(algebroid._anchor_split, points)
         if not all(np.isfinite(x).all() for x in (points, vel, b)):
             raise ShapeMismatchError(
                 "base curve or the anchor along it overflows a double")
@@ -378,11 +378,12 @@ def _polymul(a, b):
 
 def _segment_matrices(conn, path):
     """Dense t-coefficient arrays of the transport matrix, index [segment,
-    power of t, u, w], for every segment at once: the symbols split by chart
-    monomial, each monomial's coefficients times that monomial's power of
-    the base curve, then times the frame coefficients."""
+    power of t, u, w], for every segment at once: the connection's kept
+    frame matrices, split by chart monomial, each monomial's coefficients
+    times that monomial's power of the base curve, then times the frame
+    coefficients."""
     m = conn.algebroid.dimension
-    parts = _split(conn.algebroid.chart, conn.symbols)
+    parts = conn._frame_matrices()
     gamma, coeffs = path._table[:, :m], path._table[:, m:]
     width = (gamma.shape[2] - 1) * max(map(sum, parts)) + 1
     # each monomial's power of the base curve, [segment, monomial, power]
@@ -393,7 +394,9 @@ def _segment_matrices(conn, path):
             p = _polymul(p, gamma[:, i])
         powers[:, k, :p.shape[1]] = p
     # the symbols along the path, [segment, power of t, s, u, w]
-    along = np.einsum("ned,eswu->ndsuw", powers, [*parts.values()])
+    # the symbols [monomial, s, t, u] in one array, as the einsum reads them
+    symbols = [x.transpose(0, 2, 1) for x in parts.values()]
+    along = np.einsum("ned,eswu->ndsuw", powers, symbols)
     mats = np.zeros((len(gamma), width + coeffs.shape[2] - 1, conn.q, conn.q))
     for j, a in enumerate(coeffs.transpose(2, 0, 1)):
         mats[:, j:j + width] += np.einsum("ns,ndsuw->nduw", a, along)

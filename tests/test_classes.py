@@ -80,6 +80,18 @@ def test_invariant_polynomial_order_bounds():
         p(np.eye(3))
 
 
+def test_zero_bundle_over_a_point_has_the_zero_m1():
+    # E has rank 0, so InvariantPolynomial(1, 0) is refused; the degree-1
+    # class is the zero form above rank 0, with its overflow flag
+    z = al.algebroid_from_dict({"dimension": 0, "rank": 0})
+    m1 = al.secondary_class(z, 1)
+    assert (m1.form.degree, m1.form.coeffs, m1.overflow) == (1, {}, True)
+    assert m1.closedness_residual == 0.0
+    report = al.modular_theorem_check(z)
+    assert report["max_deviation"] == 0.0 and report["m1"].overflow
+    assert al.secondary_class(z, 3).form.degree == 5
+
+
 def gauss_t_moments(max_d, n_nodes):
     """Moments of t on [0, 1] by Gauss-Legendre quadrature."""
     g, gw = np.polynomial.legendre.leggauss(n_nodes)
@@ -268,6 +280,7 @@ class TrivialBundleConnection(AConnection):
         self.bundle = "trivial"
         self.q = symbols.shape[1]
         self.symbols = symbols
+        self._frames = None   # the kept split, made on first use
 
 
 def constant_connection(algebroid, values):

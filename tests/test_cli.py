@@ -259,6 +259,19 @@ def test_classes_orders():
         assert code == 1 and "error" in doc
 
 
+def test_zero_bundle_over_a_point_runs_every_spec_subcommand():
+    # classes and modular refused order 1 on it with exit 1
+    spec = DATA / "zero_point.json"
+    for cmd in ("validate", "rank", "isotropy", "linearize", "differential",
+                "curvature", "torsion", "classes", "modular"):
+        code, doc = run_doc([cmd, "--spec", spec])
+        assert code == 0, (cmd, doc)
+    assert doc["results"] == {"m1_times_2pi": [], "max_deviation": 0,
+                              "theta": []}
+    code, doc = run_doc(["classes", "--spec", spec])
+    assert (doc["results"]["degree"], doc["results"]["overflow"]) == (1, True)
+
+
 def test_error_documents(tmp_path):
     negative_rank = {
         "spec.json": {"dimension": 1, "rank": -2, "anchor": []},

@@ -1,6 +1,7 @@
 """A-connections: derivatives, torsion, curvature, frame changes."""
 
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -408,6 +409,23 @@ def test_frame_change_inverse_matches_cofactors():
         assert (change.inverse[i, j] - want).is_zero()
     with pytest.raises(NotInvertibleError, match="vanishes"):
         FrameChange(chart, [["1", "2"], ["2", "4"]])
+
+
+def test_empty_frame_change_is_the_identity_of_the_empty_frame():
+    # the zero bundle over the plane: det 1, an empty inverse, and the same
+    # algebroid and symbols back, where size 0 was refused
+    a = al.load_algebroid(Path(__file__).parent / "data" / "rank0_plane.json")
+    change = FrameChange(a.chart, [])
+    assert (change.size, change.det) == (0, 1.0)
+    assert change.matrix.shape == change.inverse.shape == (0, 0)
+    b = al.transform_algebroid(a, change)
+    assert al.algebroid_to_dict(b) == al.algebroid_to_dict(a)
+    assert b.anchor.shape == (0, 2) and b.bracket.shape == (0, 0, 0)
+    conn_a, conn_tm = al.compatible_connection(a)
+    assert al.transform_symbols(conn_a, change).symbols.shape == (0, 0, 0)
+    # a frame change of TM moves no symbol of a rank-0 algebroid
+    shear = FrameChange(a.chart, [["1", "x1"], ["0", "1"]])
+    assert al.transform_symbols(conn_tm, shear).symbols.shape == (0, 2, 2)
 
 
 def test_transform_symbols_identity(catalog):
